@@ -104,7 +104,7 @@ def render(rows: Sequence[MeshShapeRow]) -> str:
         ],
     )
     lines = [table, ""]
-    for model in {r.model for r in rows}:
+    for model in dict.fromkeys(r.model for r in rows):
         est, sim = optimal_shapes(rows, model)
         agree = "agree" if est == sim else "DISAGREE"
         lines.append(

@@ -16,9 +16,9 @@ evaluation is built on (Figures 9, 10, 15) from one span list:
   engine's ready-heap observations).
 
 Everything here is a pure function of the spans (plus the optional
-wait samples), so derived metrics are independent of caching
-(``REPRO_NO_CACHE``) and identical across processes — properties the
-test suite pins.
+wait samples or their per-kind summary), so derived metrics are
+independent of caching (``REPRO_NO_CACHE``) and identical across
+processes — properties the test suite pins.
 """
 
 from __future__ import annotations
@@ -200,15 +200,39 @@ class RunMetrics:
         return records
 
 
+def group_waits(waits: Iterable[WaitSample]) -> Dict[str, List[float]]:
+    """Queue-wait samples grouped by kind, kinds in first-appearance order."""
+    grouped: Dict[str, List[float]] = {}
+    for kind, wait in waits:
+        values = grouped.get(kind)
+        if values is None:
+            grouped[kind] = [wait]
+        else:
+            values.append(wait)
+    return grouped
+
+
+def summarize_waits(grouped: Mapping[str, Sequence[float]]) -> Dict[str, WaitStats]:
+    """Per-kind :class:`WaitStats` of :func:`group_waits` output."""
+    return {
+        kind: WaitStats(count=len(values), total=sum(values), max=max(values))
+        for kind, values in grouped.items()
+    }
+
+
 def derive_run_metrics(
     spans: Iterable[object],
     waits: Optional[Sequence[WaitSample]] = None,
+    *,
+    queue_wait: Optional[Mapping[str, WaitStats]] = None,
 ) -> RunMetrics:
     """Compute :class:`RunMetrics` from one execution's spans.
 
     ``spans`` is any iterable of :class:`repro.sim.engine.Span`-shaped
     objects; ``waits`` the engine's queue-wait samples for the same
-    run, when captured.
+    run, when captured. ``queue_wait`` instead passes those samples
+    already summarized per kind (:func:`summarize_waits`), and wins
+    over ``waits``.
     """
     span_list = list(spans)
     makespan = max((s.end for s in span_list), default=0.0)
@@ -245,17 +269,8 @@ def derive_run_metrics(
     comm_union = _union(comm_intervals)
     overlap = _intersection_measure(compute_union, comm_union)
 
-    queue_wait: Dict[str, WaitStats] = {}
-    if waits:
-        grouped: Dict[str, List[float]] = {}
-        for kind, wait in waits:
-            grouped.setdefault(kind, []).append(wait)
-        queue_wait = {
-            kind: WaitStats(
-                count=len(values), total=sum(values), max=max(values)
-            )
-            for kind, values in grouped.items()
-        }
+    if queue_wait is None:
+        queue_wait = summarize_waits(group_waits(waits or ()))
 
     return RunMetrics(
         makespan=makespan,

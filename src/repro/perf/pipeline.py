@@ -101,10 +101,15 @@ def _program_fingerprint(program: Program, hw: HardwareParams):
     ``meta`` is deliberately excluded: motif annotations only steer the
     compiled engine, whose spans are bit-identical by contract, and the
     embedded config is exactly the degree of freedom being collapsed.
+
+    Mappings enter the key in insertion order, unsorted: equal item
+    tuples imply equal dicts, so no two different programs can share a
+    key, and the builders insert keys in a fixed order, so sorting
+    would buy no extra sharing.
     """
     return (
         hw,
-        tuple(sorted(program.shared_capacities.items())),
+        tuple(program.shared_capacities.items()),
         tuple(
             (
                 act.aid,
@@ -113,8 +118,8 @@ def _program_fingerprint(program: Program, hw: HardwareParams):
                 act.duration,
                 tuple(act.deps),
                 act.exclusive,
-                tuple(sorted(act.shared.items())),
-                tuple(sorted(act.meta.items())),
+                tuple(act.shared.items()),
+                tuple(act.meta.items()),
             )
             for act in program.activities
         ),

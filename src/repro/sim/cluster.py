@@ -5,9 +5,10 @@ per-chip FLOPs, FLOP utilization (achieved throughput over the cluster's
 peak, Section 5.1.1), and the communication breakdown of Figure 10.
 
 :func:`simulate` is also where the observability layer taps the
-simulator: each engine execution's queue waits are captured, derived
-per-run metrics are attached as :attr:`SimResult.metrics`, and the
-process-wide registry counters/histograms are bumped. With
+simulator: each engine execution's queue waits are captured and
+summarized per kind, the process-wide registry counters are bumped and
+the queue-wait histogram is folded once per kind, and the per-run
+:attr:`SimResult.metrics` are derived on first read. With
 ``REPRO_NO_METRICS=1`` all of that collapses to nothing and the spans
 are byte-for-byte what they always were.
 """
@@ -15,10 +16,16 @@ are byte-for-byte what they always were.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Mapping, Optional
 
 from repro.hw.params import HardwareParams
-from repro.obs.derive import RunMetrics, derive_run_metrics
+from repro.obs.derive import (
+    RunMetrics,
+    WaitStats,
+    derive_run_metrics,
+    group_waits,
+    summarize_waits,
+)
 from repro.obs.hooks import capture_waits
 from repro.obs.registry import registry
 from repro.sim.engine import SimFailure, Span, makespan
@@ -38,12 +45,28 @@ class SimResult:
     makespan: float
     flops_per_chip: float
     failure: Optional[SimFailure] = None
-    #: Derived observability metrics of this execution (utilization,
-    #: overlap fraction, queue waits, ...). ``None`` when metrics were
-    #: disabled (``REPRO_NO_METRICS``) at simulation time; everything
-    #: span-derivable can still be recomputed via
-    #: ``repro.obs.derive_run_metrics(result.spans)``.
-    metrics: Optional[RunMetrics] = None
+    #: Per-kind queue-wait summary captured at simulation time, the one
+    #: input of :attr:`metrics` the spans cannot reconstruct. ``None``
+    #: when metrics were disabled (``REPRO_NO_METRICS``).
+    queue_wait: Optional[Mapping[str, WaitStats]] = None
+    _metrics: Optional[RunMetrics] = dataclasses.field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def metrics(self) -> Optional[RunMetrics]:
+        """Derived observability metrics of this execution (utilization,
+        overlap fraction, queue waits, ...), computed on first read.
+
+        ``None`` when metrics were disabled at simulation time;
+        everything span-derivable can still be recomputed via
+        ``repro.obs.derive_run_metrics(result.spans)``.
+        """
+        if self._metrics is None and self.queue_wait is not None:
+            self._metrics = derive_run_metrics(
+                self.spans, queue_wait=self.queue_wait
+            )
+        return self._metrics
 
     @property
     def completed(self) -> bool:
@@ -105,9 +128,8 @@ def simulate(
     """
     with capture_waits() as waits:
         spans, failure = program.execute(faults, engine=engine)
-    metrics = None
+    queue_wait = None
     if waits is not None:
-        metrics = derive_run_metrics(spans, waits)
         reg = registry()
         reg.inc("sim.runs")
         reg.inc("sim.activities", float(len(spans)))
@@ -118,17 +140,19 @@ def simulate(
                 "sim.failures",
                 labels={"kind": failure.kind, "resource": failure.resource},
             )
-        for kind, wait in waits:
-            reg.observe(
-                "engine.queue_wait_seconds", wait, labels={"kind": kind}
+        grouped = group_waits(waits)
+        for kind, values in grouped.items():
+            reg.observe_many(
+                "engine.queue_wait_seconds", values, labels={"kind": kind}
             )
+        queue_wait = summarize_waits(grouped)
     return SimResult(
         hw=hw,
         spans=spans,
         makespan=failure.time if failure is not None else makespan(spans),
         flops_per_chip=program.total_flops,
         failure=failure,
-        metrics=metrics,
+        queue_wait=queue_wait,
     )
 
 

@@ -68,8 +68,10 @@ class TestDerivedInvariants:
     @settings(max_examples=60, deadline=None)
     @given(random_dag(kinds=MIXED_KINDS))
     def test_queue_waits_cover_every_start(self, activities):
-        with capture_waits() as waits:
-            spans = _run(activities)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.delenv("REPRO_NO_METRICS", raising=False)
+            with capture_waits() as waits:
+                spans = _run(activities)
         assert waits is not None
         assert len(waits) == len(spans)
         assert all(wait >= -1e-12 for _kind, wait in waits)
@@ -106,6 +108,7 @@ class TestKillSwitchIndependence:
         from repro.perf.pipeline import simulated_pass
 
         monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        monkeypatch.delenv("REPRO_NO_METRICS", raising=False)
         clear_caches()
         warm = simulated_pass("meshslice", self.CFG, TPUV4)
         cached = simulated_pass("meshslice", self.CFG, TPUV4)
@@ -145,3 +148,97 @@ class TestKillSwitchIndependence:
         expected = live.metrics.as_dict()
         expected["queue_wait"] = {}
         assert recomputed.as_dict() == expected
+
+
+def _pass_program():
+    return get_algorithm("meshslice").build_program(
+        TestKillSwitchIndependence.CFG, TPUV4
+    )
+
+
+def _simulate_pass(engine):
+    from repro.sim import simulate
+
+    return simulate(_pass_program(), TPUV4, engine=engine)
+
+
+def _hard_plan():
+    from repro.faults import FaultPlan, chip_down
+
+    return FaultPlan(hard_faults=(chip_down(1e-4),))
+
+
+def _soft_plan():
+    from repro.faults import FaultSpec
+
+    return FaultSpec(stragglers=2, launch_jitter=0.1, seed=3).sample(16, TPUV4)
+
+
+class TestLazyRunMetrics:
+    """``SimResult.metrics`` is derived on first read from the per-kind
+    wait summary kept at simulation time, and equals what eager
+    derivation over the raw wait samples gives."""
+
+    @pytest.fixture(autouse=True)
+    def _metrics_on(self, monkeypatch):
+        monkeypatch.delenv("REPRO_NO_METRICS", raising=False)
+
+    @pytest.mark.parametrize(
+        "engine, plan",
+        [
+            ("heap", None),
+            ("compiled", None),
+            ("heap", "soft"),
+            ("heap", "hard"),
+        ],
+        ids=["heap", "compiled", "faulted", "hard-failed"],
+    )
+    def test_lazy_equals_eager(self, engine, plan):
+        from repro.sim import simulate
+
+        faults = {"soft": _soft_plan, "hard": _hard_plan}.get(plan, lambda: None)()
+        program = _pass_program()
+        with capture_waits() as waits:
+            spans, failure = program.execute(faults, engine=engine)
+        result = simulate(program, TPUV4, faults=faults, engine=engine)
+        assert (failure is None) == (plan != "hard")
+        assert result.failure == failure
+        assert result.spans == spans
+        assert waits, "the engine reported no queue waits"
+        eager = derive_run_metrics(spans, waits)
+        assert result._metrics is None  # nothing derived before the read
+        assert result.metrics.as_dict() == eager.as_dict()
+        assert result.metrics == eager
+        assert result.metrics is result.metrics  # derived once, cached
+
+    def test_disabled_metrics_stay_none(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NO_METRICS", "1")
+        result = _simulate_pass("heap")
+        assert result.queue_wait is None
+        assert result.metrics is None
+
+    def test_pickle_round_trip(self):
+        import pickle
+
+        result = _simulate_pass("heap")
+        fresh = pickle.loads(pickle.dumps(result))
+        assert fresh == result
+        assert fresh.metrics == result.metrics
+        # A result pickled after its metrics were read carries them.
+        again = pickle.loads(pickle.dumps(result))
+        assert again.metrics.as_dict() == result.metrics.as_dict()
+
+    def test_survives_process_pool(self):
+        from repro.experiments.common import grid_map
+
+        serial = [_simulate_pass(engine) for engine in ("heap", "compiled")]
+        pooled = grid_map(_simulate_pass, ["heap", "compiled"], jobs=2)
+        assert pooled == serial
+        for got, want in zip(pooled, serial):
+            assert got.metrics.as_dict() == want.metrics.as_dict()
+
+    def test_equality_tracks_the_wait_summary(self, monkeypatch):
+        live = _simulate_pass("heap")
+        assert live == _simulate_pass("heap")
+        monkeypatch.setenv("REPRO_NO_METRICS", "1")
+        assert _simulate_pass("heap") != live

@@ -1,8 +1,12 @@
 """Unit tests of the metrics registry and the engine wait hooks."""
 
+import math
 import threading
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.hooks import capture_waits, wait_sink
 from repro.obs.registry import (
@@ -70,6 +74,100 @@ class TestGaugesAndHistograms:
         reg.observe("h", DEFAULT_BUCKETS[0])
         [record] = reg.snapshot()
         assert record.buckets == ((repr(DEFAULT_BUCKETS[0]), 1),)
+
+
+#: Values that stress bucket choice and the exact total: signed zeros,
+#: negatives, exact bucket bounds, infinities, NaN, and arbitrary floats.
+_EDGE_VALUES = st.sampled_from(
+    [0.0, -0.0, -1.0, float("inf"), float("-inf"), float("nan")]
+    + list(DEFAULT_BUCKETS[:3] + DEFAULT_BUCKETS[-3:])
+)
+_OBSERVATIONS = st.lists(
+    st.one_of(_EDGE_VALUES, st.floats(allow_nan=True, allow_infinity=True)),
+    max_size=40,
+)
+
+
+def _histogram_state(record):
+    return (
+        record.count,
+        record.buckets,
+        record.exact_total[0],
+        repr(record.exact_total[1]),  # repr: NaN == NaN
+    )
+
+
+class TestObserveMany:
+    @settings(max_examples=200, deadline=None)
+    @given(_OBSERVATIONS, _OBSERVATIONS)
+    def test_matches_one_observe_per_value(self, first, second):
+        """A batch leaves the series exactly as per-value observes."""
+        single, batched = MetricsRegistry(), MetricsRegistry()
+        for value in first + second:
+            single.observe("h", value, labels={"kind": "comm"})
+        batched.observe_many("h", first, labels={"kind": "comm"})
+        batched.observe_many("h", second, labels={"kind": "comm"})
+        if not first + second:
+            assert single.snapshot() == batched.snapshot() == []
+            return
+        [one], [many] = single.snapshot(), batched.snapshot()
+        assert _histogram_state(many) == _histogram_state(one)
+        assert repr(many.total) == repr(one.total)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_OBSERVATIONS)
+    def test_matches_reference_model(self, values):
+        """Bucket = first bound the value does not exceed (NaN and
+        anything above the last bound overflow); the finite total is
+        exact, the non-finite part a plain float sum."""
+        reg = MetricsRegistry()
+        reg.observe_many("h", values)
+        counts = [0] * (len(DEFAULT_BUCKETS) + 1)
+        for value in values:
+            index = next(
+                (i for i, b in enumerate(DEFAULT_BUCKETS) if value <= b),
+                len(DEFAULT_BUCKETS),
+            )
+            counts[index] += 1
+        expected_buckets = tuple(
+            ("+inf" if i == len(DEFAULT_BUCKETS) else repr(DEFAULT_BUCKETS[i]), n)
+            for i, n in enumerate(counts)
+            if n
+        )
+        exact = sum(
+            (Fraction(v) for v in values if math.isfinite(v)), Fraction(0)
+        )
+        nonfinite = 0.0
+        for value in values:
+            if not math.isfinite(value):
+                nonfinite += value
+        if not values:
+            assert reg.snapshot() == []
+            return
+        [record] = reg.snapshot()
+        assert record.count == len(values)
+        assert record.buckets == expected_buckets
+        assert Fraction(record.exact_total[0], 2**1074) == exact
+        assert repr(record.exact_total[1]) == repr(nonfinite)
+
+    def test_nan_lands_in_overflow(self, reg):
+        reg.observe_many("h", [float("nan"), float("nan")])
+        reg.observe("h", float("nan"))
+        [record] = reg.snapshot()
+        assert record.buckets == (("+inf", 3),)
+        assert math.isnan(record.total)
+
+    def test_signed_zero_and_negatives_in_first_bucket(self, reg):
+        reg.observe_many("h", [0.0, -0.0, -5.0, float("-inf")])
+        [record] = reg.snapshot()
+        assert record.buckets == ((repr(DEFAULT_BUCKETS[0]), 4),)
+        assert record.exact_total[0] == (-5.0).as_integer_ratio()[0] << 1074
+
+    def test_null_registry_observe_many_is_noop(self):
+        null = NullRegistry()
+        null.observe_many("h", [1.0, float("nan")], labels={"kind": "comm"})
+        null.observe("h", 1.0)
+        assert null.snapshot() == []
 
 
 class TestSnapshotsAndMerge:

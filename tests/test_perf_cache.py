@@ -249,6 +249,42 @@ def test_content_store_shares_identical_programs(hw, cfg):
     assert stats.entries == 1
 
 
+def test_content_store_shares_programs_across_configs(hw):
+    """Two configs outside one canonical class that build content-equal
+    programs (FSDP on a 1x64 ring with n and k swapped) share one
+    simulation: the fingerprint keys mappings in insertion order, and
+    the builders insert keys in a fixed order."""
+    from repro.algorithms import get_algorithm
+    from repro.core.dataflow import Dataflow
+
+    fsdp = get_algorithm("fsdp")
+    first, second = (
+        GeMMConfig(GeMMShape(65536, n, k), Mesh2D(1, 64), Dataflow.OS, slices=4)
+        for n, k in ((36864, 12288), (12288, 36864))
+    )
+    assert fsdp.canonical_config(first) != fsdp.canonical_config(second)
+    a = simulated_pass("fsdp", first, hw)
+    b = simulated_pass("fsdp", second, hw)
+    assert b is a
+    stats = cache_stats("simulated_program")["simulated_program"]
+    assert (stats.hits, stats.misses, stats.entries) == (1, 1, 1)
+
+
+def test_fig9_cache_counts_pinned(hw, monkeypatch):
+    """One serial fig. 9 sweep makes exactly the cache traffic it made
+    when the program fingerprint sorted its mappings: any builder that
+    stops inserting keys in a fixed order loses hits here."""
+    from repro.experiments import fig09_weak_scaling
+
+    monkeypatch.setenv("REPRO_JOBS", "1")
+    fig09_weak_scaling.run()
+    stats = cache_stats()
+    program = stats["simulated_program"]
+    passes = stats["simulated_pass"]
+    assert (program.hits, program.misses) == (1, 726)
+    assert (passes.hits, passes.misses) == (255, 727)
+
+
 def test_session_hit_rate_regression(hw):
     """A sweep + re-render session stays above 50% simulated_pass hits.
 
