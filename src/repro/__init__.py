@@ -29,25 +29,21 @@ autotuner, nominal and fault-aware), and :func:`get_algorithm` /
     alg = get_algorithm("meshslice")
     result = simulate(alg.build_program(cfg, TPUV4), TPUV4)
 
-These heavier names load lazily (PEP 562), so ``import repro`` stays
-cheap for functional-plane users.
+These names load lazily (PEP 562), so ``import repro`` stays cheap: it
+imports the GeMM shapes, hardware presets and mesh topologies, and no
+numpy. numpy loads on first access to a functional-plane name
+(``meshslice_gemm``/``_os``/``_ls``/``_rs``, ``slice_col``/``slice_row``,
+``valid_slice_counts``, ``MeshExecutor``, ``abft_gemm``, ``ABFTReport``,
+``SDCPlan``, ``NULL_SDC_PLAN``, ``sdc_injection``); the timing-plane
+names (``simulate``, ``tune``, ``get_algorithm``, ...) never load it.
 
 See ``README.md`` and ``docs/`` for the architecture, ``DESIGN.md`` for
 the system inventory, and ``EXPERIMENTS.md`` for the paper-vs-
 reproduction results.
 """
 
-from repro.core import (
-    Dataflow,
-    GeMMShape,
-    meshslice_gemm,
-    meshslice_ls,
-    meshslice_os,
-    meshslice_rs,
-    slice_col,
-    slice_row,
-    valid_slice_counts,
-)
+from repro._lazy import lazy_exports
+from repro.core import Dataflow, GeMMShape
 from repro.hw import (
     GPU_LOGICAL_MESH,
     TPUV4,
@@ -55,53 +51,61 @@ from repro.hw import (
     HardwareParams,
     get_preset,
 )
-from repro.mesh import Mesh2D, MeshExecutor, Ring1D, mesh_shapes
+from repro.mesh import Mesh2D, Ring1D, mesh_shapes
 
 __version__ = "1.9.0"
 
-#: Lazily-loaded stable API (PEP 562): name -> (module, attribute).
-#: Importing these eagerly would pull the whole timing plane (and the
-#: numpy functional checkers) into every ``import repro``.
+#: Lazily-loaded stable API (PEP 562): name -> defining module.
+#: Importing these eagerly would pull the whole timing plane, and numpy
+#: through the functional plane, into every ``import repro``.
 _LAZY_EXPORTS = {
-    "ABFTReport": ("repro.abft", "ABFTReport"),
-    "CampaignRunner": ("repro.campaign", "CampaignRunner"),
-    "CampaignSpec": ("repro.campaign", "CampaignSpec"),
-    "CampaignStore": ("repro.campaign", "CampaignStore"),
-    "CheckpointModel": ("repro.recovery", "CheckpointModel"),
-    "FaultPlan": ("repro.faults", "FaultPlan"),
-    "FaultSpec": ("repro.faults", "FaultSpec"),
-    "HardFault": ("repro.faults", "HardFault"),
-    "LifetimeResult": ("repro.recovery", "LifetimeResult"),
-    "LifetimeSpec": ("repro.recovery", "LifetimeSpec"),
-    "MetricsRegistry": ("repro.obs", "MetricsRegistry"),
-    "NULL_PLAN": ("repro.faults", "NULL_PLAN"),
-    "NULL_SDC_PLAN": ("repro.faults", "NULL_SDC_PLAN"),
-    "PlanStore": ("repro.service", "PlanStore"),
-    "ReshardPlan": ("repro.recovery", "ReshardPlan"),
-    "SDCPlan": ("repro.faults", "SDCPlan"),
-    "TableElasticPlanner": ("repro.recovery", "TableElasticPlanner"),
-    "TunedElasticPlanner": ("repro.recovery", "TunedElasticPlanner"),
-    "abft_gemm": ("repro.abft", "abft_gemm"),
-    "sdc_injection": ("repro.faults", "sdc_injection"),
-    "ProfileReport": ("repro.obs", "ProfileReport"),
-    "RetryPolicy": ("repro.recovery", "RetryPolicy"),
-    "RunMetrics": ("repro.obs", "RunMetrics"),
-    "SimFailure": ("repro.sim.engine", "SimFailure"),
-    "SimResult": ("repro.sim.cluster", "SimResult"),
-    "Trace": ("repro.sim.trace", "Trace"),
-    "TuneRequest": ("repro.service", "TuneRequest"),
-    "TunerService": ("repro.service", "TunerService"),
-    "algorithm_names": ("repro.algorithms", "algorithm_names"),
-    "chip_down": ("repro.faults", "chip_down"),
-    "get_algorithm": ("repro.algorithms", "get_algorithm"),
-    "link_down": ("repro.faults", "link_down"),
-    "profile_block": ("repro.obs", "profile_block"),
-    "migration_seconds": ("repro.recovery", "migration_seconds"),
-    "retune_degraded": ("repro.recovery", "retune_degraded"),
-    "robust_tune": ("repro.autotuner", "robust_tune"),
-    "simulate": ("repro.sim.cluster", "simulate"),
-    "simulate_lifetime": ("repro.recovery", "simulate_lifetime"),
-    "tune": ("repro.autotuner", "tune"),
+    "ABFTReport": "repro.abft",
+    "CampaignRunner": "repro.campaign",
+    "CampaignSpec": "repro.campaign",
+    "CampaignStore": "repro.campaign",
+    "CheckpointModel": "repro.recovery",
+    "FaultPlan": "repro.faults",
+    "FaultSpec": "repro.faults",
+    "HardFault": "repro.faults",
+    "LifetimeResult": "repro.recovery",
+    "LifetimeSpec": "repro.recovery",
+    "MeshExecutor": "repro.mesh",
+    "MetricsRegistry": "repro.obs",
+    "NULL_PLAN": "repro.faults",
+    "NULL_SDC_PLAN": "repro.faults",
+    "PlanStore": "repro.service",
+    "ProfileReport": "repro.obs",
+    "ReshardPlan": "repro.recovery",
+    "RetryPolicy": "repro.recovery",
+    "RunMetrics": "repro.obs",
+    "SDCPlan": "repro.faults",
+    "SimFailure": "repro.sim.engine",
+    "SimResult": "repro.sim.cluster",
+    "TableElasticPlanner": "repro.recovery",
+    "Trace": "repro.sim.trace",
+    "TuneRequest": "repro.service",
+    "TunedElasticPlanner": "repro.recovery",
+    "TunerService": "repro.service",
+    "abft_gemm": "repro.abft",
+    "algorithm_names": "repro.algorithms",
+    "chip_down": "repro.faults",
+    "get_algorithm": "repro.algorithms",
+    "link_down": "repro.faults",
+    "meshslice_gemm": "repro.core",
+    "meshslice_ls": "repro.core",
+    "meshslice_os": "repro.core",
+    "meshslice_rs": "repro.core",
+    "migration_seconds": "repro.recovery",
+    "profile_block": "repro.obs",
+    "retune_degraded": "repro.recovery",
+    "robust_tune": "repro.autotuner",
+    "sdc_injection": "repro.faults",
+    "simulate": "repro.sim.cluster",
+    "simulate_lifetime": "repro.recovery",
+    "slice_col": "repro.core",
+    "slice_row": "repro.core",
+    "tune": "repro.autotuner",
+    "valid_slice_counts": "repro.core",
 }
 
 __all__ = [
@@ -166,17 +170,4 @@ __all__ = [
 ]
 
 
-def __getattr__(name):
-    try:
-        module_name, attr = _LAZY_EXPORTS[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attr)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY_EXPORTS))
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY_EXPORTS)

@@ -20,22 +20,24 @@ collective payloads, and an expected-recompute epilogue so the
 autotuner optimizes block shapes *under* ABFT overhead.
 """
 
-from repro.abft.checksums import (
-    BlockVerdict,
-    augment_a,
-    augment_b,
-    augmented_product,
-    residuals,
-    strip,
-    verify_block,
-)
-from repro.abft.gemm import (
-    ABFTReport,
-    abft_collective_os,
-    abft_gemm,
-    abft_meshslice_os,
-    abft_summa_os,
-)
+from repro._lazy import lazy_exports
+
+#: The whole package is numpy-backed; names import on first access
+#: (PEP 562).
+_LAZY_EXPORTS = {
+    "ABFTReport": "repro.abft.gemm",
+    "BlockVerdict": "repro.abft.checksums",
+    "abft_collective_os": "repro.abft.gemm",
+    "abft_gemm": "repro.abft.gemm",
+    "abft_meshslice_os": "repro.abft.gemm",
+    "abft_summa_os": "repro.abft.gemm",
+    "augment_a": "repro.abft.checksums",
+    "augment_b": "repro.abft.checksums",
+    "augmented_product": "repro.abft.checksums",
+    "residuals": "repro.abft.checksums",
+    "strip": "repro.abft.checksums",
+    "verify_block": "repro.abft.checksums",
+}
 
 __all__ = [
     "ABFTReport",
@@ -51,3 +53,5 @@ __all__ = [
     "strip",
     "verify_block",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY_EXPORTS)

@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import abc
 import dataclasses
-from typing import Dict, Optional, Tuple, Type
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Optional, Tuple, Type
 
 from repro.core.dataflow import Dataflow, sliced_dimension
 from repro.core.gemm import GeMMShape
@@ -28,6 +26,9 @@ from repro.hw.params import HardwareParams
 from repro.mesh.topology import Mesh2D
 from repro.sim.chip import gemm_cost
 from repro.sim.program import Program, ProgramBuilder
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclasses.dataclass(frozen=True)

@@ -12,16 +12,16 @@ Cannon cannot pick a traffic-minimizing mesh shape.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from repro.algorithms.base import DistributedGeMM, GeMMConfig, register
 from repro.core.dataflow import Dataflow
 from repro.hw.params import HardwareParams
-from repro.mesh.sharding import gather_matrix, shard_matrix, zeros_like_sharded
 from repro.sim.engine import LINK_H, LINK_V
 from repro.sim.program import Program, ProgramBuilder
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @register
@@ -91,6 +91,14 @@ class CannonGeMM(DistributedGeMM):
         self, a: np.ndarray, b: np.ndarray, cfg: GeMMConfig
     ) -> np.ndarray:
         """Skew + systolic shifts on numpy shards: ``C = A @ B``."""
+        import numpy as np
+
+        from repro.mesh.sharding import (
+            gather_matrix,
+            shard_matrix,
+            zeros_like_sharded,
+        )
+
         reason = self.check_support(cfg)
         if reason:
             raise ValueError(reason)

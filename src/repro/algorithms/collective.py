@@ -10,9 +10,7 @@ limitation. MeshSlice degenerates to this algorithm at slice count 1
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from repro.algorithms.base import (
     DistributedGeMM,
@@ -24,13 +22,13 @@ from repro.algorithms.base import (
     matrix_bytes,
     register,
 )
-from repro.comm.ops import ag_col, ag_row, rds_col, rds_row
 from repro.core.dataflow import Dataflow
-from repro.core.gemm import local_gemm
 from repro.hw.params import HardwareParams
-from repro.mesh.sharding import gather_matrix, shard_matrix
 from repro.sim.engine import LINK_H, LINK_V
 from repro.sim.program import Program, ProgramBuilder
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @register
@@ -104,6 +102,10 @@ class CollectiveGeMM(DistributedGeMM):
         OS computes ``A @ B``, LS computes ``A @ B.T`` with B stored
         ``N x K``, RS computes ``A.T @ B`` with A stored ``K x M``.
         """
+        from repro.comm.ops import ag_col, ag_row, rds_col, rds_row
+        from repro.core.gemm import local_gemm
+        from repro.mesh.sharding import shard_matrix
+
         if cfg.transposed:
             raise NotImplementedError(
                 "functional plane covers non-transposed variants"
@@ -139,7 +141,7 @@ class CollectiveGeMM(DistributedGeMM):
 
 
 def _assemble(shards, mesh, global_shape) -> np.ndarray:
-    from repro.mesh.sharding import ShardedMatrix
+    from repro.mesh.sharding import ShardedMatrix, gather_matrix
 
     return gather_matrix(
         ShardedMatrix(mesh=mesh, shards=shards, global_shape=global_shape)

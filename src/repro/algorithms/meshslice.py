@@ -13,9 +13,7 @@ core/link resources — exactly the paper's Figure 4 timeline.
 
 from __future__ import annotations
 
-from typing import List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.algorithms.base import (
     DistributedGeMM,
@@ -29,10 +27,12 @@ from repro.algorithms.base import (
     sliced_local_dims,
 )
 from repro.core.dataflow import sliced_extent
-from repro.core.meshslice import meshslice_gemm
 from repro.hw.params import HardwareParams
 from repro.sim.engine import LINK_H, LINK_V
 from repro.sim.program import Program, ProgramBuilder
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @register
@@ -144,6 +144,8 @@ class MeshSliceGeMM(DistributedGeMM):
         self, a: np.ndarray, b: np.ndarray, cfg: GeMMConfig
     ) -> np.ndarray:
         """Run the numpy reference (block size 1; see ``repro.core``)."""
+        from repro.core.meshslice import meshslice_gemm
+
         if cfg.transposed:
             raise NotImplementedError(
                 "functional plane covers non-transposed variants"

@@ -20,21 +20,20 @@ Wang's SendRecv decomposition, as in the paper's evaluation setup.
 from __future__ import annotations
 
 import dataclasses
-from typing import List
-
-import numpy as np
+from typing import TYPE_CHECKING, List
 
 from repro.algorithms.base import (
     DistributedGeMM,
     GeMMConfig,
     register,
 )
-from repro.comm.ops import ring_allgather, ring_reducescatter
 from repro.core.dataflow import Dataflow
 from repro.hw.params import HardwareParams
-from repro.mesh.sharding import shard_cols, shard_rows
 from repro.sim.engine import LINK_H
 from repro.sim.program import Program, ProgramBuilder
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _pipeline(
@@ -161,6 +160,11 @@ class OneDTensorParallel(DistributedGeMM):
         self, a: np.ndarray, b: np.ndarray, cfg: GeMMConfig
     ) -> np.ndarray:
         """Reference: ``C = A @ B`` on a ring of ``cfg.chips`` chips."""
+        import numpy as np
+
+        from repro.comm.ops import ring_allgather, ring_reducescatter
+        from repro.mesh.sharding import shard_cols, shard_rows
+
         ring = cfg.mesh.size
         if a.shape[1] != b.shape[0]:
             raise ValueError(f"contraction mismatch: A {a.shape} vs B {b.shape}")
@@ -207,6 +211,11 @@ class FSDPGeMM(DistributedGeMM):
         self, a: np.ndarray, b: np.ndarray, cfg: GeMMConfig
     ) -> np.ndarray:
         """Reference: ``C = A @ B`` with batch-sharded A, gathered B."""
+        import numpy as np
+
+        from repro.comm.ops import ring_allgather
+        from repro.mesh.sharding import shard_rows
+
         ring = cfg.mesh.size
         if a.shape[1] != b.shape[0]:
             raise ValueError(f"contraction mismatch: A {a.shape} vs B {b.shape}")

@@ -25,9 +25,7 @@ reason as the sliced family (see ``docs/algorithms.md``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.algorithms.base import (
     DistributedGeMM,
@@ -41,10 +39,12 @@ from repro.comm.onesided import OneSidedCostModel
 from repro.core.dataflow import Dataflow
 from repro.core.gemm import local_gemm
 from repro.hw.params import HardwareParams
-from repro.mesh.sharding import shard_matrix
 from repro.mesh.topology import Coord, hilbert_order
 from repro.sim.engine import LINK_H, LINK_V
 from repro.sim.program import Program, ProgramBuilder
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def tile_split(slices: int, rows: int, cols: int) -> Tuple[int, int]:
@@ -152,6 +152,10 @@ class SFCGeMM(DistributedGeMM):
         self, a_mat: np.ndarray, b_mat: np.ndarray, cfg: GeMMConfig
     ) -> np.ndarray:
         """Every tile computed from windowed one-sided panel gets."""
+        import numpy as np
+
+        from repro.mesh.sharding import shard_matrix
+
         if cfg.transposed:
             raise NotImplementedError(
                 "functional plane covers non-transposed variants"

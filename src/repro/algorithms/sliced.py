@@ -25,9 +25,7 @@ instead of silently dropping protection (see ``docs/algorithms.md``).
 
 from __future__ import annotations
 
-from typing import List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.algorithms.base import (
     DistributedGeMM,
@@ -43,10 +41,12 @@ from repro.comm.onesided import OneSidedCostModel
 from repro.core.dataflow import Dataflow, sliced_extent
 from repro.core.gemm import local_gemm
 from repro.hw.params import HardwareParams
-from repro.mesh.sharding import gather_matrix, shard_matrix, ShardedMatrix
 from repro.mesh.topology import Mesh2D
 from repro.sim.engine import LINK_H, LINK_V
 from repro.sim.program import Program, ProgramBuilder
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: The structured reason one-sided algorithms reject ABFT configs.
 ABFT_UNSUPPORTED = (
@@ -177,6 +177,10 @@ def _owner_windows(start: int, stop: int, local: int):
 def _functional_os(
     a: np.ndarray, b: np.ndarray, mesh: Mesh2D, slices: int
 ) -> np.ndarray:
+    import numpy as np
+
+    from repro.mesh.sharding import shard_matrix
+
     a_sh = shard_matrix(a, mesh)
     b_sh = shard_matrix(b, mesh)
     big_k = a.shape[1]
@@ -212,6 +216,10 @@ def _functional_os(
 
 def _functional_ls(a: np.ndarray, b: np.ndarray, mesh: Mesh2D) -> np.ndarray:
     """Left-stationary: ``A @ B.T`` with B stored ``N x K``."""
+    import numpy as np
+
+    from repro.mesh.sharding import shard_matrix
+
     a_sh = shard_matrix(a, mesh)
     b_sh = shard_matrix(b, mesh)
     big_n = b.shape[0]
@@ -238,6 +246,10 @@ def _functional_ls(a: np.ndarray, b: np.ndarray, mesh: Mesh2D) -> np.ndarray:
 
 def _functional_rs(a: np.ndarray, b: np.ndarray, mesh: Mesh2D) -> np.ndarray:
     """Right-stationary: ``A.T @ B`` with A stored ``K x M``."""
+    import numpy as np
+
+    from repro.mesh.sharding import shard_matrix
+
     a_sh = shard_matrix(a, mesh)
     b_sh = shard_matrix(b, mesh)
     big_m = a.shape[1]
@@ -263,6 +275,8 @@ def _functional_rs(a: np.ndarray, b: np.ndarray, mesh: Mesh2D) -> np.ndarray:
 
 
 def _assemble(shards, mesh, global_shape) -> np.ndarray:
+    from repro.mesh.sharding import ShardedMatrix, gather_matrix
+
     return gather_matrix(
         ShardedMatrix(mesh=mesh, shards=shards, global_shape=global_shape)
     )

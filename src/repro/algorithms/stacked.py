@@ -26,9 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.algorithms.base import GeMMConfig
 from repro.algorithms.cannon import CannonGeMM
@@ -40,6 +38,9 @@ from repro.hw.params import HardwareParams
 from repro.mesh.topology import Mesh2D
 from repro.sim.engine import LINK_H, LINK_V
 from repro.sim.program import Program, ProgramBuilder
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Resource name of the replica-dimension ring (3D torus third axis).
 LINK_D = "link_d"
@@ -269,6 +270,8 @@ class MeshSliceDPGeMM:
     ) -> np.ndarray:
         """Bit-exact MeshSlice+DP: each replica multiplies its batch
         slab with the full weight; results concatenate along M."""
+        import numpy as np
+
         reason = self.check_support(cfg)
         if reason:
             raise ValueError(reason)

@@ -20,9 +20,7 @@ shard boundaries.
 from __future__ import annotations
 
 import math
-from typing import Dict
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict
 
 from repro.algorithms.base import (
     DistributedGeMM,
@@ -34,14 +32,15 @@ from repro.algorithms.base import (
     register,
     sliced_local_dims,
 )
-from repro.comm.ops import bcast_col, bcast_row, reduce_col, reduce_row
 from repro.core.dataflow import Dataflow
 from repro.core.gemm import local_gemm
 from repro.hw.params import HardwareParams
-from repro.mesh.sharding import gather_matrix, shard_matrix, zeros_like_sharded
 from repro.mesh.topology import Coord, Mesh2D
 from repro.sim.engine import LINK_H, LINK_V
 from repro.sim.program import Program, ProgramBuilder
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Maximum fine-grain packet size of the pipelined bcast/reduce transfers.
 #: Calibrated so that SUMMA's per-stage synchronizations dominate at
@@ -173,6 +172,15 @@ def _iterations(extent: int, mesh: Mesh2D) -> int:
 
 def _summa_os(a: np.ndarray, b: np.ndarray, mesh: Mesh2D) -> np.ndarray:
     """SUMMA OS: ``C = A @ B`` via panel broadcasts over K."""
+    import numpy as np
+
+    from repro.comm.ops import bcast_col, bcast_row
+    from repro.mesh.sharding import (
+        gather_matrix,
+        shard_matrix,
+        zeros_like_sharded,
+    )
+
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"contraction mismatch: A {a.shape} vs B {b.shape}")
     k = a.shape[1]
@@ -203,6 +211,15 @@ def _summa_os(a: np.ndarray, b: np.ndarray, mesh: Mesh2D) -> np.ndarray:
 
 def _summa_ls(a: np.ndarray, b: np.ndarray, mesh: Mesh2D) -> np.ndarray:
     """SUMMA LS: ``C = A @ B.T`` via panel broadcasts/reduces over N."""
+    import numpy as np
+
+    from repro.comm.ops import bcast_row, reduce_col
+    from repro.mesh.sharding import (
+        gather_matrix,
+        shard_matrix,
+        zeros_like_sharded,
+    )
+
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"contraction mismatch: A {a.shape} vs B {b.shape}")
     n = b.shape[0]
@@ -235,6 +252,15 @@ def _summa_ls(a: np.ndarray, b: np.ndarray, mesh: Mesh2D) -> np.ndarray:
 
 def _summa_rs(a: np.ndarray, b: np.ndarray, mesh: Mesh2D) -> np.ndarray:
     """SUMMA RS: ``C = A.T @ B`` via panel broadcasts/reduces over M."""
+    import numpy as np
+
+    from repro.comm.ops import bcast_col, reduce_row
+    from repro.mesh.sharding import (
+        gather_matrix,
+        shard_matrix,
+        zeros_like_sharded,
+    )
+
     if a.shape[0] != b.shape[0]:
         raise ValueError(f"contraction mismatch: A {a.shape} vs B {b.shape}")
     m = a.shape[1]

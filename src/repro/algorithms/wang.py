@@ -16,9 +16,7 @@ GeMM groups, matching MeshSlice's granularity for fairness.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.algorithms.base import (
     DistributedGeMM,
@@ -29,12 +27,13 @@ from repro.algorithms.base import (
     matrix_bytes,
     register,
 )
-from repro.comm.ops import ag_row, shift_col
 from repro.core.dataflow import Dataflow, sliced_dimension
 from repro.hw.params import HardwareParams
-from repro.mesh.sharding import gather_matrix, shard_matrix, zeros_like_sharded
 from repro.sim.engine import LINK_H, LINK_V
 from repro.sim.program import Program, ProgramBuilder
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @register
@@ -195,6 +194,15 @@ class WangGeMM(DistributedGeMM):
         partial product that matches the currently-held shard — the
         SendRecv decomposition of the ``A`` AllGather.
         """
+        import numpy as np
+
+        from repro.comm.ops import ag_row, shift_col
+        from repro.mesh.sharding import (
+            gather_matrix,
+            shard_matrix,
+            zeros_like_sharded,
+        )
+
         if cfg.dataflow is not Dataflow.OS or cfg.transposed:
             raise NotImplementedError(
                 "functional Wang reference covers the OS dataflow"

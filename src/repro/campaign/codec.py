@@ -35,9 +35,8 @@ import enum
 import hashlib
 import importlib
 import json
+import sys
 from typing import Any, Dict, List
-
-import numpy as np
 
 __all__ = [
     "canonical_json",
@@ -67,8 +66,10 @@ def _resolve(ref: str) -> Any:
 def encode_value(value: Any) -> Any:
     """``value`` as JSON-able data with deterministic structure."""
     # numpy scalars first: np.float64 subclasses float and would
-    # otherwise pass through un-coerced.
-    if isinstance(value, np.generic):
+    # otherwise pass through un-coerced. A process that never imported
+    # numpy holds no numpy scalar, so the codec does not import it.
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(value, np.generic):
         return encode_value(value.item())
     if value is None or isinstance(value, (bool, int, float, str)):
         return value

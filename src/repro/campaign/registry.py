@@ -3,9 +3,10 @@
 Collected lazily from ``repro.experiments.EXPERIMENTS`` — each
 experiment module publishes a module-level ``CAMPAIGN``
 :class:`~repro.campaign.spec.CampaignSpec`. The import happens inside
-the function, not at module import, so ``repro.campaign`` never drags
-the whole experiment suite (and its numpy workloads) into processes
-that only touch the store.
+the functions, not at module import, and :func:`get_campaign` loads
+only the named experiment's module, so ``repro.campaign`` never drags
+the whole experiment suite into processes that only touch the store or
+sweep one spec.
 """
 
 from __future__ import annotations
@@ -35,10 +36,15 @@ def campaign_names() -> list:
 
 
 def get_campaign(name: str) -> CampaignSpec:
-    """The spec of one experiment; ``KeyError`` names the options."""
-    specs = campaign_specs()
-    if name not in specs:
-        raise KeyError(
-            f"unknown campaign {name!r}; known: {', '.join(sorted(specs))}"
-        )
-    return specs[name]
+    """The spec of one experiment; ``KeyError`` names the options.
+
+    Imports only that experiment's module.
+    """
+    from repro.experiments import EXPERIMENTS
+
+    if name in EXPERIMENTS:
+        spec = getattr(EXPERIMENTS[name], "CAMPAIGN", None)
+        if isinstance(spec, CampaignSpec):
+            return spec
+    known = ", ".join(campaign_names())
+    raise KeyError(f"unknown campaign {name!r}; known: {known}")

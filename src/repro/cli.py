@@ -77,7 +77,7 @@ def _add_metrics_argument(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
-    from repro.sim.compiled import ENGINE_NAMES
+    from repro.sim.engine import ENGINE_NAMES
 
     parser.add_argument(
         "--engine", choices=ENGINE_NAMES, default=None,
@@ -1279,7 +1279,7 @@ def _main(argv: Optional[List[str]] = None) -> int:
         parser.print_help(sys.stderr)
         return 2
     if getattr(args, "engine", None) is not None:
-        from repro.sim.compiled import set_default_engine
+        from repro.sim.engine import set_default_engine
 
         set_default_engine(args.engine)
     handlers = {

@@ -32,15 +32,16 @@ with a structured ``check_support`` reason (see ``docs/algorithms.md``).
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.comm.cost import CommCost, ZERO_COST
-from repro.comm.ops import Shards, _check_uniform
-from repro.faults import sdc as _sdc
 from repro.hw.params import HardwareParams
 from repro.mesh.topology import Coord, Mesh2D
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.comm.ops import Shards
 
 __all__ = [
     "OneSidedCostModel",
@@ -267,11 +268,13 @@ def get(
     reader owns the bytes it pulled; the source shard is never aliased
     or mutated. The payload passes the ``onesided_get`` SDC hook.
     """
+    from repro.faults.sdc import corrupt_block
+
     shard = _source_shard(shards, mesh, source, "onesided get")
     r = _check_window(rows, shard.shape[0], "rows", source, shard)
     c = _check_window(cols, shard.shape[1], "cols", source, shard)
     window = shard[r[0]:r[1], c[0]:c[1]].copy()
-    return _sdc.corrupt_block("onesided_get", window)
+    return corrupt_block("onesided_get", window)
 
 
 def put(
@@ -289,8 +292,10 @@ def put(
     mirroring the collectives' contract). The payload passes the
     ``onesided_put`` SDC hook before landing.
     """
+    from repro.faults.sdc import corrupt_block
+
     shard = _check_payload(shards, mesh, target, payload, row, col, "onesided_put")
-    landed = _sdc.corrupt_block("onesided_put", payload)
+    landed = corrupt_block("onesided_put", payload)
     out = dict(shards)
     updated = shard.copy()
     updated[row:row + payload.shape[0], col:col + payload.shape[1]] = landed
@@ -313,8 +318,10 @@ def accumulate(
     :func:`put`; the payload passes the ``onesided_acc`` SDC hook
     before the add (a wire flip corrupts the accumulated sum).
     """
+    from repro.faults.sdc import corrupt_block
+
     shard = _check_payload(shards, mesh, target, payload, row, col, "onesided_acc")
-    landed = _sdc.corrupt_block("onesided_acc", payload)
+    landed = corrupt_block("onesided_acc", payload)
     out = dict(shards)
     updated = shard.copy()
     updated[row:row + payload.shape[0], col:col + payload.shape[1]] += landed
@@ -336,6 +343,10 @@ def gather_get(
     rejected eagerly, naming the offending rank (the same contract as
     ``ring_allgather``).
     """
+    import numpy as np
+
+    from repro.comm.ops import _check_uniform
+
     if not sources:
         raise ValueError("gather_get needs at least one source")
     chunks = [

@@ -1,5 +1,6 @@
 """The MeshSlice algorithm: slicing, dataflows, and functional GeMM."""
 
+from repro._lazy import lazy_exports
 from repro.core.dataflow import (
     Dataflow,
     flowing_bytes,
@@ -8,21 +9,21 @@ from repro.core.dataflow import (
     sliced_extent,
 )
 from repro.core.gemm import GeMMShape, local_gemm
-from repro.core.meshslice import (
-    meshslice_gemm,
-    meshslice_ls,
-    meshslice_os,
-    meshslice_rs,
-)
-from repro.core.slicing import (
-    set_slice_col,
-    set_slice_row,
-    slice_col,
-    slice_row,
-    unslice_col,
-    unslice_row,
-    valid_slice_counts,
-)
+
+#: numpy-backed functional plane, imported on first access (PEP 562).
+_LAZY_EXPORTS = {
+    "meshslice_gemm": "repro.core.meshslice",
+    "meshslice_ls": "repro.core.meshslice",
+    "meshslice_os": "repro.core.meshslice",
+    "meshslice_rs": "repro.core.meshslice",
+    "set_slice_col": "repro.core.slicing",
+    "set_slice_row": "repro.core.slicing",
+    "slice_col": "repro.core.slicing",
+    "slice_row": "repro.core.slicing",
+    "unslice_col": "repro.core.slicing",
+    "unslice_row": "repro.core.slicing",
+    "valid_slice_counts": "repro.core.slicing",
+}
 
 __all__ = [
     "Dataflow",
@@ -44,3 +45,5 @@ __all__ = [
     "unslice_row",
     "valid_slice_counts",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY_EXPORTS)

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Tuple
+from typing import TYPE_CHECKING, Tuple
 
-import numpy as np
-
-from repro.faults import sdc as _sdc
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def local_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -18,7 +17,9 @@ def local_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     MXU datapath upset corrupting the accumulate. Outside an injection
     context this is exactly ``a @ b``.
     """
-    return _sdc.corrupt_block("gemm", a @ b)
+    from repro.faults.sdc import corrupt_block
+
+    return corrupt_block("gemm", a @ b)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -27,15 +27,11 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.abft import abft_gemm
 from repro.algorithms import get_algorithm
 from repro.campaign.spec import CampaignSpec
 from repro.algorithms.base import GeMMConfig
 from repro.core.gemm import GeMMShape
 from repro.experiments.common import grid_map, render_table
-from repro.faults import SDCPlan, sdc_injection
 from repro.hw.params import HardwareParams
 from repro.hw.presets import TPUV4
 from repro.mesh.topology import Mesh2D
@@ -115,6 +111,11 @@ def _point(
     args: Tuple[str, float, Tuple[int, int], int, int, int, HardwareParams],
 ) -> Optional[SDCRow]:
     """One grid point, shaped for :func:`grid_map` (must be picklable)."""
+    import numpy as np
+
+    from repro.abft import abft_gemm
+    from repro.faults import SDCPlan, sdc_injection
+
     algorithm, rate, mesh_shape, trials, seed, slices, hw = args
     mesh = Mesh2D(*mesh_shape)
     if algorithm == "collective":

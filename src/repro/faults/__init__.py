@@ -41,10 +41,19 @@ so sampling is byte-reproducible across processes, hash seeds, and
 platforms.
 """
 
+from repro._lazy import lazy_exports
 from repro.faults.hard import HardFault, chip_down, earliest, link_down
 from repro.faults.plan import NULL_PLAN, FaultPlan
-from repro.faults.sdc import NULL_SDC_PLAN, SDC_OPS, SDCEvent, SDCPlan, sdc_injection
 from repro.faults.spec import DEFAULT_RETRY_TIMEOUT, FaultSpec
+
+#: The numpy-backed SDC plane, imported on first access (PEP 562).
+_LAZY_EXPORTS = {
+    "NULL_SDC_PLAN": "repro.faults.sdc",
+    "SDCEvent": "repro.faults.sdc",
+    "SDCPlan": "repro.faults.sdc",
+    "SDC_OPS": "repro.faults.sdc",
+    "sdc_injection": "repro.faults.sdc",
+}
 
 __all__ = [
     "DEFAULT_RETRY_TIMEOUT",
@@ -61,3 +70,5 @@ __all__ = [
     "link_down",
     "sdc_injection",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY_EXPORTS)

@@ -1,15 +1,6 @@
 """Topologies (2D torus, 1D ring) and matrix sharding."""
 
-from repro.mesh.sharding import (
-    ShardedMatrix,
-    gather_matrix,
-    shard_cols,
-    shard_matrix,
-    shard_rows,
-    shardable,
-    zeros_like_sharded,
-)
-from repro.mesh.executor import ChipRuntime, DeadlockError, MeshExecutor
+from repro._lazy import lazy_exports
 from repro.mesh.topology import (
     LAYOUTS,
     Coord,
@@ -24,6 +15,20 @@ from repro.mesh.topology import (
     morton_order,
     square_mesh,
 )
+
+#: numpy-backed functional plane, imported on first access (PEP 562).
+_LAZY_EXPORTS = {
+    "ChipRuntime": "repro.mesh.executor",
+    "DeadlockError": "repro.mesh.executor",
+    "MeshExecutor": "repro.mesh.executor",
+    "ShardedMatrix": "repro.mesh.sharding",
+    "gather_matrix": "repro.mesh.sharding",
+    "shard_cols": "repro.mesh.sharding",
+    "shard_matrix": "repro.mesh.sharding",
+    "shard_rows": "repro.mesh.sharding",
+    "shardable": "repro.mesh.sharding",
+    "zeros_like_sharded": "repro.mesh.sharding",
+}
 
 __all__ = [
     "ChipRuntime",
@@ -49,3 +54,5 @@ __all__ = [
     "square_mesh",
     "zeros_like_sharded",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY_EXPORTS)

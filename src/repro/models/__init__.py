@@ -1,5 +1,6 @@
 """LLM model zoo and training workload descriptions."""
 
+from repro._lazy import lazy_exports
 from repro.models.config import LLMConfig
 from repro.models.layers import (
     PASSES,
@@ -8,7 +9,6 @@ from repro.models.layers import (
     distinct_gemm_shapes,
     fc_layers,
 )
-from repro.models.conv import ConvLayer, conv2d_via_gemm, im2col
 from repro.models.inference import (
     InferenceWorkload,
     inference_gemms,
@@ -25,6 +25,13 @@ from repro.models.zoo import (
     get_model,
     model_names,
 )
+
+#: numpy-backed convolution lowering, imported on first access (PEP 562).
+_LAZY_EXPORTS = {
+    "ConvLayer": "repro.models.conv",
+    "conv2d_via_gemm": "repro.models.conv",
+    "im2col": "repro.models.conv",
+}
 
 __all__ = [
     "ConvLayer",
@@ -53,3 +60,5 @@ __all__ = [
     "nonfc_model_seconds",
     "training_memory",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY_EXPORTS)

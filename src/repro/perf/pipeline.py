@@ -43,7 +43,7 @@ of a run that would actually win or tie.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.algorithms import GeMMConfig, get_algorithm
 from repro.faults.plan import FaultPlan
@@ -56,6 +56,7 @@ if TYPE_CHECKING:  # pragma: no cover - deferred to avoid perf <-> recovery cycl
     from repro.mesh.topology import Mesh2D
     from repro.models.config import LLMConfig
     from repro.recovery.degraded import DegradedRetune
+    from repro.recovery.elastic import ReshardPlan
 
 #: Safety margin keeping the lower bound strictly conservative against
 #: the engine's epsilon-relative completion threshold.
@@ -283,6 +284,23 @@ def degraded_retune_model(
     the autotuner.
     """
     return _degraded_retune(model, batch_size, mesh, dead, hw)
+
+
+@memoize("reshard_migration")
+def reshard_migration(
+    plan: "ReshardPlan", hw: HardwareParams, engine: Optional[str]
+) -> float:
+    """Simulated seconds of one elastic reshard migration (memoized).
+
+    The elastic simulator's cache is declared here with the others, so
+    the set of registered caches (and the ``cache.*`` series that
+    ``--metrics`` exports) does not depend on whether the elastic
+    simulator was imported. The import is deferred like
+    :func:`degraded_retune_model`'s.
+    """
+    from repro.recovery.elastic import simulate_migration
+
+    return simulate_migration(plan, hw, engine)
 
 
 def degraded_retune(request, *args, **kwargs) -> "DegradedRetune":

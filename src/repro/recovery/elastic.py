@@ -44,7 +44,7 @@ from repro.hw.params import HardwareParams
 from repro.mesh.topology import Mesh2D
 from repro.models.config import LLMConfig
 from repro.obs.registry import registry as _metrics
-from repro.perf.cache import memoize
+from repro.perf.pipeline import reshard_migration
 from repro.sim.cluster import simulate
 from repro.sim.engine import LINK_H, LINK_V
 from repro.sim.program import Program, ProgramBuilder
@@ -257,10 +257,10 @@ def _collective_migration(builder: ProgramBuilder, plan: ReshardPlan) -> None:
     builder.barrier("reshard/done", deps=[copy])
 
 
-@memoize("reshard_migration")
-def _migration_seconds(
-    plan: ReshardPlan, hw: HardwareParams, engine: Optional[str]
+def simulate_migration(
+    plan: ReshardPlan, hw: HardwareParams, engine: Optional[str] = None
 ) -> float:
+    """Simulate ``plan``'s migration program once (not memoized)."""
     result = simulate(build_migration_program(plan, hw), hw, engine=engine)
     _metrics().inc(
         "elastic.migrations",
@@ -284,7 +284,7 @@ def migration_seconds(
     the same handful of transitions thousands of times and pay for one
     simulation each.
     """
-    return _migration_seconds(plan, hw, engine)
+    return reshard_migration(plan, hw, engine)
 
 
 def migration_payload_bytes(

@@ -312,7 +312,7 @@ def execute(request: TuneRequest):
     :class:`~repro.recovery.degraded.DegradedRetune`.
     """
     if request.engine is not None:
-        from repro.sim.compiled import set_default_engine
+        from repro.sim.engine import set_default_engine
 
         set_default_engine(request.engine)
     request = request.canonical()

@@ -118,7 +118,7 @@ def simulate(
 
     ``engine`` selects the simulation engine (``"heap"`` or
     ``"compiled"``); ``None`` uses the process default (see
-    :func:`repro.sim.compiled.default_engine`). Both engines produce
+    :func:`repro.sim.engine.default_engine`). Both engines produce
     bit-identical spans, so every derived metric is engine-agnostic.
 
     If the plan carries hard faults (or an exhaustible retry policy)

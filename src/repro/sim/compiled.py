@@ -76,6 +76,14 @@ from repro.sim.engine import (
     Span,
 )
 
+# Engine selection lives with the heap engine, so choosing an engine
+# never imports this module or numpy; re-exported for existing callers.
+from repro.sim.engine import (
+    ENGINE_NAMES as ENGINE_NAMES,
+    default_engine as default_engine,
+    set_default_engine as set_default_engine,
+)
+
 _EPS = 1e-15
 
 #: Minimum motif instances for composition to be worth attempting.
@@ -1350,40 +1358,3 @@ class _LoopState:
         self.factors = factors
         self.changed = set(changed_items)
         self.now = times[-1]
-
-
-# --------------------------------------------------------------------------
-# Engine selection
-# --------------------------------------------------------------------------
-
-#: Valid engine names for ``Program.execute`` / ``cluster.simulate`` /
-#: the CLI ``--engine`` flag.
-ENGINE_NAMES = ("heap", "compiled")
-
-_default_engine: Optional[str] = None
-
-
-def default_engine() -> str:
-    """The process-wide engine choice.
-
-    Resolution order: :func:`set_default_engine`, then the
-    ``REPRO_ENGINE`` environment variable, then ``"heap"``.
-    """
-    if _default_engine is not None:
-        return _default_engine
-    import os
-
-    env = os.environ.get("REPRO_ENGINE", "").strip().lower()
-    if env in ENGINE_NAMES:
-        return env
-    return "heap"
-
-
-def set_default_engine(name: Optional[str]) -> None:
-    """Set (or with ``None`` reset) the process-wide engine choice."""
-    global _default_engine
-    if name is not None and name not in ENGINE_NAMES:
-        raise ValueError(
-            f"unknown engine {name!r}; expected one of {ENGINE_NAMES}"
-        )
-    _default_engine = name

@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+import os
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -545,3 +546,38 @@ class Engine:
 def makespan(spans: Iterable[Span]) -> float:
     """End time of the last span (0 for an empty program)."""
     return max((s.end for s in spans), default=0.0)
+
+
+# --------------------------------------------------------------------------
+# Engine selection
+# --------------------------------------------------------------------------
+
+#: Valid engine names for ``Program.execute`` / ``cluster.simulate`` /
+#: the CLI ``--engine`` flag.
+ENGINE_NAMES = ("heap", "compiled")
+
+_default_engine: Optional[str] = None
+
+
+def default_engine() -> str:
+    """The process-wide engine choice.
+
+    Resolution order: :func:`set_default_engine`, then the
+    ``REPRO_ENGINE`` environment variable, then ``"heap"``.
+    """
+    if _default_engine is not None:
+        return _default_engine
+    env = os.environ.get("REPRO_ENGINE", "").strip().lower()
+    if env in ENGINE_NAMES:
+        return env
+    return "heap"
+
+
+def set_default_engine(name: Optional[str]) -> None:
+    """Set (or with ``None`` reset) the process-wide engine choice."""
+    global _default_engine
+    if name is not None and name not in ENGINE_NAMES:
+        raise ValueError(
+            f"unknown engine {name!r}; expected one of {ENGINE_NAMES}"
+        )
+    _default_engine = name

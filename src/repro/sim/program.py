@@ -22,6 +22,7 @@ from repro.hw.params import HardwareParams
 from repro.sim.chip import ComputeCost, checksum_cost, gemm_cost, slice_cost
 from repro.sim.engine import (
     CORE,
+    ENGINE_NAMES,
     HBM,
     LINK_H,
     LINK_V,
@@ -31,6 +32,7 @@ from repro.sim.engine import (
     SimFailure,
     SimulationError,
     Span,
+    default_engine,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - avoid the sim <-> faults cycle
@@ -60,7 +62,7 @@ class Program:
 
         ``engine`` selects the simulation engine (``"heap"`` or
         ``"compiled"``); ``None`` uses the process default (see
-        :func:`repro.sim.compiled.default_engine`). The compiled engine
+        :func:`repro.sim.engine.default_engine`). The compiled engine
         produces bit-identical spans and automatically falls back to
         full heap simulation for any perturbed run.
 
@@ -95,12 +97,6 @@ class Program:
         template, so the compiled engine's contract is full-simulation
         fallback (counted under the ``compile.fallbacks`` metric).
         """
-        from repro.sim.compiled import (
-            ENGINE_NAMES,
-            CompiledEngine,
-            default_engine,
-        )
-
         if engine is None:
             engine = default_engine()
         elif engine not in ENGINE_NAMES:
@@ -109,6 +105,8 @@ class Program:
             )
         if faults is None:
             if engine == "compiled":
+                from repro.sim.compiled import CompiledEngine
+
                 compiled = CompiledEngine(
                     self.activities,
                     self.shared_capacities,

@@ -84,8 +84,44 @@ def _record_count(store_file):
         return 0
 
 
+def _kill_group(pgid):
+    try:
+        os.killpg(pgid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass  # every member already exited
+
+
+def _live_members(pgid):
+    """Pids of the process group's members that have not exited.
+
+    Killed pool workers are reparented and may linger as zombies until
+    their new parent reaps them; a zombie runs nothing, so it does not
+    count. Without ``/proc`` any member counts.
+    """
+    if not os.path.isdir("/proc"):
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return []
+        return [pgid]
+    live = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                stat = handle.read()
+        except OSError:
+            continue  # exited while we looked
+        state, _ppid, pgrp = stat.rsplit(")", 1)[1].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            live.append(int(entry))
+    return live
+
+
 def _kill_mid_sweep(root, jobs, hashseed):
-    """Start a sweep, SIGKILL it once records are landing."""
+    """Start a sweep, SIGKILL its whole process group once records are
+    landing, and check that no pool worker outlives it."""
     store_file = os.path.join(root, f"{CAMPAIGN}.jsonl")
     proc = subprocess.Popen(
         [sys.executable, "-c", SWEEP_SCRIPT, str(root), str(jobs),
@@ -93,19 +129,26 @@ def _kill_mid_sweep(root, jobs, hashseed):
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
         env=_env(hashseed),
+        start_new_session=True,
     )
+    pgid = proc.pid  # a new session's leader leads its process group
     deadline = time.monotonic() + 600
     try:
         while proc.poll() is None and time.monotonic() < deadline:
             if _record_count(store_file) >= KILL_AFTER_RECORDS:
-                proc.send_signal(signal.SIGKILL)
+                _kill_group(pgid)
                 break
             time.sleep(0.01)
         proc.wait(timeout=600)
     finally:
         if proc.poll() is None:
-            proc.kill()
+            _kill_group(pgid)
             proc.wait()
+    # SIGKILL lands asynchronously; give the workers a moment to die.
+    deadline = time.monotonic() + 10
+    while _live_members(pgid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert _live_members(pgid) == [], "sweep processes outlived the kill"
     # Either the kill landed mid-sweep (the interesting case) or the
     # sweep won the race and finished; both must resume cleanly.
     count = _record_count(store_file)
