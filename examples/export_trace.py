@@ -28,16 +28,12 @@ def main(path: str = "trace.json") -> None:
 
     # Concatenate the 12 GeMMs' spans onto one timeline, offsetting
     # each GeMM by the end of the previous one.
-    import dataclasses
-
     merged = []
     offset = 0.0
-    for result, cfg in zip(block.results, block.configs):
+    for result in block.results:
         for span in result.spans:
             merged.append(
-                dataclasses.replace(
-                    span, start=span.start + offset, end=span.end + offset
-                )
+                span._replace(start=span.start + offset, end=span.end + offset)
             )
         offset += result.makespan
     trace = Trace.from_spans(merged)

@@ -47,7 +47,6 @@ from repro.obs.registry import registry as _metrics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sim -> faults)
     from repro.recovery.retry import RetryPolicy
-    from repro.sim.engine import Activity
     from repro.sim.program import Program
 
 #: Kinds of activities a compute slowdown applies to: GeMM kernels and
@@ -142,47 +141,70 @@ class FaultPlan:
 
         A null plan returns the *same* ``Program`` object, so the
         unfaulted fast path stays bit-identical. Otherwise a new
-        program is built; the input is never mutated (activities that
-        the plan does not touch are shared between the two).
+        program is built; the input is never mutated. Only the
+        durations, shared-demand and meta columns are rewritten (entries
+        the plan does not touch are shared between the two); every
+        other column is the input's own.
         """
         if self._rewrites_nothing:
             return program
         _metrics().inc("faults.plans_applied")
         rng = random.Random(self.seed)
         factors = dict(self.link_degradation)
-        activities = [
-            self._perturb(act, rng, factors) for act in program.activities
-        ]
-        faulted = dataclasses.replace(program, activities=activities)
-        faulted.meta = dict(program.meta)
-        faulted.meta["fault_plan"] = self
-        return faulted
+        cols = program.columns
+        durations = list(cols.durations)
+        shared = list(cols.shared)
+        metas = list(cols.metas)
+        for i, kind in enumerate(cols.kinds):
+            perturbed = self._perturb(
+                kind, durations[i], cols.exclusive[i], shared[i], metas[i],
+                rng, factors,
+            )
+            if perturbed is not None:
+                durations[i], shared[i], metas[i] = perturbed
+        columns = cols._replace(
+            durations=tuple(durations), shared=tuple(shared), metas=tuple(metas)
+        )
+        meta = dict(program.meta)
+        meta["fault_plan"] = self
+        return type(program).from_columns(
+            columns, program.shared_capacities, meta
+        )
 
     def _perturb(
         self,
-        act: "Activity",
+        kind: str,
+        duration: float,
+        exclusive: Tuple[str, ...],
+        shared: Dict[str, float],
+        meta: Dict[str, object],
         rng: random.Random,
         factors: Dict[str, float],
-    ) -> "Activity":
-        """One activity under this plan (the original if untouched).
+    ) -> Optional[Tuple[float, Dict[str, float], Dict[str, object]]]:
+        """One activity under this plan: its new ``(duration, shared,
+        meta)``, or ``None`` when the plan leaves it untouched.
 
         Shared-resource demand rates are rescaled by
         ``old_duration / new_duration`` so the *total units* demanded
         (bytes of HBM/NIC traffic) are conserved: a slower operation
         moves the same data over a longer window.
         """
-        if act.kind in _COMPUTE_KINDS:
-            if self.compute_slowdown == 1.0 or act.duration <= 0.0:
-                return act
-            return self._stretched(act, act.duration * self.compute_slowdown)
-        if act.kind != "comm":
-            return act
+        if kind in _COMPUTE_KINDS:
+            if self.compute_slowdown == 1.0 or duration <= 0.0:
+                return None
+            new_duration = duration * self.compute_slowdown
+            return (
+                new_duration,
+                _conserved(shared, duration, new_duration),
+                meta,
+            )
+        if kind != "comm":
+            return None
 
-        meta = act.meta
         launch = float(meta.get("launch", 0.0))
         transfer = float(meta.get("transfer", 0.0))
         degradation = 1.0
-        for resource in act.exclusive:
+        for resource in exclusive:
             factor = factors.get(resource)
             if factor is not None and factor > degradation:
                 degradation = factor
@@ -205,7 +227,7 @@ class FaultPlan:
                     retransmit = episode.retransmit_seconds
                     attempts = episode.attempts
                     if episode.exhausted:
-                        failed_link = self._victim_link(act)
+                        failed_link = self._victim_link(exclusive)
                 else:
                     retry = self.outage_penalty
                     retransmit = slowed_transfer
@@ -220,9 +242,10 @@ class FaultPlan:
                     )
         delta = extra + jitter + retry + retransmit
         if delta == 0.0 and failed_link is None:
-            return act
-        stretched = self._stretched(act, act.duration + delta)
-        if retransmit > 0.0 and stretched.shared and act.duration > 0.0:
+            return None
+        new_duration = duration + delta
+        new_shared = _conserved(shared, duration, new_duration)
+        if retransmit > 0.0 and new_shared and duration > 0.0:
             # Retransmissions move the same bytes again: unlike a
             # degraded link (same units, longer window), each resend
             # adds its full HBM/NIC traffic. Charging it (plus the
@@ -230,9 +253,9 @@ class FaultPlan:
             # keeps the path busy while it probes) keeps the demand
             # rate from dipping below nominal, so an outage can never
             # *relieve* contention for concurrent work.
-            scale = (act.duration + retry + retransmit) / act.duration
-            stretched.shared = {
-                r: demand * scale for r, demand in stretched.shared.items()
+            scale = (duration + retry + retransmit) / duration
+            new_shared = {
+                r: demand * scale for r, demand in new_shared.items()
             }
         new_meta = dict(meta)
         if jitter:
@@ -249,25 +272,26 @@ class FaultPlan:
             # declares this link permanently dead the instant the last
             # retransmission completes.
             new_meta["failed_resource"] = failed_link
-        stretched.meta = new_meta
-        return stretched
+        return new_duration, new_shared, new_meta
 
     @staticmethod
-    def _victim_link(act: "Activity") -> str:
+    def _victim_link(exclusive: Tuple[str, ...]) -> str:
         """The link resource an exhausted retry sequence takes down."""
-        for resource in act.exclusive:
+        for resource in exclusive:
             if resource in _LINK_RESOURCES:
                 return resource
         return _LINK_RESOURCES[0]
 
-    @staticmethod
-    def _stretched(act: "Activity", new_duration: float) -> "Activity":
-        """Copy of ``act`` at ``new_duration`` with demand units conserved."""
-        shared = act.shared
-        if shared and new_duration > 0.0 and act.duration > 0.0:
-            scale = act.duration / new_duration
-            shared = {r: demand * scale for r, demand in shared.items()}
-        return dataclasses.replace(act, duration=new_duration, shared=shared)
+
+def _conserved(
+    shared: Dict[str, float], duration: float, new_duration: float
+) -> Dict[str, float]:
+    """``shared`` rescaled from ``duration`` to ``new_duration`` with the
+    demanded units conserved (the input itself when nothing scales)."""
+    if shared and new_duration > 0.0 and duration > 0.0:
+        scale = duration / new_duration
+        return {r: demand * scale for r, demand in shared.items()}
+    return shared
 
 
 #: The identity plan: applying it returns the input program unchanged.

@@ -95,7 +95,7 @@ _PROGRAM_RESULTS = named_cache("simulated_program")
 def _program_fingerprint(program: Program, hw: HardwareParams):
     """A hashable content key of everything the simulation reads.
 
-    Covers the activity list (order, labels, kinds, durations,
+    Covers the activity columns (order, labels, kinds, durations,
     dependencies, resources, metadata — spans carry the labels and
     metadata, and ``SimResult.flops_per_chip`` sums the ``flops``
     metadata), the shared capacities, and the hardware. Program-level
@@ -103,27 +103,27 @@ def _program_fingerprint(program: Program, hw: HardwareParams):
     compiled engine, whose spans are bit-identical by contract, and the
     embedded config is exactly the degree of freedom being collapsed.
 
-    Mappings enter the key in insertion order, unsorted: equal item
-    tuples imply equal dicts, so no two different programs can share a
-    key, and the builders insert keys in a fixed order, so sorting
-    would buy no extra sharing.
+    The columns that are already tuples of hashable values enter the
+    key as they are; the mappings enter as item tuples in insertion
+    order, unsorted: equal item tuples imply equal dicts, so no two
+    different programs can share a key, and the builders insert keys
+    in a fixed order, so sorting would buy no extra sharing. Two
+    programs share a key exactly when their per-activity
+    ``(aid, label, kind, duration, deps, exclusive, shared, meta)``
+    entries all match.
     """
+    cols = program.columns
     return (
         hw,
         tuple(program.shared_capacities.items()),
-        tuple(
-            (
-                act.aid,
-                act.label,
-                act.kind,
-                act.duration,
-                tuple(act.deps),
-                act.exclusive,
-                tuple(act.shared.items()),
-                tuple(act.meta.items()),
-            )
-            for act in program.activities
-        ),
+        cols.aids,
+        cols.labels,
+        cols.kinds,
+        cols.durations,
+        cols.deps,
+        cols.exclusive,
+        tuple([tuple(demands.items()) for demands in cols.shared]),
+        tuple([tuple(meta.items()) for meta in cols.metas]),
     )
 
 
@@ -131,14 +131,14 @@ def _simulate_content_addressed(program: Program, hw: HardwareParams) -> SimResu
     """Simulate ``program``, sharing results between identical programs."""
     if not caching_enabled():
         return simulate(program, hw)
+    store = _PROGRAM_RESULTS.store
     try:
         key = _program_fingerprint(program, hw)
+        result = store.get(key)
     except TypeError:
         # Unhashable activity metadata: simulate without content
         # sharing (the config-keyed level above still caches it).
         return simulate(program, hw)
-    store = _PROGRAM_RESULTS.store
-    result = store.get(key)
     if result is None:
         _PROGRAM_RESULTS.misses += 1
         result = store[key] = simulate(program, hw)
@@ -199,7 +199,12 @@ def faulted_pass(
 def _pass_lower_bound(
     algorithm: str, cfg: GeMMConfig, hw: HardwareParams
 ) -> float:
-    program = _built_program(algorithm, cfg, hw)
+    return _program_lower_bound(_built_program(algorithm, cfg, hw))
+
+
+def _program_lower_bound(program: Program) -> float:
+    """The certified makespan bound of one built program."""
+    cols = program.columns
     exclusive_totals: Dict[str, float] = {}
     shared_units: Dict[str, float] = {}
     # Longest dependency path, weighted by nominal durations: no
@@ -210,25 +215,26 @@ def _pass_lower_bound(
     dist: Dict[int, float] = {}
     path_bound = 0.0
     topo = True
-    for act in program.activities:
+    for aid, duration, deps, exclusive, shared in zip(
+        cols.aids, cols.durations, cols.deps, cols.exclusive, cols.shared
+    ):
         tail = 0.0
         if topo:
-            for dep in act.deps:
+            for dep in deps:
                 d = dist.get(dep)
                 if d is None:
                     topo = False
                     break
                 if d > tail:
                     tail = d
-        duration = act.duration
         if topo:
             reach = tail + duration
-            dist[act.aid] = reach
+            dist[aid] = reach
             if reach > path_bound:
                 path_bound = reach
-        for res in act.exclusive:
+        for res in exclusive:
             exclusive_totals[res] = exclusive_totals.get(res, 0.0) + duration
-        for res, demand in act.shared.items():
+        for res, demand in shared.items():
             shared_units[res] = shared_units.get(res, 0.0) + demand * duration
     bound = max(exclusive_totals.values(), default=0.0)
     if topo and path_bound > bound:

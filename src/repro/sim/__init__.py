@@ -9,10 +9,12 @@ from repro.sim.engine import (
     LINK_V,
     NIC,
     Activity,
+    Columns,
     Engine,
     SimFailure,
     SimulationError,
     Span,
+    SpanTable,
     makespan,
 )
 from repro.sim.program import Program, ProgramBuilder
@@ -27,6 +29,7 @@ from repro.sim.trace import (
 __all__ = [
     "Activity",
     "CORE",
+    "Columns",
     "CommBreakdown",
     "ComputeCost",
     "DEFAULT_LANES",
@@ -41,6 +44,7 @@ __all__ = [
     "SimResult",
     "SimulationError",
     "Span",
+    "SpanTable",
     "Trace",
     "ZERO_BREAKDOWN",
     "ascii_timeline",

@@ -28,7 +28,7 @@ from repro.obs.derive import (
 )
 from repro.obs.hooks import capture_waits
 from repro.obs.registry import registry
-from repro.sim.engine import SimFailure, Span, makespan
+from repro.sim.engine import SimFailure, Span, SpanTable
 from repro.sim.program import Program
 from repro.sim.trace import CommBreakdown, Trace
 
@@ -38,10 +38,17 @@ if TYPE_CHECKING:  # pragma: no cover - avoid the sim <-> faults cycle
 
 @dataclasses.dataclass
 class SimResult:
-    """Outcome of simulating one program on one representative chip."""
+    """Outcome of simulating one program on one representative chip.
+
+    The spans are kept as the engine's :class:`SpanTable` — sorted
+    ``(start, aid, index, end)`` rows over the label, kind, exclusive
+    and meta columns of the program that ran — and :attr:`spans` builds
+    the span list on first read. The result keeps neither the program
+    nor the engine.
+    """
 
     hw: HardwareParams
-    spans: List[Span]
+    table: SpanTable
     makespan: float
     flops_per_chip: float
     failure: Optional[SimFailure] = None
@@ -52,6 +59,12 @@ class SimResult:
     _metrics: Optional[RunMetrics] = dataclasses.field(
         default=None, init=False, repr=False, compare=False
     )
+
+    @property
+    def spans(self) -> List[Span]:
+        """The execution's spans in ``(start, aid)`` order, built on
+        first read and cached."""
+        return self.table.to_list()
 
     @property
     def metrics(self) -> Optional[RunMetrics]:
@@ -127,12 +140,12 @@ def simulate(
     time — the wall clock the cluster burned before halting.
     """
     with capture_waits() as waits:
-        spans, failure = program.execute(faults, engine=engine)
+        table, failure = program.execute(faults, engine=engine)
     queue_wait = None
     if waits is not None:
         reg = registry()
         reg.inc("sim.runs")
-        reg.inc("sim.activities", float(len(spans)))
+        reg.inc("sim.activities", float(len(table)))
         if faults is not None and not faults.is_null:
             reg.inc("sim.faulted_runs")
         if failure is not None:
@@ -148,8 +161,8 @@ def simulate(
         queue_wait = summarize_waits(grouped)
     return SimResult(
         hw=hw,
-        spans=spans,
-        makespan=failure.time if failure is not None else makespan(spans),
+        table=table,
+        makespan=failure.time if failure is not None else table.makespan,
         flops_per_chip=program.total_flops,
         failure=failure,
         queue_wait=queue_wait,

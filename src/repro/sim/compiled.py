@@ -74,6 +74,7 @@ from repro.sim.engine import (
     Engine,
     SimulationError,
     Span,
+    SpanTable,
 )
 
 # Engine selection lives with the heap engine, so choosing an engine
@@ -321,7 +322,7 @@ class CompiledEngine:
 
     # ---------------------------------------------------------------- run
 
-    def run(self) -> List[Span]:
+    def run(self) -> SpanTable:
         """Execute the DAG; spans bit-identical to ``Engine.run()``.
 
         Cyclic garbage collection is paused for the duration of the run
@@ -371,17 +372,17 @@ class CompiledEngine:
     # ------------------------------------------------------- composed run
 
     @staticmethod
-    def _sorted_spans(spans: List[Span]) -> List[Span]:
+    def _sorted_spans(spans: List[Span]) -> SpanTable:
         """Engine-identical final order: sort by ``(start, aid)``."""
         n = len(spans)
-        if n < 2:
-            return spans
-        starts = np.fromiter((s.start for s in spans), np.float64, count=n)
-        aids = np.fromiter((s.aid for s in spans), np.int64, count=n)
-        order = np.lexsort((aids, starts))
-        return [spans[k] for k in order.tolist()]
+        if n >= 2:
+            starts = np.fromiter((s.start for s in spans), np.float64, count=n)
+            aids = np.fromiter((s.aid for s in spans), np.int64, count=n)
+            order = np.lexsort((aids, starts))
+            spans = [spans[k] for k in order.tolist()]
+        return SpanTable.from_spans(spans)
 
-    def _run_composed(self, motif: _Motif) -> List[Span]:
+    def _run_composed(self, motif: _Motif) -> SpanTable:
         state = _LoopState(self, motif)
         lock = state.run_until_lock()
         if lock is None:

@@ -49,6 +49,11 @@ event. This version is event-driven:
   factors, and per-activity rates are recomputed only for resources
   whose membership changed at the current event, and only for the
   activities consuming those resources.
+* **Columns in, span table out.** The engine reads a program's
+  :class:`Columns` and records each finished activity as a plain
+  ``(start, aid, index, end)`` row; a run returns the sorted rows as a
+  :class:`SpanTable`, which builds :class:`Span` objects only when they
+  are read.
 
 Bit-exactness: per-resource totals are re-accumulated from the ordered
 consumer set (never incrementally adjusted with ``+= / -=``), which
@@ -64,17 +69,21 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+import operator
 import os
+import sys
 from typing import (
     TYPE_CHECKING,
     Dict,
     Iterable,
+    Iterator,
     List,
     NamedTuple,
     Optional,
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 from repro.obs.hooks import wait_sink as _wait_sink
@@ -92,7 +101,12 @@ NIC = "nic"  # shared NIC of a logical-mesh chip (Section 6)
 _EPS = 1e-15
 
 
-@dataclasses.dataclass
+#: ``Activity`` is slotted where dataclasses support it (Python 3.10+),
+#: which makes the ``Program.activities`` view cheap to build.
+_SLOTTED = {"slots": True} if sys.version_info >= (3, 10) else {}
+
+
+@dataclasses.dataclass(**_SLOTTED)
 class Activity:
     """One unit of simulated work.
 
@@ -127,14 +141,56 @@ class Activity:
                 raise ValueError(f"activity {self.label!r} has negative demand")
 
 
+class Columns(NamedTuple):
+    """An activity DAG stored as one tuple per :class:`Activity` field.
+
+    Entry ``i`` of every column describes the ``i``-th activity. This
+    struct-of-arrays form is what programs keep and what the engine
+    reads. It holds no per-activity object the cyclic garbage collector
+    has to scan: the collector stops tracking a tuple of atomic values
+    once it has seen it, and the ``shared``/``meta`` dicts hold only
+    strings and numbers, so they are never tracked. (The two tuples
+    holding those dicts stay tracked: CPython never untracks a tuple
+    that holds a dict.)
+    """
+
+    aids: Tuple[int, ...]
+    labels: Tuple[str, ...]
+    kinds: Tuple[str, ...]
+    durations: Tuple[float, ...]
+    exclusive: Tuple[Tuple[str, ...], ...]
+    shared: Tuple[Dict[str, float], ...]
+    deps: Tuple[Tuple[int, ...], ...]
+    metas: Tuple[Dict[str, object], ...]
+
+    @classmethod
+    def of(cls, activities: Iterable[Activity]) -> "Columns":
+        """The columns of an activity list (dependencies as tuples)."""
+        acts = list(activities)
+        return cls(
+            tuple([a.aid for a in acts]),
+            tuple([a.label for a in acts]),
+            tuple([a.kind for a in acts]),
+            tuple([a.duration for a in acts]),
+            tuple([a.exclusive for a in acts]),
+            tuple([a.shared for a in acts]),
+            tuple([tuple(a.deps) for a in acts]),
+            tuple([a.meta for a in acts]),
+        )
+
+    def activities(self) -> List[Activity]:
+        """One fresh :class:`Activity` per entry (the field order matches)."""
+        return list(map(Activity, *self))
+
+
 class Span(NamedTuple):
     """Recorded execution interval of one activity.
 
     A ``NamedTuple`` rather than a dataclass: spans are produced in bulk
-    on the simulator's hot path (one per activity per run) and the
-    C-level tuple constructor and attribute access keep materialization
-    cheap for both the event-heap engine and the compiled engine's
-    vectorized replay.
+    (one per activity whenever a run's spans are read) and the C-level
+    tuple constructor and attribute access keep materialization cheap
+    for both the event-heap engine and the compiled engine's vectorized
+    replay.
     """
 
     aid: int
@@ -148,6 +204,104 @@ class Span(NamedTuple):
     @property
     def duration(self) -> float:
         return self.end - self.start
+
+
+class SpanTable(Sequence[Span]):
+    """The spans of one run, stored as rows over program columns.
+
+    Each finished activity is one ``(start, aid, index, end)`` row, in
+    ``(start, aid)`` order; ``index`` points into the label, kind,
+    exclusive and meta columns of the program that ran. The table is a
+    read-only sequence of :class:`Span`: the span list is built on the
+    first element access and kept, while ``len``, :attr:`makespan`,
+    equality and pickling work on the rows and never build it. The
+    columns are the program's own, so an unread table adds only its
+    rows: tuples of numbers, which the garbage collector stops
+    tracking.
+    """
+
+    __slots__ = ("rows", "labels", "kinds", "exclusive", "metas", "_spans")
+
+    def __init__(
+        self,
+        rows: Tuple[Tuple[float, int, int, float], ...],
+        labels: Sequence[str],
+        kinds: Sequence[str],
+        exclusive: Sequence[Tuple[str, ...]],
+        metas: Sequence[Dict[str, object]],
+    ):
+        self.rows = rows
+        self.labels = labels
+        self.kinds = kinds
+        self.exclusive = exclusive
+        self.metas = metas
+        self._spans: Optional[List[Span]] = None
+
+    @classmethod
+    def from_spans(cls, spans: Iterable[Span]) -> "SpanTable":
+        """A table over an already-built, sorted span list."""
+        spans = list(spans)
+        return cls(
+            tuple([(s.start, s.aid, k, s.end) for k, s in enumerate(spans)]),
+            tuple([s.label for s in spans]),
+            tuple([s.kind for s in spans]),
+            tuple([s.exclusive for s in spans]),
+            tuple([s.meta for s in spans]),
+        )
+
+    def _iter_spans(self) -> Iterator[Span]:
+        """The spans, from the built list if there is one, else fresh."""
+        if self._spans is not None:
+            return iter(self._spans)
+        labels, kinds = self.labels, self.kinds
+        exclusive, metas = self.exclusive, self.metas
+        return (
+            Span(aid, labels[i], kinds[i], start, end, exclusive[i], metas[i])
+            for start, aid, i, end in self.rows
+        )
+
+    def to_list(self) -> List[Span]:
+        """The span list, built on first call and cached."""
+        spans = self._spans
+        if spans is None:
+            spans = self._spans = list(self._iter_spans())
+        return spans
+
+    @property
+    def makespan(self) -> float:
+        """End time of the last span (0 for an empty run)."""
+        return max([row[3] for row in self.rows], default=0.0)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        return self.to_list()[index]
+
+    def __iter__(self) -> Iterator[Span]:
+        return iter(self.to_list())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, SpanTable):
+            other_spans = other._iter_spans()
+        elif isinstance(other, (list, tuple)):
+            other_spans = iter(other)
+        else:
+            return NotImplemented
+        return len(self) == len(other) and all(
+            map(operator.eq, self._iter_spans(), other_spans)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __reduce__(self):
+        return (
+            SpanTable,
+            (self.rows, self.labels, self.kinds, self.exclusive, self.metas),
+        )
+
+    def __repr__(self) -> str:
+        return f"SpanTable({list(self._iter_spans())!r})"
 
 
 class SimulationError(RuntimeError):
@@ -192,8 +346,9 @@ class Engine:
     """Runs a set of activities to completion.
 
     Args:
-        activities: The activity DAG. Ids must be unique and
-            dependencies must refer to existing ids.
+        activities: The activity DAG, as a sequence of
+            :class:`Activity` or as a program's :class:`Columns`. Ids
+            must be unique and dependencies must refer to existing ids.
         shared_capacities: Capacity (units/second) of each shared
             resource. Demands on resources not listed here are treated
             as unconstrained.
@@ -201,21 +356,41 @@ class Engine:
 
     def __init__(
         self,
-        activities: Sequence[Activity],
+        activities: Union[Columns, Sequence[Activity]],
         shared_capacities: Optional[Dict[str, float]] = None,
     ):
-        self.activities = {a.aid: a for a in activities}
-        if len(self.activities) != len(activities):
+        if not isinstance(activities, Columns):
+            activities = Columns.of(activities)
+        self.columns = activities
+        aids = activities.aids
+        n_acts = len(aids)
+        index_of = {aid: i for i, aid in enumerate(aids)}
+        if len(index_of) != n_acts:
             raise SimulationError("duplicate activity ids")
-        for act in activities:
-            for dep in act.deps:
-                if dep not in self.activities:
+        # Validation and the reverse dependency edges in one pass.
+        # Duplicate dep ids collapse, exactly as the reference engine's
+        # per-activity dependency *set* collapses them.
+        dep_count = [0] * n_acts
+        dependents: List[List[int]] = [[] for _ in range(n_acts)]
+        for i, deps in enumerate(activities.deps):
+            if not deps:
+                continue
+            if len(deps) > 1:
+                deps = set(deps)
+            dep_count[i] = len(deps)
+            for dep in deps:
+                parent = index_of.get(dep)
+                if parent is None:
                     raise SimulationError(
-                        f"activity {act.label!r} depends on unknown id {dep}"
+                        f"activity {activities.labels[i]!r} depends on "
+                        f"unknown id {dep}"
                     )
+                dependents[parent].append(i)
+        self._dep_count = dep_count
+        self._dependents = dependents
         self.shared_capacities = dict(shared_capacities or {})
 
-    def run(self) -> List[Span]:
+    def run(self) -> SpanTable:
         """Execute the DAG; returns spans sorted by start time.
 
         This is the no-failure fast path: no hard-fault bookkeeping
@@ -227,7 +402,7 @@ class Engine:
 
     def run_with_failures(
         self, hard_faults: Sequence["HardFault"] = ()
-    ) -> Tuple[List[Span], Optional[SimFailure]]:
+    ) -> Tuple[SpanTable, Optional[SimFailure]]:
         """Execute the DAG under hard faults; may end in a failure.
 
         Args:
@@ -256,66 +431,71 @@ class Engine:
 
     def _run(
         self, fault: Optional["HardFault"], check_poison: bool
-    ) -> Tuple[List[Span], Optional[SimFailure]]:
+    ) -> Tuple[SpanTable, Optional[SimFailure]]:
         """Shared event loop of :meth:`run` and :meth:`run_with_failures`.
 
-        Activity ids and resource names are interned to dense list
-        indices up front, so the event loops below are pure list/int
-        operations; heap entries carry ``(ready_time, aid, index)``,
-        which orders identically to ``(ready_time, aid)`` because aids
-        are unique.
+        Activities are addressed by their column index, and resource
+        names are interned to dense list indices up front, so the event
+        loops below are pure list/int operations; heap entries carry
+        ``(ready_time, aid, index)``, which orders identically to
+        ``(ready_time, aid)`` because aids are unique. Each finished
+        activity is recorded as a ``(start, aid, index, end)`` row, so
+        sorting the rows gives the ``(start, aid)`` span order.
 
         With ``fault is None`` and ``check_poison`` false the loop's
         arithmetic is untouched — the failure checks are pure
         comparisons behind constant-false guards, so the no-failure
         path stays bit-identical.
         """
-        acts = self.activities
-        n_acts = len(acts)
-        act_list = list(acts.values())
-        index_of = {act.aid: i for i, act in enumerate(act_list)}
+        cols = self.columns
+        aids = cols.aids
+        labels = cols.labels
+        kinds = cols.kinds
+        durations = cols.durations
+        metas = cols.metas
+        n_acts = len(aids)
 
         fail_time = fault.time if fault is not None else None
         poisoned: Optional[Set[int]] = None
         if check_poison:
             marked = {
-                i
-                for i, act in enumerate(act_list)
-                if act.meta.get("failed_resource")
+                i for i, meta in enumerate(metas) if meta.get("failed_resource")
             }
             if marked:
                 poisoned = marked
 
         res_index: Dict[str, int] = {}
-        aids: List[int] = [0] * n_acts
-        durations: List[float] = [0.0] * n_acts
+        # Programs repeat a handful of exclusive-resource tuples, so
+        # each distinct tuple is interned once.
+        interned: Dict[Tuple[str, ...], Tuple[int, ...]] = {}
         exclusives: List[Tuple[int, ...]] = [()] * n_acts
+        for i, names in enumerate(cols.exclusive):
+            hashable = type(names) is tuple
+            excl = interned.get(names) if hashable else None
+            if excl is None:
+                indices = []
+                for name in names:
+                    r = res_index.get(name)
+                    if r is None:
+                        r = res_index[name] = len(res_index)
+                    indices.append(r)
+                excl = tuple(indices)
+                if hashable:
+                    interned[names] = excl
+            exclusives[i] = excl
         shareds: List[Dict[int, float]] = [{}] * n_acts
-        dep_count: List[int] = [0] * n_acts
-        dependents: List[List[int]] = [[] for _ in range(n_acts)]
-        for i, act in enumerate(act_list):
-            aids[i] = act.aid
-            durations[i] = act.duration
-            excl = []
-            for name in act.exclusive:
-                r = res_index.get(name)
-                if r is None:
-                    r = res_index[name] = len(res_index)
-                excl.append(r)
-            exclusives[i] = tuple(excl)
+        for i, demands in enumerate(cols.shared):
+            if not demands:
+                continue
             shared: Dict[int, float] = {}
-            for name, demand in act.shared.items():
+            for name, demand in demands.items():
                 r = res_index.get(name)
                 if r is None:
                     r = res_index[name] = len(res_index)
                 shared[r] = demand
             shareds[i] = shared
-            # Duplicate dep ids collapse, exactly as the reference
-            # engine's per-activity dependency *set* collapses them.
-            unique_deps = set(act.deps)
-            dep_count[i] = len(unique_deps)
-            for dep in unique_deps:
-                dependents[index_of[dep]].append(i)
+        dep_count = list(self._dep_count)
+        dependents = self._dependents
 
         n_res = len(res_index)
         capacities: List[Optional[float]] = [None] * n_res
@@ -355,7 +535,7 @@ class Engine:
         # total/factor recompute.
         changed: Set[int] = set()
 
-        spans: List[Span] = []
+        rows: List[Tuple[float, int, int, float]] = []
         finished = 0
         now = 0.0
         inf = float("inf")
@@ -367,16 +547,19 @@ class Engine:
         # Guard against infinite loops on malformed inputs.
         max_steps = 10 * n_acts + 100
 
+        def _table() -> SpanTable:
+            rows.sort()
+            return SpanTable(tuple(rows), labels, kinds, cols.exclusive, metas)
+
         def _interrupted(time: float, resource: str, kind: str) -> SimFailure:
             """The structured failure at ``time``; reads live loop state."""
             in_flight = []
             for i, state in running.items():
-                act = act_list[i]
-                meta = dict(act.meta)
+                meta = dict(metas[i])
                 meta["interrupted"] = True
                 in_flight.append(
-                    Span(aids[i], act.label, act.kind, state[0], time,
-                         act.exclusive, meta)
+                    Span(aids[i], labels[i], kinds[i], state[0], time,
+                         cols.exclusive[i], meta)
                 )
             in_flight.sort(key=lambda s: (s.start, s.aid))
             return SimFailure(
@@ -421,7 +604,7 @@ class Engine:
                 for r in exclusive:
                     busy[r] = True
                 if observed is not None:
-                    observed.append((act_list[i].kind, now - item[0]))
+                    observed.append((kinds[i], now - item[0]))
                 duration = durations[i]
                 running[i] = [
                     now,
@@ -437,7 +620,7 @@ class Engine:
 
             if not running:
                 unresolved = [
-                    act_list[i].label for i in range(n_acts) if dep_count[i]
+                    labels[i] for i in range(n_acts) if dep_count[i]
                 ]
                 if unresolved:
                     raise SimulationError(
@@ -488,8 +671,9 @@ class Engine:
             # run at the fault time; completions landing exactly on the
             # fault time still count (the step finished as it died).
             if fail_time is not None and now + dt > fail_time:
-                spans.sort(key=lambda s: (s.start, s.aid))
-                return spans, _interrupted(fail_time, fault.resource, fault.kind)
+                return _table(), _interrupted(
+                    fail_time, fault.resource, fault.kind
+                )
             now += dt
             completed: List[int] = []
             for i, state in running.items():
@@ -507,13 +691,11 @@ class Engine:
                 # interrupted.
                 for i in completed:
                     if i in poisoned:
-                        resource = str(act_list[i].meta["failed_resource"])
-                        spans.sort(key=lambda s: (s.start, s.aid))
-                        return spans, _interrupted(now, resource, "link")
+                        resource = str(metas[i]["failed_resource"])
+                        return _table(), _interrupted(now, resource, "link")
             freed: List[int] = []
             for i in completed:
                 state = running.pop(i)
-                act = act_list[i]
                 for r in exclusives[i]:
                     busy[r] = False
                     freed.append(r)
@@ -522,10 +704,7 @@ class Engine:
                     for r in shared:
                         del members[r][i]
                         changed.add(r)
-                spans.append(
-                    Span(aids[i], act.label, act.kind, state[0], now,
-                         act.exclusive, act.meta)
-                )
+                rows.append((state[0], aids[i], i, now))
                 finished += 1
                 for child in dependents[i]:
                     count = dep_count[child] - 1
@@ -539,12 +718,13 @@ class Engine:
                     wake_origin[nxt[2]] = r
                     heappush(ready_heap, nxt)
 
-        spans.sort(key=lambda s: (s.start, s.aid))
-        return spans, None
+        return _table(), None
 
 
 def makespan(spans: Iterable[Span]) -> float:
     """End time of the last span (0 for an empty program)."""
+    if isinstance(spans, SpanTable):
+        return spans.makespan
     return max((s.end for s in spans), default=0.0)
 
 

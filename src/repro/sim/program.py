@@ -28,10 +28,11 @@ from repro.sim.engine import (
     LINK_V,
     NIC,
     Activity,
+    Columns,
     Engine,
     SimFailure,
     SimulationError,
-    Span,
+    SpanTable,
     default_engine,
 )
 
@@ -39,19 +40,58 @@ if TYPE_CHECKING:  # pragma: no cover - avoid the sim <-> faults cycle
     from repro.faults.plan import FaultPlan
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(init=False)
 class Program:
-    """An activity DAG plus the shared resource capacities it runs under."""
+    """An activity DAG plus the shared resource capacities it runs under.
 
-    activities: List[Activity]
+    The activities are stored as :class:`Columns` — one tuple per
+    attribute — which is what the engine, the cache fingerprint, the
+    pruning bound and fault plans read. :attr:`activities` rebuilds
+    :class:`Activity` objects from the columns on each read.
+    """
+
+    columns: Columns
     shared_capacities: Dict[str, float]
-    meta: Dict[str, object] = dataclasses.field(default_factory=dict)
+    meta: Dict[str, object]
+
+    def __init__(
+        self,
+        activities: Sequence[Activity],
+        shared_capacities: Dict[str, float],
+        meta: Optional[Dict[str, object]] = None,
+    ):
+        self.columns = Columns.of(activities)
+        self.shared_capacities = shared_capacities
+        self.meta = {} if meta is None else meta
+
+    @classmethod
+    def from_columns(
+        cls,
+        columns: Columns,
+        shared_capacities: Dict[str, float],
+        meta: Dict[str, object],
+    ) -> "Program":
+        """A program over existing columns (shared, not copied)."""
+        program = cls.__new__(cls)
+        program.columns = columns
+        program.shared_capacities = shared_capacities
+        program.meta = meta
+        return program
+
+    @property
+    def activities(self) -> List[Activity]:
+        """The activities, as fresh :class:`Activity` objects per read.
+
+        They share their ``shared``/``meta`` dicts with the program:
+        treat them as read-only, like the program itself.
+        """
+        return self.columns.activities()
 
     def run(
         self,
         faults: Optional["FaultPlan"] = None,
         engine: Optional[str] = None,
-    ) -> List[Span]:
+    ) -> SpanTable:
         """Simulate the program; returns the execution trace.
 
         ``faults`` applies a :class:`repro.faults.FaultPlan` at the
@@ -83,7 +123,7 @@ class Program:
         self,
         faults: Optional["FaultPlan"] = None,
         engine: Optional[str] = None,
-    ) -> Tuple[List[Span], Optional[SimFailure]]:
+    ) -> Tuple[SpanTable, Optional[SimFailure]]:
         """Simulate the program, surfacing hard failures as a value.
 
         Returns ``(spans, failure)``. ``failure`` is ``None`` for a
@@ -113,8 +153,7 @@ class Program:
                     self.meta.get("motifs"),
                 )
                 return compiled.run(), None
-            spans = Engine(self.activities, self.shared_capacities).run()
-            return spans, None
+            return Engine(self.columns, self.shared_capacities).run(), None
         program = faults.apply(self)
         if faults.is_null:
             # A null plan is a no-op rewrite: same unperturbed program,
@@ -126,14 +165,14 @@ class Program:
             registry().inc(
                 "compile.fallbacks", labels={"reason": "fault-plan"}
             )
-        heap = Engine(program.activities, program.shared_capacities)
+        heap = Engine(program.columns, program.shared_capacities)
         return heap.run_with_failures(faults.hard_faults)
 
     @property
     def total_flops(self) -> float:
         """Sum of per-chip FLOPs over all compute activities."""
         return sum(
-            float(a.meta.get("flops", 0.0)) for a in self.activities
+            float(meta.get("flops", 0.0)) for meta in self.columns.metas
         )
 
 
@@ -149,7 +188,8 @@ class ProgramBuilder:
     def __init__(self, hw: HardwareParams):
         self.hw = hw
         self.costs = CommCostModel.for_hw(hw)
-        self._activities: List[Activity] = []
+        # One list per activity attribute, in ``Columns`` field order.
+        self._columns: Tuple[list, ...] = tuple([] for _ in Columns._fields)
         self._next_id = 0
         self._motifs: List[Dict[str, int]] = []
 
@@ -161,11 +201,8 @@ class ProgramBuilder:
         program_meta = dict(meta)
         if self._motifs:
             program_meta["motifs"] = list(self._motifs)
-        return Program(
-            activities=list(self._activities),
-            shared_capacities=capacities,
-            meta=program_meta,
-        )
+        columns = Columns._make(map(tuple, self._columns))
+        return Program.from_columns(columns, capacities, program_meta)
 
     def mark(self) -> int:
         """The id the next emitted activity will get.
@@ -471,10 +508,8 @@ class ProgramBuilder:
         gradient all-reduce) to an algorithm's GeMM program.
         """
         builder = cls(hw)
-        builder._activities = list(program.activities)
-        builder._next_id = (
-            max((a.aid for a in program.activities), default=-1) + 1
-        )
+        builder._columns = tuple(map(list, program.columns))
+        builder._next_id = max(program.columns.aids, default=-1) + 1
         motifs = program.meta.get("motifs")
         if motifs:
             builder._motifs = [dict(m) for m in motifs]
@@ -498,12 +533,12 @@ class ProgramBuilder:
         meta: Optional[Dict[str, object]] = None,
     ) -> int:
         # Takes ownership of ``shared``: every call site above passes a
-        # freshly built dict, so no defensive copy is made. The Activity
-        # is assembled by swapping in its instance dict wholesale — this
-        # is the hottest allocation site of a sweep (one call per
-        # activity of every built program), and the dataclass
-        # ``__init__`` costs about as much as the rest of the call. The
-        # ``__post_init__`` checks are inlined with identical messages.
+        # freshly built dict, so no defensive copy is made. This is the
+        # hottest allocation site of a sweep (one call per activity of
+        # every built program), so it appends to the attribute columns
+        # directly instead of building an ``Activity``; the
+        # ``Activity.__post_init__`` checks are inlined with identical
+        # messages.
         if duration < 0:
             raise ValueError(f"activity {label!r} has negative duration")
         for demand in shared.values():
@@ -515,18 +550,17 @@ class ProgramBuilder:
             exclusive = tuple(exclusive)
         if type(deps) is not tuple:
             deps = tuple(deps)
-        act = Activity.__new__(Activity)
-        act.__dict__ = {
-            "aid": aid,
-            "label": label,
-            "kind": kind,
-            "duration": duration,
-            "exclusive": exclusive,
-            "shared": shared,
-            "deps": deps,
-            "meta": meta if meta is not None else {},
-        }
-        self._activities.append(act)
+        aids, labels, kinds, durations, exclusives, shareds, depss, metas = (
+            self._columns
+        )
+        aids.append(aid)
+        labels.append(label)
+        kinds.append(kind)
+        durations.append(duration)
+        exclusives.append(exclusive)
+        shareds.append(shared)
+        depss.append(deps)
+        metas.append(meta if meta is not None else {})
         return aid
 
 
@@ -543,16 +577,18 @@ def repeat_program(block: Program, copies: int) -> Program:
     """
     if copies < 1:
         raise ValueError("copies must be >= 1")
-    acts = block.activities
-    n = len(acts)
-    position = {a.aid: i for i, a in enumerate(acts)}
+    cols = block.columns
+    n = len(cols.aids)
+    position = {aid: i for i, aid in enumerate(cols.aids)}
     referenced = set()
-    for act in acts:
-        referenced.update(act.deps)
-    sinks = tuple(
-        sorted(i for i, a in enumerate(acts) if a.aid not in referenced)
-    )
-    out: List[Activity] = []
+    for deps in cols.deps:
+        referenced.update(deps)
+    sinks = tuple(i for i, aid in enumerate(cols.aids) if aid not in referenced)
+    aids: List[int] = []
+    labels: List[str] = []
+    shared: List[Dict[str, float]] = []
+    deps_out: List[Tuple[int, ...]] = []
+    metas: List[Dict[str, object]] = []
     for k in range(copies):
         base = k * n
         prefix = f"layer{k}/"
@@ -560,23 +596,24 @@ def repeat_program(block: Program, copies: int) -> Program:
             entry_deps = tuple(base - n + s for s in sinks)
         else:
             entry_deps = ()
-        for i, act in enumerate(acts):
-            if act.deps:
-                deps = tuple(base + position[d] for d in act.deps)
-            else:
-                deps = entry_deps
-            clone = Activity.__new__(Activity)
-            clone.__dict__ = {
-                "aid": base + i,
-                "label": prefix + act.label,
-                "kind": act.kind,
-                "duration": act.duration,
-                "exclusive": act.exclusive,
-                "shared": dict(act.shared),
-                "deps": deps,
-                "meta": dict(act.meta),
-            }
-            out.append(clone)
+        aids.extend(range(base, base + n))
+        labels.extend([prefix + label for label in cols.labels])
+        shared.extend([dict(demands) for demands in cols.shared])
+        deps_out.extend([
+            tuple(base + position[d] for d in deps) if deps else entry_deps
+            for deps in cols.deps
+        ])
+        metas.extend([dict(m) for m in cols.metas])
+    columns = Columns(
+        tuple(aids),
+        tuple(labels),
+        cols.kinds * copies,
+        cols.durations * copies,
+        cols.exclusive * copies,
+        tuple(shared),
+        tuple(deps_out),
+        tuple(metas),
+    )
     meta = dict(block.meta)
     meta["copies"] = copies
     # The per-layer motif supersedes any block-internal annotations
@@ -587,8 +624,6 @@ def repeat_program(block: Program, copies: int) -> Program:
     meta["motifs"] = [
         {"first": 0, "period": n, "count": copies, "trusted": True}
     ]
-    return Program(
-        activities=out,
-        shared_capacities=dict(block.shared_capacities),
-        meta=meta,
+    return Program.from_columns(
+        columns, dict(block.shared_capacities), meta
     )
