@@ -316,7 +316,8 @@ def _candidate_order(
     the ``abort_above`` cutoff bite on almost every other candidate.
     Uses the untuned (``slices=1``) estimates so that ranking a mesh
     never triggers the full slice-count search; the estimates are
-    memoized and shared with slice tuning of surviving meshes.
+    memoized across calls (slice tuning evaluates its candidates
+    without them).
     """
     if len(meshes) <= 1:
         return list(range(len(meshes)))

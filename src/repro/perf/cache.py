@@ -3,8 +3,9 @@
 Design-space exploration re-evaluates the same pure functions with the
 same frozen-dataclass inputs thousands of times per sweep: the
 autotuner's ``best_slice_count`` is called with identical
-``(GeMMConfig, HardwareParams)`` pairs once per algorithm per mesh
-candidate, ``plan_model`` once per algorithm per grid point, and the
+``(GeMMConfig, HardwareParams, max_slices)`` keys once per algorithm
+per mesh candidate (one entry per configuration, not one per candidate
+``S``), ``plan_model`` once per algorithm per grid point, and the
 simulator re-executes identical per-pass programs across mesh
 candidates. Because every key type in the pipeline is a frozen
 dataclass (``GeMMShape``, ``Mesh2D``, ``GeMMConfig``,

@@ -184,25 +184,25 @@ class TestMemoizedDegradedRetune:
     def test_identity_and_counters(self, monkeypatch):
         from repro.perf import cache_stats, clear_caches
         from repro.perf.cache import KILL_SWITCH_ENV
-        from repro.perf.pipeline import degraded_retune
+        from repro.perf.pipeline import degraded_retune_model
 
         # Opt back into caching even under the CI no-cache lane.
         monkeypatch.delenv(KILL_SWITCH_ENV, raising=False)
         clear_caches()
         mesh = Mesh2D(4, 4)
-        first = degraded_retune(GPT3_175B, 8, mesh, (0, 0), TPUV4)
+        first = degraded_retune_model(GPT3_175B, 8, mesh, (0, 0), TPUV4)
         stats = cache_stats()["degraded_retune"]
         assert (stats.hits, stats.misses) == (0, 1)
-        again = degraded_retune(GPT3_175B, 8, mesh, (0, 0), TPUV4)
+        again = degraded_retune_model(GPT3_175B, 8, mesh, (0, 0), TPUV4)
         assert again is first
         stats = cache_stats()["degraded_retune"]
         assert (stats.hits, stats.misses) == (1, 1)
 
     def test_matches_unmemoized(self):
-        from repro.perf.pipeline import degraded_retune
+        from repro.perf.pipeline import degraded_retune_model
 
         mesh = Mesh2D(4, 4)
-        cached = degraded_retune(GPT3_175B, 8, mesh, (2, 2), TPUV4)
+        cached = degraded_retune_model(GPT3_175B, 8, mesh, (2, 2), TPUV4)
         direct = retune_degraded(GPT3_175B, 8, mesh, (2, 2), TPUV4)
         assert cached.mesh == direct.mesh
         assert cached.block_seconds == direct.block_seconds

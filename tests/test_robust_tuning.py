@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.autotuner import RobustTuningResult, robust_tune, tune
+from repro.autotuner import RobustTuningResult, robust_tune_model, tune_model
 from repro.autotuner.search import _quantile
 from repro.faults import FaultSpec
 from repro.models import GPT3_175B
@@ -30,7 +30,7 @@ class TestQuantile:
 
 class TestRobustTune:
     def test_null_spec_degenerates_to_clean_simulation(self, hw):
-        result = robust_tune(
+        result = robust_tune_model(
             GPT3_175B, 8, 16, hw, spec=FaultSpec(), ensemble=2
         )
         assert isinstance(result, RobustTuningResult)
@@ -39,12 +39,12 @@ class TestRobustTune:
         assert result.inflation == 1.0
 
     def test_reproducible(self, hw):
-        a = robust_tune(GPT3_175B, 8, 16, hw, spec=SEVERE, ensemble=4)
-        b = robust_tune(GPT3_175B, 8, 16, hw, spec=SEVERE, ensemble=4)
+        a = robust_tune_model(GPT3_175B, 8, 16, hw, spec=SEVERE, ensemble=4)
+        b = robust_tune_model(GPT3_175B, 8, 16, hw, spec=SEVERE, ensemble=4)
         assert a == b
 
     def test_faults_inflate_tail(self, hw):
-        result = robust_tune(GPT3_175B, 8, 16, hw, spec=SEVERE, ensemble=4)
+        result = robust_tune_model(GPT3_175B, 8, 16, hw, spec=SEVERE, ensemble=4)
         assert result.robust_seconds > result.nominal_seconds
         assert result.robust_seconds >= result.mean_seconds
         assert result.inflation > 1.0
@@ -55,8 +55,8 @@ class TestRobustTune:
         assert result.robust_seconds == min(result.per_mesh_robust.values())
 
     def test_keeps_nominal_slice_tuning(self, hw):
-        nominal = tune(GPT3_175B, 8, 16, hw)
-        robust = robust_tune(
+        nominal = tune_model(GPT3_175B, 8, 16, hw)
+        robust = robust_tune_model(
             GPT3_175B, 8, 16, hw, spec=FaultSpec(), ensemble=1
         )
         by_pass = {
@@ -69,11 +69,11 @@ class TestRobustTune:
 
     def test_rejects_bad_quantile(self, hw):
         with pytest.raises(ValueError):
-            robust_tune(
+            robust_tune_model(
                 GPT3_175B, 8, 16, hw, spec=FaultSpec(), quantile=0.0
             )
         with pytest.raises(ValueError):
-            robust_tune(
+            robust_tune_model(
                 GPT3_175B, 8, 16, hw, spec=FaultSpec(), quantile=1.5
             )
 
@@ -81,7 +81,7 @@ class TestRobustTune:
         # Cannon needs a square mesh; 32 chips has no square
         # factorization, so no candidate supports it.
         with pytest.raises(ValueError, match="cannon"):
-            robust_tune(
+            robust_tune_model(
                 GPT3_175B, 16, 32, hw, spec=FaultSpec(),
                 ensemble=1, algorithm="cannon",
             )
@@ -89,7 +89,7 @@ class TestRobustTune:
     def test_1d_algorithm_on_ring(self, hw):
         from repro.mesh import Mesh2D
 
-        result = robust_tune(
+        result = robust_tune_model(
             GPT3_175B, 8, 16, hw, spec=SEVERE, ensemble=2,
             algorithm="1dtp", mesh_candidates=[Mesh2D(1, 16)],
         )
