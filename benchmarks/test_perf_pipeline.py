@@ -58,60 +58,6 @@ def test_engine_throughput(benchmark):
 
 
 @pytest.mark.repro("fast path")
-def test_compiled_engine_throughput(benchmark):
-    """Compiled vs heap on a deep layer stack, bit-identity enforced.
-
-    A reduced single-program slice of the full corpus recorded in
-    ``BENCH_pipeline.json`` (which stacks 192 layers over six
-    algorithm/mesh points); one 48-layer MeshSlice stack keeps the
-    benchmark runtime low while still exercising motif detection and
-    steady-state composition.
-    """
-    from repro.sim.compiled import CompiledEngine
-    from repro.sim.program import repeat_program
-
-    cfg = GeMMConfig(
-        shape=GeMMShape(m=8192, n=8192, k=8192),
-        mesh=Mesh2D(16, 16),
-        slices=64,
-    )
-    stack = repeat_program(built_program("meshslice", cfg, TPUV4), 48)
-    acts = stack.activities
-    caps = stack.shared_capacities
-    motifs = stack.meta.get("motifs")
-
-    heap_seconds = float("inf")
-    for _round in range(3):
-        start = time.perf_counter()
-        heap_spans = Engine(acts, caps).run()
-        heap_seconds = min(heap_seconds, time.perf_counter() - start)
-    heap_key = [(s.aid, s.label, s.start, s.end) for s in heap_spans]
-
-    def compiled_run():
-        return CompiledEngine(acts, caps, motifs=motifs).run()
-
-    spans = benchmark.pedantic(
-        compiled_run, rounds=5, iterations=1, warmup_rounds=1
-    )
-    assert [(s.aid, s.label, s.start, s.end) for s in spans] == heap_key
-
-    stats_engine = CompiledEngine(acts, caps, motifs=motifs)
-    stats_engine.run()
-    per_run = benchmark.stats.stats.min
-    benchmark.extra_info["activities"] = len(acts)
-    benchmark.extra_info["heap_activities_per_sec"] = round(
-        len(acts) / heap_seconds
-    )
-    benchmark.extra_info["compiled_activities_per_sec"] = round(
-        len(acts) / per_run
-    )
-    benchmark.extra_info["speedup_vs_heap"] = round(heap_seconds / per_run, 2)
-    benchmark.extra_info["composed_fraction"] = round(
-        stats_engine.stats.composed_fraction, 3
-    )
-
-
-@pytest.mark.repro("fast path")
 def test_fig09_grid_wall_time(benchmark):
     def cold_grid():
         clear_caches()

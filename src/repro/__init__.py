@@ -20,9 +20,10 @@ Quickstart::
 
 The timing plane is one import away — the stable entry points are
 :func:`simulate` (run a built program on a hardware preset, optionally
-under a :class:`FaultPlan`), :func:`tune` / :func:`robust_tune` (the
-autotuner, nominal and fault-aware), and :func:`get_algorithm` /
-:func:`algorithm_names` (the distributed GeMM algorithm registry)::
+under a :class:`FaultPlan`), :class:`TuneRequest` (the autotuner,
+nominal, fault-aware and degraded: ``TuneRequest(...).run()``), and
+:func:`get_algorithm` / :func:`algorithm_names` (the distributed GeMM
+algorithm registry)::
 
     from repro import TPUV4, get_algorithm, simulate
 
@@ -35,7 +36,8 @@ numpy. numpy loads on first access to a functional-plane name
 (``meshslice_gemm``/``_os``/``_ls``/``_rs``, ``slice_col``/``slice_row``,
 ``valid_slice_counts``, ``MeshExecutor``, ``abft_gemm``, ``ABFTReport``,
 ``SDCPlan``, ``NULL_SDC_PLAN``, ``sdc_injection``); the timing-plane
-names (``simulate``, ``tune``, ``get_algorithm``, ...) never load it.
+names (``simulate``, ``TuneRequest``, ``get_algorithm``, ...) never load
+it.
 
 See ``README.md`` and ``docs/`` for the architecture, ``DESIGN.md`` for
 the system inventory, and ``EXPERIMENTS.md`` for the paper-vs-
@@ -98,13 +100,11 @@ _LAZY_EXPORTS = {
     "migration_seconds": "repro.recovery",
     "profile_block": "repro.obs",
     "retune_degraded": "repro.recovery",
-    "robust_tune": "repro.autotuner",
     "sdc_injection": "repro.faults",
     "simulate": "repro.sim.cluster",
     "simulate_lifetime": "repro.recovery",
     "slice_col": "repro.core",
     "slice_row": "repro.core",
-    "tune": "repro.autotuner",
     "valid_slice_counts": "repro.core",
 }
 
@@ -158,13 +158,11 @@ __all__ = [
     "meshslice_rs",
     "profile_block",
     "retune_degraded",
-    "robust_tune",
     "sdc_injection",
     "simulate",
     "simulate_lifetime",
     "slice_col",
     "slice_row",
-    "tune",
     "valid_slice_counts",
     "__version__",
 ]

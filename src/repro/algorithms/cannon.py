@@ -67,13 +67,7 @@ class CannonGeMM(DistributedGeMM):
 
         prev_shift_a, prev_shift_b = skew_a, skew_b
         prev_gemm = None
-        # The last step emits no shifts, so only the first side - 1
-        # iterations are annotated (the compiled engine would reject an
-        # uneven tail instance anyway).
-        loop = builder.mark()
         for step in range(side):
-            if step == side - 1:
-                builder.motif(loop, side - 1)
             deps = [prev_shift_a, prev_shift_b]
             if prev_gemm is not None:
                 deps.append(prev_gemm)

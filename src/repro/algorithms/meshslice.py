@@ -92,7 +92,6 @@ class MeshSliceGeMM(DistributedGeMM):
                 / (chips * slices)
             )
             ags = []
-            loop = builder.mark()
             for s in range(slices):
                 deps = [encode[mat]] if mat in encode else []
                 if slices > 1:
@@ -106,11 +105,9 @@ class MeshSliceGeMM(DistributedGeMM):
                         f"ag_{mat}[{s}]", ring, shard_bytes, link, deps=deps
                     )
                 )
-            builder.motif(loop, slices)
             gather_ids.append(ags)
 
         tail: List[int] = []
-        loop = builder.mark()
         for s in range(slices):
             gemm_deps = [ags[s] for ags in gather_ids if ags]
             if s == 0:
@@ -134,7 +131,6 @@ class MeshSliceGeMM(DistributedGeMM):
                     tail[-1] = builder.slice_copy(
                         f"unslice_{mat}[{s}]", shard_bytes, deps=[rds]
                     )
-        builder.motif(loop, slices)
 
         if cfg.abft:
             abft_epilogue(builder, cfg, hw, tail)

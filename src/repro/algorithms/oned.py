@@ -52,7 +52,6 @@ def _pipeline(
     bounds = [g * ring // groups for g in range(groups + 1)]
     hops: List[int] = []
     prev = None
-    loop = builder.mark()
     for h in range(1, ring):
         prev = builder.sendrecv(
             f"sendrecv_{label}[{h}]",
@@ -61,9 +60,7 @@ def _pipeline(
             deps=[prev] if prev is not None else [],
         )
         hops.append(prev)
-    builder.motif(loop, ring - 1)
     gemm = None
-    loop = builder.mark()
     for g in range(groups):
         size = bounds[g + 1] - bounds[g]
         if size <= 0:
@@ -76,7 +73,6 @@ def _pipeline(
             deps.append(gemm)
         m, n, k = dims_for_group(size)
         gemm = builder.gemm(f"gemm[{g}]", m, n, k, deps=deps)
-    builder.motif(loop, groups)
 
 
 def _canonical_1d(cfg: GeMMConfig) -> GeMMConfig:

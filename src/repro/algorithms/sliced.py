@@ -100,7 +100,6 @@ class SlicedGeMM(DistributedGeMM):
                 continue
             sub_bytes = matrix_bytes(cfg.shape, mat) / (chips * slices)
             fences = []
-            loop = builder.mark()
             for s in range(slices):
                 epoch = builder.comm_on(
                     f"get_{mat}[{s}]", costs.epoch(ring, sub_bytes), (link,)
@@ -111,10 +110,8 @@ class SlicedGeMM(DistributedGeMM):
                         deps=[epoch],
                     )
                 )
-            builder.motif(loop, slices)
             fence_ids.append(fences)
 
-        loop = builder.mark()
         for s in range(slices):
             gemm = builder.gemm(
                 f"gemm[{s}]", m, n, k,
@@ -134,7 +131,6 @@ class SlicedGeMM(DistributedGeMM):
                     f"fence_{mat}[{s}]", costs.fence(ring), (link,),
                     deps=[acc],
                 )
-        builder.motif(loop, slices)
         return builder.build(algorithm=self.name, config=cfg)
 
     def functional(

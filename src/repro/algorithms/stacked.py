@@ -133,11 +133,7 @@ class TwoPointFiveDGeMM:
             "skew_b", b_shard, LINK_V, deps=skew_deps, hops=side // 2
         )
         prev_a, prev_b, gemm = skew_a, skew_b, None
-        # Annotate the uniform prefix (the last step emits no shifts).
-        loop = builder.mark()
         for step in range(steps):
-            if step == steps - 1:
-                builder.motif(loop, steps - 1)
             deps = [prev_a, prev_b]
             if gemm is not None:
                 deps.append(gemm)

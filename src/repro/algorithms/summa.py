@@ -85,7 +85,6 @@ class SummaGeMM(DistributedGeMM):
                 )
                 encode.append(builder.checksum(f"abft_encode_{mat}", elements))
         tail = []
-        loop = builder.mark()
         for step in range(iterations):
             deps = list(encode) if step == 0 else []
             for op, mat, link, ring in directions:
@@ -130,7 +129,6 @@ class SummaGeMM(DistributedGeMM):
                         deps=[gemm],
                     )
                 )
-        builder.motif(loop, iterations)
         if cfg.abft:
             abft_epilogue(builder, cfg, hw, tail)
         return builder.build(algorithm=self.name, config=cfg)

@@ -111,7 +111,6 @@ class WangGeMM(DistributedGeMM):
             # local); GeMM group g needs every shard below bounds[g+1].
             hops: List[int] = []
             prev = None
-            loop = builder.mark()
             for h in range(1, dec_ring):
                 prev = builder.sendrecv(
                     f"sendrecv_{dec_mat}[{h}]",
@@ -120,9 +119,7 @@ class WangGeMM(DistributedGeMM):
                     deps=[prev] if prev is not None else [],
                 )
                 hops.append(prev)
-            builder.motif(loop, dec_ring - 1)
             gemm = None
-            loop = builder.mark()
             for g in range(groups):
                 size = bounds[g + 1] - bounds[g]
                 if size <= 0:
@@ -135,7 +132,6 @@ class WangGeMM(DistributedGeMM):
                     deps.append(gemm)
                 m, n, k = group_dims(size)
                 gemm = builder.gemm(f"gemm[{g}]", m, n, k, deps=deps)
-            builder.motif(loop, groups)
             self._blocking_epilogue(builder, cfg, blocking, [gemm])
         else:
             # Decomposed ReduceScatter: partial GeMMs feed a chain of
@@ -145,7 +141,6 @@ class WangGeMM(DistributedGeMM):
             hop_bounds = [g * total_hops // groups for g in range(groups + 1)]
             prev_hop = None
             gemm = None
-            loop = builder.mark()
             for g in range(groups):
                 size = bounds[g + 1] - bounds[g]
                 if size <= 0:
@@ -165,7 +160,6 @@ class WangGeMM(DistributedGeMM):
                         dec_link,
                         deps=hop_deps,
                     )
-            builder.motif(loop, groups)
             self._blocking_epilogue(builder, cfg, blocking, [gemm])
         return builder.build(algorithm=self.name, config=cfg)
 

@@ -23,9 +23,7 @@ from repro.autotuner.search import (
     RobustTuningResult,
     TunedPass,
     TuningResult,
-    robust_tune,
     robust_tune_model,
-    tune,
     tune_mesh,
     tune_model,
 )
@@ -47,10 +45,8 @@ __all__ = [
     "pass_plans",
     "plan_layer",
     "plan_model",
-    "robust_tune",
     "robust_tune_model",
     "sliced_estimate",
-    "tune",
     "tune_mesh",
     "tune_model",
     "valid_slice_counts_for",

@@ -8,7 +8,7 @@ time. The search space is small — a handful of integer factorizations
 times a handful of divisors — so tuning completes in well under a
 second.
 
-:func:`robust_tune` adds a fault-aware mode on top: instead of the
+:func:`robust_tune_model` adds a fault-aware mode on top: instead of the
 nominal analytical block time, the mesh shape is chosen to minimize a
 tail quantile (p95 by default) of the *simulated* block time over a
 seeded ensemble of :class:`repro.faults.FaultPlan` realizations — the
@@ -185,7 +185,7 @@ def tune_model(
 
 @dataclasses.dataclass(frozen=True)
 class RobustTuningResult:
-    """Output of :func:`robust_tune`.
+    """Output of :func:`robust_tune_model`.
 
     Attributes:
         mesh: The mesh shape minimizing the robust objective.
@@ -331,59 +331,3 @@ def robust_tune_model(
         per_mesh_robust=per_mesh,
         fault_plans=fault_plans,
     )
-
-
-# ------------------------------------------------------- deprecated shims
-
-
-def _legacy_warning(name: str) -> None:
-    import warnings
-
-    warnings.warn(
-        f"{name}(model, batch, ...) with positional arguments is "
-        f"deprecated since 1.6.0; build a repro.service.TuneRequest "
-        f"and call request.run() (or serve it through "
-        f"repro.service.TunerService)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def tune(request, *args, **kwargs) -> TuningResult:
-    """Tune a nominal configuration (unified-request entry point).
-
-    Pass a single :class:`repro.service.TuneRequest` (any mode-"tune"
-    request). The legacy positional form ``tune(model, batch, chips,
-    hw, ...)`` still works as a deprecated shim over
-    :func:`tune_model`.
-    """
-    from repro.service.request import TuneRequest, execute
-
-    if isinstance(request, TuneRequest):
-        if args or kwargs:
-            raise TypeError(
-                "tune(TuneRequest) takes no further arguments"
-            )
-        return execute(request)
-    _legacy_warning("tune")
-    return tune_model(request, *args, **kwargs)
-
-
-def robust_tune(request, *args, **kwargs) -> RobustTuningResult:
-    """Fault-aware tuning (unified-request entry point).
-
-    Pass a single mode-"robust" :class:`repro.service.TuneRequest`.
-    The legacy positional form ``robust_tune(model, batch, chips, hw,
-    spec, ...)`` still works as a deprecated shim over
-    :func:`robust_tune_model`.
-    """
-    from repro.service.request import TuneRequest, execute
-
-    if isinstance(request, TuneRequest):
-        if args or kwargs:
-            raise TypeError(
-                "robust_tune(TuneRequest) takes no further arguments"
-            )
-        return execute(request)
-    _legacy_warning("robust_tune")
-    return robust_tune_model(request, *args, **kwargs)

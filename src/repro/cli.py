@@ -76,19 +76,6 @@ def _add_metrics_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
-    from repro.sim.engine import ENGINE_NAMES
-
-    parser.add_argument(
-        "--engine", choices=ENGINE_NAMES, default=None,
-        help=(
-            "simulation engine (default: REPRO_ENGINE env var, then "
-            "'heap'); 'compiled' exploits repeated program structure "
-            "and produces bit-identical results"
-        ),
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="meshslice",
@@ -113,7 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_metrics_argument(run)
-    _add_engine_argument(run)
 
     sub.add_parser("list", help="enumerate the available experiments")
 
@@ -124,7 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_cluster_arguments(tune)
     _add_metrics_argument(tune)
-    _add_engine_argument(tune)
 
     faults = sub.add_parser(
         "faults",
@@ -286,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_metrics_argument(elastic)
-    _add_engine_argument(elastic)
 
     sdc = sub.add_parser(
         "sdc",
@@ -347,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="distributed GeMM algorithm to profile (default: meshslice)",
     )
     _add_metrics_argument(profile)
-    _add_engine_argument(profile)
 
     serve = sub.add_parser(
         "serve",
@@ -394,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
              "least-recently-used (default: unbounded)",
     )
     _add_metrics_argument(serve)
-    _add_engine_argument(serve)
 
     campaign = sub.add_parser(
         "campaign",
@@ -444,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "(appends superseding records)",
         )
         _add_metrics_argument(action_parser)
-        _add_engine_argument(action_parser)
     status_parser = campaign_sub.add_parser(
         "status",
         help="summarize stored campaigns (ok/failed counts, versions)",
@@ -839,9 +820,7 @@ def _cmd_elastic(args: argparse.Namespace) -> int:
             "elastic", "--mesh", args.mesh,
             "need at least a 2x2 mesh to survive a dead chip",
         )
-    planner = TunedElasticPlanner(
-        model, batch, hw, mesh, plane=args.plane, engine=args.engine
-    )
+    planner = TunedElasticPlanner(model, batch, hw, mesh, plane=args.plane)
     try:
         full_mesh, step = planner.full()
     except ValueError as exc:
@@ -1278,10 +1257,6 @@ def _main(argv: Optional[List[str]] = None) -> int:
     if args.command is None:
         parser.print_help(sys.stderr)
         return 2
-    if getattr(args, "engine", None) is not None:
-        from repro.sim.engine import set_default_engine
-
-        set_default_engine(args.engine)
     handlers = {
         "run": lambda: _cmd_run(args),
         "list": _cmd_list,

@@ -34,10 +34,6 @@ class ProfileReport:
         metrics: Block-aggregated :class:`RunMetrics`.
         per_pass: ``(pass label, RunMetrics)`` of each training GeMM.
         cache_hit_rates: Hit rate of each warm memoization cache.
-        compile_stats: The compiled engine's cumulative ``compile.*``
-            counters (runs, motifs found/validated, composed vs
-            simulated instance and activity counts, compile seconds),
-            empty when the heap engine ran.
         service_stats: The tuning service's cumulative ``service.*``
             counters and gauges (store hit/miss/corrupt counts,
             in-flight coalescing, warm-start tunings vs prunes, queue
@@ -64,7 +60,6 @@ class ProfileReport:
     metrics: RunMetrics
     per_pass: Tuple[Tuple[str, RunMetrics], ...]
     cache_hit_rates: Dict[str, float]
-    compile_stats: Dict[str, float] = dataclasses.field(default_factory=dict)
     service_stats: Dict[str, float] = dataclasses.field(default_factory=dict)
     campaign_stats: Dict[str, float] = dataclasses.field(default_factory=dict)
     elastic_stats: Dict[str, float] = dataclasses.field(default_factory=dict)
@@ -128,26 +123,6 @@ class ProfileReport:
                             (name, f"{rate * 100:.1f}%")
                             for name, rate in sorted(
                                 self.cache_hit_rates.items()
-                            )
-                        ],
-                    ),
-                ]
-            )
-        if self.compile_stats:
-            lines.extend(
-                [
-                    "",
-                    render_table(
-                        ["compiled engine", "total"],
-                        [
-                            (
-                                name[len("compile."):],
-                                f"{value:.3f}"
-                                if name == "compile.seconds"
-                                else f"{value:g}",
-                            )
-                            for name, value in sorted(
-                                self.compile_stats.items()
                             )
                         ],
                     ),
@@ -239,7 +214,6 @@ def profile_block(
         for name, stats in cache_stats().items()
         if stats.calls
     }
-    compile_totals = _compile_counters()
     service_totals = _prefixed_totals("service.")
     campaign_totals = _prefixed_totals("campaign.", counters_only=True)
     elastic_totals = _prefixed_totals("elastic.", counters_only=True)
@@ -254,22 +228,10 @@ def profile_block(
         metrics=merged,
         per_pass=tuple(per_pass),
         cache_hit_rates=hit_rates,
-        compile_stats=compile_totals,
         service_stats=service_totals,
         campaign_stats=campaign_totals,
         elastic_stats=elastic_totals,
     )
-
-
-def _compile_counters() -> Dict[str, float]:
-    """The registry's cumulative ``compile.*`` counter totals.
-
-    Labeled series (fallback reasons) render as
-    ``compile.fallbacks{reason=...}``. Empty when the compiled engine
-    never ran (or metrics are disabled) — the report section is
-    skipped then.
-    """
-    return _prefixed_totals("compile.", counters_only=True)
 
 
 def _prefixed_totals(

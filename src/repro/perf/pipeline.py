@@ -43,7 +43,7 @@ of a run that would actually win or tie.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
 from repro.algorithms import GeMMConfig, get_algorithm
 from repro.faults.plan import FaultPlan
@@ -99,9 +99,9 @@ def _program_fingerprint(program: Program, hw: HardwareParams):
     dependencies, resources, metadata — spans carry the labels and
     metadata, and ``SimResult.flops_per_chip`` sums the ``flops``
     metadata), the shared capacities, and the hardware. Program-level
-    ``meta`` is deliberately excluded: motif annotations only steer the
-    compiled engine, whose spans are bit-identical by contract, and the
-    embedded config is exactly the degree of freedom being collapsed.
+    ``meta`` is deliberately excluded: the engine never reads it, and
+    the embedded config is exactly the degree of freedom being
+    collapsed.
 
     The columns that are already tuples of hashable values enter the
     key as they are; the mappings enter as item tuples in insertion
@@ -162,9 +162,7 @@ def simulated_pass(
     The cache key is the *canonical* configuration, so every member of
     a canonical equivalence class (e.g. Wang slice counts above the
     decomposed ring) shares one bit-identical ``SimResult``. Treat the
-    returned object as immutable. The engine (heap or compiled) is the
-    process default; both produce bit-identical results, so cache
-    entries are engine-agnostic.
+    returned object as immutable.
     """
     return _simulated_pass(algorithm, _canonical_config(algorithm, cfg), hw)
 
@@ -293,9 +291,7 @@ def degraded_retune_model(
 
 
 @memoize("reshard_migration")
-def reshard_migration(
-    plan: "ReshardPlan", hw: HardwareParams, engine: Optional[str]
-) -> float:
+def reshard_migration(plan: "ReshardPlan", hw: HardwareParams) -> float:
     """Simulated seconds of one elastic reshard migration (memoized).
 
     The elastic simulator's cache is declared here with the others, so
@@ -306,36 +302,7 @@ def reshard_migration(
     """
     from repro.recovery.elastic import simulate_migration
 
-    return simulate_migration(plan, hw, engine)
-
-
-def degraded_retune(request, *args, **kwargs) -> "DegradedRetune":
-    """Degraded re-tuning (unified-request entry point).
-
-    Pass a single mode-"degraded" :class:`repro.service.TuneRequest`.
-    The legacy positional form ``degraded_retune(model, batch, mesh,
-    dead, hw)`` still works as a deprecated shim over
-    :func:`degraded_retune_model`.
-    """
-    from repro.service.request import TuneRequest, execute
-
-    if isinstance(request, TuneRequest):
-        if args or kwargs:
-            raise TypeError(
-                "degraded_retune(TuneRequest) takes no further arguments"
-            )
-        return execute(request)
-    import warnings
-
-    warnings.warn(
-        "degraded_retune(model, batch, mesh, dead, hw) with positional "
-        "arguments is deprecated since 1.6.0; build a "
-        "repro.service.TuneRequest(mode='degraded', ...) and call "
-        "request.run()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return degraded_retune_model(request, *args, **kwargs)
+    return simulate_migration(plan, hw)
 
 
 def pass_compute_floor(flops: float, chips: int, hw: HardwareParams) -> float:

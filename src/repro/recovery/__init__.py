@@ -23,7 +23,7 @@ the three time scales a real training system operates on:
   clustering, repair queues, chained degradations, and spare-pool
   exhaustion — with a structured JSONL event log.
 
-Surfaces: the memoized ``degraded_retune`` stage in ``repro.perf``,
+Surfaces: the memoized ``degraded_retune_model`` stage in ``repro.perf``,
 the ``ablation-recovery`` and ``ablation-elastic`` experiment grids,
 and the ``meshslice recovery`` / ``meshslice elastic`` CLI
 subcommands.

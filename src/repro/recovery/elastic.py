@@ -29,14 +29,14 @@ one column, otherwise the column ring — which models the common
 neighbor-striped checkpoint placement.
 
 :func:`migration_seconds` simulates the built program and memoizes the
-makespan per (plan, hardware, engine), so lifetime simulations that
+makespan per (plan, hardware), so lifetime simulations that
 revisit the same transition thousands of times pay for one simulation.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.comm.cost import CommCost
 from repro.comm.onesided import OneSidedCostModel
@@ -257,11 +257,9 @@ def _collective_migration(builder: ProgramBuilder, plan: ReshardPlan) -> None:
     builder.barrier("reshard/done", deps=[copy])
 
 
-def simulate_migration(
-    plan: ReshardPlan, hw: HardwareParams, engine: Optional[str] = None
-) -> float:
+def simulate_migration(plan: ReshardPlan, hw: HardwareParams) -> float:
     """Simulate ``plan``'s migration program once (not memoized)."""
-    result = simulate(build_migration_program(plan, hw), hw, engine=engine)
+    result = simulate(build_migration_program(plan, hw), hw)
     _metrics().inc(
         "elastic.migrations",
         labels={
@@ -273,18 +271,14 @@ def simulate_migration(
     return result.makespan
 
 
-def migration_seconds(
-    plan: ReshardPlan,
-    hw: HardwareParams,
-    engine: Optional[str] = None,
-) -> float:
+def migration_seconds(plan: ReshardPlan, hw: HardwareParams) -> float:
     """Simulated wall-clock seconds of ``plan``'s migration program.
 
-    Memoized per (plan, hardware, engine): lifetime simulations replay
+    Memoized per (plan, hardware): lifetime simulations replay
     the same handful of transitions thousands of times and pay for one
     simulation each.
     """
-    return reshard_migration(plan, hw, engine)
+    return reshard_migration(plan, hw)
 
 
 def migration_payload_bytes(

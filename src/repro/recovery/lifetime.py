@@ -257,7 +257,6 @@ class TunedElasticPlanner:
         *,
         plane: str = "onesided",
         store=None,
-        engine: Optional[str] = None,
         max_slices: int = 64,
     ):
         from repro.recovery.elastic import (
@@ -276,7 +275,6 @@ class TunedElasticPlanner:
         self.mesh = mesh
         self.plane = plane
         self.store = store
-        self.engine = engine
         self.max_slices = max_slices
         self._payload = migration_payload_bytes(model, batch_size, hw)
         self._full: Optional[Tuple[Mesh2D, float]] = None
@@ -330,7 +328,6 @@ class TunedElasticPlanner:
                     chips=chips,
                     min_mesh_dim=min_mesh_dim,
                     max_slices=self.max_slices,
-                    engine=self.engine,
                 )
             )
         except ValueError:
@@ -368,7 +365,6 @@ class TunedElasticPlanner:
                             mesh=mesh,
                             dead=(0, 0),
                             max_slices=self.max_slices,
-                            engine=self.engine,
                         )
                     )
                     mesh = retune.mesh
@@ -388,7 +384,7 @@ class TunedElasticPlanner:
         from repro.recovery.elastic import ReshardPlan, migration_seconds
 
         plan = ReshardPlan(source, target, self._payload, self.plane)
-        return migration_seconds(plan, self.hw, self.engine)
+        return migration_seconds(plan, self.hw)
 
 
 def simulate_lifetime(

@@ -1,11 +1,12 @@
 """The unified tuning request schema: one object, every tuner entry.
 
-Production traffic hits the autotuner through three historical entry
-points — :func:`repro.autotuner.tune` (nominal), ``robust_tune``
-(fault-aware), and the memoized ``degraded_retune`` stage — each with
-its own positional signature. :class:`TuneRequest` replaces all three
-call shapes with one keyword-only dataclass that the CLI, the Python
-API, and the serving layer (:mod:`repro.service.server`) all share:
+The autotuner has three modes — nominal
+(:func:`repro.autotuner.tune_model`), fault-aware
+(:func:`repro.autotuner.robust_tune_model`), and the memoized degraded
+re-tune (:func:`repro.perf.pipeline.degraded_retune_model`) — each with
+its own positional signature. :class:`TuneRequest` is the one
+keyword-only dataclass that the CLI, the Python API, and the serving
+layer (:mod:`repro.service.server`) all share to ask for any of them:
 
 * :meth:`TuneRequest.canonical` collapses every knob the requested
   mode ignores (the request-level analogue of
@@ -14,12 +15,9 @@ API, and the serving layer (:mod:`repro.service.server`) all share:
 * :meth:`TuneRequest.cache_key` hashes the canonical JSON form into
   the content address used by the in-memory result cache and the
   on-disk :class:`repro.service.store.PlanStore`;
-* :func:`execute` dispatches a request to the engine function of its
-  mode and returns the mode's result object.
-
-The legacy positional signatures keep working as deprecation shims —
-``tune(model, batch, chips, hw)`` still runs, with a
-``DeprecationWarning`` pointing here.
+* :func:`execute` (and :meth:`TuneRequest.run`) dispatches a request
+  to the tuner function of its mode and returns the mode's result
+  object.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import sys
 from typing import Any, Dict, Optional, Tuple
 
 from repro.faults.hard import HardFault
@@ -42,15 +39,10 @@ MODES = ("tune", "robust", "degraded")
 #: Version of the canonical JSON schema; bump on incompatible change
 #: so stored plans from older layouts are treated as misses, never
 #: misread.
-SCHEMA_VERSION = 1
-
-# Keyword-only construction documents the API redesign contract; the
-# dataclass kw_only knob only exists on Python 3.10+, so on 3.9 the
-# fields are merely defaulted (the field order below keeps that legal).
-_KW_ONLY = {"kw_only": True} if sys.version_info >= (3, 10) else {}
+SCHEMA_VERSION = 2
 
 
-@dataclasses.dataclass(frozen=True, **_KW_ONLY)
+@dataclasses.dataclass(frozen=True, kw_only=True)
 class TuneRequest:
     """One autotuning query, whatever the mode.
 
@@ -78,9 +70,6 @@ class TuneRequest:
         quantile: Tail quantile minimized by robust mode.
         mesh: The original (pre-failure) torus of degraded mode.
         dead: Coordinates of the dead chip in degraded mode.
-        engine: Simulation engine hint (``"heap"``/``"compiled"``).
-            Execution-only: both engines are bit-identical by
-            contract, so the hint never enters the cache key.
     """
 
     model: LLMConfig
@@ -99,7 +88,6 @@ class TuneRequest:
     quantile: float = 0.95
     mesh: Optional[Mesh2D] = None
     dead: Optional[Tuple[int, int]] = None
-    engine: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -141,10 +129,9 @@ class TuneRequest:
         canonical form: every knob the mode ignores is reset to its
         default, ``sdc_rate`` collapses to 0 without ABFT (the
         protected estimate is the only reader), degraded mode derives
-        ``chips`` from the surviving mesh, and the engine hint is
-        dropped entirely (engines are bit-identical by contract).
+        ``chips`` from the surviving mesh.
         """
-        replacements: Dict[str, Any] = {"engine": None}
+        replacements: Dict[str, Any] = {}
         if not self.abft:
             replacements["sdc_rate"] = 0.0
         if self.mode != "robust":
@@ -196,7 +183,6 @@ class TuneRequest:
             "quantile": self.quantile,
             "mesh": list(self.mesh.shape) if self.mesh else None,
             "dead": list(self.dead) if self.dead else None,
-            "engine": self.engine,
         }
 
     @classmethod
@@ -302,7 +288,7 @@ def _decode_spec(value: Any) -> FaultSpec:
 
 
 def execute(request: TuneRequest):
-    """Run one request through the engine function of its mode.
+    """Run one request through the tuner function of its mode.
 
     This is the cold path — no plan store, no request coalescing; the
     serving layer (:class:`repro.service.server.TunerService`) wraps it
@@ -311,10 +297,6 @@ def execute(request: TuneRequest):
     :class:`~repro.autotuner.RobustTuningResult`, or
     :class:`~repro.recovery.degraded.DegradedRetune`.
     """
-    if request.engine is not None:
-        from repro.sim.engine import set_default_engine
-
-        set_default_engine(request.engine)
     request = request.canonical()
     if request.mode == "tune":
         from repro.autotuner.search import tune_model

@@ -120,7 +120,6 @@ def simulate(
     program: Program,
     hw: HardwareParams,
     faults: Optional["FaultPlan"] = None,
-    engine: Optional[str] = None,
 ) -> SimResult:
     """Run ``program`` and collect cluster metrics.
 
@@ -129,18 +128,13 @@ def simulate(
     recorded per-chip FLOPs are unchanged, so ``flop_utilization``
     naturally reports the degradation.
 
-    ``engine`` selects the simulation engine (``"heap"`` or
-    ``"compiled"``); ``None`` uses the process default (see
-    :func:`repro.sim.engine.default_engine`). Both engines produce
-    bit-identical spans, so every derived metric is engine-agnostic.
-
     If the plan carries hard faults (or an exhaustible retry policy)
     and the run dies, the result's ``failure`` field holds the
     structured :class:`SimFailure` and ``makespan`` is the failure
     time — the wall clock the cluster burned before halting.
     """
     with capture_waits() as waits:
-        table, failure = program.execute(faults, engine=engine)
+        table, failure = program.execute(faults)
     queue_wait = None
     if waits is not None:
         reg = registry()

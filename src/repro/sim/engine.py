@@ -70,8 +70,6 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import operator
-import os
-import sys
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -101,12 +99,8 @@ NIC = "nic"  # shared NIC of a logical-mesh chip (Section 6)
 _EPS = 1e-15
 
 
-#: ``Activity`` is slotted where dataclasses support it (Python 3.10+),
-#: which makes the ``Program.activities`` view cheap to build.
-_SLOTTED = {"slots": True} if sys.version_info >= (3, 10) else {}
-
-
-@dataclasses.dataclass(**_SLOTTED)
+# Slotted, which makes the ``Program.activities`` view cheap to build.
+@dataclasses.dataclass(slots=True)
 class Activity:
     """One unit of simulated work.
 
@@ -188,9 +182,7 @@ class Span(NamedTuple):
 
     A ``NamedTuple`` rather than a dataclass: spans are produced in bulk
     (one per activity whenever a run's spans are read) and the C-level
-    tuple constructor and attribute access keep materialization cheap
-    for both the event-heap engine and the compiled engine's vectorized
-    replay.
+    tuple constructor and attribute access keep materialization cheap.
     """
 
     aid: int
@@ -236,18 +228,6 @@ class SpanTable(Sequence[Span]):
         self.exclusive = exclusive
         self.metas = metas
         self._spans: Optional[List[Span]] = None
-
-    @classmethod
-    def from_spans(cls, spans: Iterable[Span]) -> "SpanTable":
-        """A table over an already-built, sorted span list."""
-        spans = list(spans)
-        return cls(
-            tuple([(s.start, s.aid, k, s.end) for k, s in enumerate(spans)]),
-            tuple([s.label for s in spans]),
-            tuple([s.kind for s in spans]),
-            tuple([s.exclusive for s in spans]),
-            tuple([s.meta for s in spans]),
-        )
 
     def _iter_spans(self) -> Iterator[Span]:
         """The spans, from the built list if there is one, else fresh."""
@@ -727,37 +707,3 @@ def makespan(spans: Iterable[Span]) -> float:
         return spans.makespan
     return max((s.end for s in spans), default=0.0)
 
-
-# --------------------------------------------------------------------------
-# Engine selection
-# --------------------------------------------------------------------------
-
-#: Valid engine names for ``Program.execute`` / ``cluster.simulate`` /
-#: the CLI ``--engine`` flag.
-ENGINE_NAMES = ("heap", "compiled")
-
-_default_engine: Optional[str] = None
-
-
-def default_engine() -> str:
-    """The process-wide engine choice.
-
-    Resolution order: :func:`set_default_engine`, then the
-    ``REPRO_ENGINE`` environment variable, then ``"heap"``.
-    """
-    if _default_engine is not None:
-        return _default_engine
-    env = os.environ.get("REPRO_ENGINE", "").strip().lower()
-    if env in ENGINE_NAMES:
-        return env
-    return "heap"
-
-
-def set_default_engine(name: Optional[str]) -> None:
-    """Set (or with ``None`` reset) the process-wide engine choice."""
-    global _default_engine
-    if name is not None and name not in ENGINE_NAMES:
-        raise ValueError(
-            f"unknown engine {name!r}; expected one of {ENGINE_NAMES}"
-        )
-    _default_engine = name

@@ -22,7 +22,6 @@ from repro.hw.params import HardwareParams
 from repro.sim.chip import ComputeCost, checksum_cost, gemm_cost, slice_cost
 from repro.sim.engine import (
     CORE,
-    ENGINE_NAMES,
     HBM,
     LINK_H,
     LINK_V,
@@ -33,7 +32,6 @@ from repro.sim.engine import (
     SimFailure,
     SimulationError,
     SpanTable,
-    default_engine,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - avoid the sim <-> faults cycle
@@ -87,11 +85,7 @@ class Program:
         """
         return self.columns.activities()
 
-    def run(
-        self,
-        faults: Optional["FaultPlan"] = None,
-        engine: Optional[str] = None,
-    ) -> SpanTable:
+    def run(self, faults: Optional["FaultPlan"] = None) -> SpanTable:
         """Simulate the program; returns the execution trace.
 
         ``faults`` applies a :class:`repro.faults.FaultPlan` at the
@@ -100,17 +94,11 @@ class Program:
         null plan) runs the program exactly as built — bit-identical
         to the unfaulted engine.
 
-        ``engine`` selects the simulation engine (``"heap"`` or
-        ``"compiled"``); ``None`` uses the process default (see
-        :func:`repro.sim.engine.default_engine`). The compiled engine
-        produces bit-identical spans and automatically falls back to
-        full heap simulation for any perturbed run.
-
         Raises :class:`SimulationError` if the plan carries hard
         faults (or an exhaustible retry policy) and the run dies; use
         :meth:`execute` to receive the failure as a value.
         """
-        spans, failure = self.execute(faults, engine=engine)
+        spans, failure = self.execute(faults)
         if failure is not None:
             raise SimulationError(
                 f"simulation died at t={failure.time:.6g}s "
@@ -120,9 +108,7 @@ class Program:
         return spans
 
     def execute(
-        self,
-        faults: Optional["FaultPlan"] = None,
-        engine: Optional[str] = None,
+        self, faults: Optional["FaultPlan"] = None
     ) -> Tuple[SpanTable, Optional[SimFailure]]:
         """Simulate the program, surfacing hard failures as a value.
 
@@ -131,40 +117,11 @@ class Program:
         and where the run died, with ``spans`` the (truncated) trace up
         to that instant. With ``faults=None`` this is exactly
         :meth:`run`'s unfaulted fast path.
-
-        Fault plans force the event-heap engine regardless of
-        ``engine``: a perturbed instance invalidates the steady-state
-        template, so the compiled engine's contract is full-simulation
-        fallback (counted under the ``compile.fallbacks`` metric).
         """
-        if engine is None:
-            engine = default_engine()
-        elif engine not in ENGINE_NAMES:
-            raise ValueError(
-                f"unknown engine {engine!r}; expected one of {ENGINE_NAMES}"
-            )
-        if faults is None:
-            if engine == "compiled":
-                from repro.sim.compiled import CompiledEngine
-
-                compiled = CompiledEngine(
-                    self.activities,
-                    self.shared_capacities,
-                    self.meta.get("motifs"),
-                )
-                return compiled.run(), None
+        if faults is None or faults.is_null:
+            # A null plan is a no-op rewrite: run the program as built.
             return Engine(self.columns, self.shared_capacities).run(), None
         program = faults.apply(self)
-        if faults.is_null:
-            # A null plan is a no-op rewrite: same unperturbed program,
-            # so the engine selection still applies.
-            return program.execute(None, engine=engine)
-        if engine == "compiled":
-            from repro.obs.registry import registry
-
-            registry().inc(
-                "compile.fallbacks", labels={"reason": "fault-plan"}
-            )
         heap = Engine(program.columns, program.shared_capacities)
         return heap.run_with_failures(faults.hard_faults)
 
@@ -191,42 +148,14 @@ class ProgramBuilder:
         # One list per activity attribute, in ``Columns`` field order.
         self._columns: Tuple[list, ...] = tuple([] for _ in Columns._fields)
         self._next_id = 0
-        self._motifs: List[Dict[str, int]] = []
 
     def build(self, **meta: object) -> Program:
         """Finalize into a runnable :class:`Program`."""
         capacities = {HBM: self.hw.hbm_bandwidth}
         if self.hw.has_shared_nic:
             capacities[NIC] = self.hw.nic_bandwidth
-        program_meta = dict(meta)
-        if self._motifs:
-            program_meta["motifs"] = list(self._motifs)
         columns = Columns._make(map(tuple, self._columns))
-        return Program.from_columns(columns, capacities, program_meta)
-
-    def mark(self) -> int:
-        """The id the next emitted activity will get.
-
-        Capture this before a repeated emission loop and pass it to
-        :meth:`motif` after the loop to annotate the repetition.
-        """
-        return self._next_id
-
-    def motif(self, first: int, count: int) -> None:
-        """Annotate the activities since ``first`` as ``count`` repeated
-        instances (a motif boundary hint for the compiled engine).
-
-        The hint is advisory: the compiled engine re-verifies that the
-        instances really are shift-isomorphic before composing them, so
-        an inapplicable annotation (uneven loop bodies, conditional
-        emissions) costs nothing. Calls that do not divide evenly are
-        dropped for the same reason.
-        """
-        span = self._next_id - first
-        if count >= 2 and span > 0 and span % count == 0:
-            self._motifs.append(
-                {"first": first, "period": span // count, "count": count}
-            )
+        return Program.from_columns(columns, capacities, meta)
 
     # ---------------------------------------------------------------- compute
 
@@ -510,9 +439,6 @@ class ProgramBuilder:
         builder = cls(hw)
         builder._columns = tuple(map(list, program.columns))
         builder._next_id = max(program.columns.aids, default=-1) + 1
-        motifs = program.meta.get("motifs")
-        if motifs:
-            builder._motifs = [dict(m) for m in motifs]
         return builder
 
     def barrier(self, label: str, deps: Sequence[int]) -> int:
@@ -572,8 +498,7 @@ def repeat_program(block: Program, copies: int) -> Program:
     layer. Copy ``k+1``'s entry activities (those with no intra-block
     dependencies) depend on copy ``k``'s exit activities (those with no
     intra-block dependents) — the layer-to-layer dataflow of a stacked
-    model. The whole stack carries a layer-level motif annotation, which
-    is the compiled engine's primary composition target.
+    model.
     """
     if copies < 1:
         raise ValueError("copies must be >= 1")
@@ -616,14 +541,6 @@ def repeat_program(block: Program, copies: int) -> Program:
     )
     meta = dict(block.meta)
     meta["copies"] = copies
-    # The per-layer motif supersedes any block-internal annotations
-    # (their aids are only valid inside copy 0). The copies are clones
-    # by construction, so the annotation asserts shift-isomorphic
-    # structure (``trusted``) and the compiled engine skips the
-    # per-instance signature scan; durations are still bit-verified.
-    meta["motifs"] = [
-        {"first": 0, "period": n, "count": copies, "trusted": True}
-    ]
     return Program.from_columns(
         columns, dict(block.shared_capacities), meta
     )

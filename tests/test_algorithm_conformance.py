@@ -9,9 +9,9 @@ that silently breaks them:
   plane must equal ``A @ B`` exactly, not approximately;
 * **null-fault-plan bit-identity** — running under ``FaultPlan()``
   must produce the very same spans as running with no plan at all;
-* **three-engine identity** — the reference engine (tests'
-  ``reference_engine.py``), the event-heap engine, and the compiled
-  engine must emit identical span lists for the same program;
+* **engine identity** — the reference engine (tests'
+  ``reference_engine.py``) and the event-heap engine must emit
+  identical span lists for the same program;
 * **metrics-delta determinism** — simulating the whole zoo must emit
   byte-identical metric records across ``PYTHONHASHSEED`` values.
 """
@@ -93,18 +93,16 @@ class TestNullFaultPlanIdentity:
         assert bare == under_null
 
 
-class TestThreeEngineIdentity:
+class TestEngineIdentity:
     @pytest.mark.parametrize("name", ALL_NAMES)
-    def test_reference_heap_compiled_agree(self, name):
+    def test_reference_heap_agree(self, name):
         cfg = conformance_config(name)
         program = get_algorithm(name).build_program(cfg, HardwareParams())
         reference = ReferenceEngine(
             program.activities, program.shared_capacities
         ).run()
-        heap = program.run(engine="heap")
-        compiled = program.run(engine="compiled")
+        heap = program.run()
         assert heap == reference, f"{name}: heap != reference"
-        assert compiled == reference, f"{name}: compiled != reference"
 
 
 #: Run the whole zoo (simulation + functional) and dump metric records.

@@ -1,15 +1,10 @@
-"""Bit-exact equivalence of every engine vs the seed engine.
+"""Bit-exact equivalence of the engine vs the seed engine.
 
 The event-driven engine (ready heap, per-resource wait queues,
 incremental shared-demand totals) must schedule *exactly* like the seed
 step-loop engine kept in ``tests/reference_engine.py`` — same spans,
-same start/end floats to the last bit, same ordering. The compiled
-engine (motif detection, steady-state composition, numpy
-struct-of-arrays replay) must match both, composed or not: every case
-runs it twice, once with its motif hints (the composing path where the
-program repeats) and once with hints suppressed (the pure
-struct-of-arrays replay path). The corpus covers the program families
-the evaluation actually simulates:
+same start/end floats to the last bit, same ordering. The corpus covers
+the program families the evaluation actually simulates:
 
 * MeshSlice with a deep slice count (S = 16) — long dependency chains
   with software pipelining across core and both link directions;
@@ -31,7 +26,6 @@ from repro.algorithms import GeMMConfig, get_algorithm
 from repro.core import Dataflow, GeMMShape
 from repro.hw import get_preset
 from repro.mesh import Mesh2D
-from repro.sim.compiled import CompiledEngine
 from repro.sim.engine import Activity, Engine
 
 TPUV4 = get_preset("tpuv4-sim")
@@ -53,27 +47,11 @@ def _assert_same_spans(spans, ref_spans, tag):
 
 
 def assert_bit_identical(program, tag):
-    """Every engine must emit the same Span list, floats compared exactly.
-
-    The compiled engine runs twice: with the program's motif hints
-    (composition active where the structure repeats) and with hints
-    suppressed (``motifs=()``, forcing the uncomposed numpy replay).
-    """
+    """The engine must emit the reference's Span list, floats compared exactly."""
     capacities = program.shared_capacities
     ref_spans = ReferenceEngine(program.activities, capacities).run()
     _assert_same_spans(
         Engine(program.activities, capacities).run(), ref_spans, (tag, "heap")
-    )
-    motifs = program.meta.get("motifs")
-    _assert_same_spans(
-        CompiledEngine(program.activities, capacities, motifs=motifs).run(),
-        ref_spans,
-        (tag, "compiled"),
-    )
-    _assert_same_spans(
-        CompiledEngine(program.activities, capacities, motifs=()).run(),
-        ref_spans,
-        (tag, "compiled-no-hints"),
     )
 
 
@@ -187,24 +165,18 @@ def test_randomized_dags_bit_identical():
         assert [
             (s.aid, s.start, s.end) for s in new_spans
         ] == ref_key, f"fuzz seed {seed}"
-        compiled_spans = CompiledEngine(activities, capacities).run()
-        assert [
-            (s.aid, s.start, s.end) for s in compiled_spans
-        ] == ref_key, f"fuzz seed {seed} (compiled)"
 
 
 def test_randomized_repeated_fragments_bit_identical():
-    """Random blocks stacked into deep programs: the composition path.
+    """Random blocks stacked into deep programs.
 
     Each seed builds a random fragment, stacks it ``copies`` times with
-    :func:`repeat_program` (which emits a trusted layer-level motif),
-    and requires all three engines to agree bit-for-bit. Deep stacks
-    must actually compose — otherwise this only re-tests the replay.
+    :func:`repeat_program`, and requires the engine to agree with the
+    reference bit-for-bit across the layer-to-layer dependencies.
     """
     from repro.sim.program import Program, repeat_program
 
     capacities = {"hbm": 1.0, "nic": 1.0}
-    composed_cases = 0
     for seed in range(40):
         rng = random.Random(1000 + seed)
         block = Program(
@@ -220,63 +192,4 @@ def test_randomized_repeated_fragments_bit_identical():
             Engine(stacked.activities, stacked.shared_capacities).run(),
             ref_spans,
             (f"stack seed {seed}", "heap"),
-        )
-        compiled = CompiledEngine(
-            stacked.activities,
-            stacked.shared_capacities,
-            motifs=stacked.meta.get("motifs"),
-        )
-        _assert_same_spans(
-            compiled.run(), ref_spans, (f"stack seed {seed}", "compiled")
-        )
-        if compiled.stats.instances_composed:
-            composed_cases += 1
-    # The steady-state composer must have fired on a healthy share of
-    # the deep stacks; all-fallback would silently gut the test.
-    assert composed_cases >= 10
-
-
-def test_deep_algorithm_stacks_compose():
-    """Layered GeMM stacks: composition fires and stays bit-identical."""
-    from repro.sim.program import repeat_program
-
-    for alg_name, cfg in [
-        (
-            "meshslice",
-            GeMMConfig(
-                shape=SHAPE, mesh=Mesh2D(4, 4),
-                dataflow=Dataflow.OS, slices=8,
-            ),
-        ),
-        (
-            "summa",
-            GeMMConfig(
-                shape=SHAPE, mesh=Mesh2D(4, 4),
-                dataflow=Dataflow.OS, slices=4,
-            ),
-        ),
-        (
-            "wang",
-            GeMMConfig(
-                shape=SHAPE, mesh=Mesh2D(2, 8),
-                dataflow=Dataflow.RS, slices=4,
-            ),
-        ),
-    ]:
-        block = get_algorithm(alg_name).build_program(cfg, TPUV4)
-        stacked = repeat_program(block, 24)
-        ref_spans = ReferenceEngine(
-            stacked.activities, stacked.shared_capacities
-        ).run()
-        compiled = CompiledEngine(
-            stacked.activities,
-            stacked.shared_capacities,
-            motifs=stacked.meta.get("motifs"),
-        )
-        _assert_same_spans(compiled.run(), ref_spans, (alg_name, "stack24"))
-        stats = compiled.stats
-        assert stats.fallback is None, (alg_name, stats.fallback)
-        assert stats.instances_composed > 0, alg_name
-        assert stats.composed_fraction > 0.5, (
-            alg_name, stats.composed_fraction,
         )

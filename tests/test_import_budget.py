@@ -2,7 +2,7 @@
 no numpy and only the experiment modules they run.
 
 numpy backs the functional plane alone (sharded GeMMs, ABFT, SDC
-injection, the compiled engine); the package ``__init__``s export those
+injection); the package ``__init__``s export those
 names lazily (PEP 562) and the experiment registry imports a module on
 lookup. Each check runs in a fresh interpreter, because the test
 process itself has long since imported everything.
@@ -35,8 +35,8 @@ PINNED_NAMES = {
         comm core faults get_algorithm get_preset hw link_down mesh
         mesh_shapes meshslice_gemm meshslice_ls meshslice_os
         meshslice_rs migration_seconds obs profile_block retune_degraded
-        robust_tune sdc_injection simulate simulate_lifetime slice_col
-        slice_row tune valid_slice_counts
+        sdc_injection simulate simulate_lifetime slice_col slice_row
+        valid_slice_counts
     """.split(),
     "repro.abft": """
         ABFTReport BlockVerdict abft_collective_os abft_gemm
@@ -91,8 +91,9 @@ PINNED_NAMES = {
     """.split(),
 }
 
-#: The ``meshslice`` commands whose cost is mostly start-up, and the
-#: experiment modules each loads (``list`` loads every one).
+#: The ``meshslice`` commands whose cost is mostly start-up (plus one
+#: simulating ``profile``), and the experiment modules each loads
+#: (``list`` loads every one).
 COMMANDS = (
     (["list"], None),
     (["fig4"], ["common", "fig04_timelines"]),
@@ -100,6 +101,7 @@ COMMANDS = (
     (["table3"], ["common", "table3_real_hw"]),
     (["ablation-zoo"], ["ablation_zoo", "common"]),
     (["tune", "gpt3-175b", "--chips", "64"], ["common"]),
+    (["profile", "gpt3-175b", "--chips", "16", "--batch", "8"], ["common"]),
 )
 
 #: Prints what a snippet left imported, as the last line of stdout.
@@ -107,7 +109,6 @@ _REPORT = """
 import json, sys
 print(json.dumps({
     "numpy": "numpy" in sys.modules,
-    "compiled": "repro.sim.compiled" in sys.modules,
     "experiments": sorted(
         name.rpartition(".")[2]
         for name in sys.modules
@@ -123,7 +124,6 @@ def _loaded(code):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     env["REPRO_JOBS"] = "1"
-    env.pop("REPRO_ENGINE", None)
     proc = subprocess.run(
         [sys.executable, "-c", code + _REPORT],
         capture_output=True,
@@ -159,19 +159,8 @@ def test_cli_command_loads_no_numpy(argv, experiments):
     loaded = _loaded(_main(argv))
     assert loaded["result"] == 0
     assert not loaded["numpy"]
-    assert not loaded["compiled"]
     if experiments is not None:
         assert loaded["experiments"] == experiments
-
-
-def test_compiled_engine_loads_numpy_only_when_selected():
-    argv = ["profile", "gpt3-175b", "--chips", "16", "--batch", "8"]
-    heap = _loaded(_main(argv))
-    assert heap["result"] == 0
-    assert not heap["numpy"] and not heap["compiled"]
-    compiled = _loaded(_main(argv + ["--engine", "compiled"]))
-    assert compiled["result"] == 0
-    assert compiled["numpy"] and compiled["compiled"]
 
 
 def test_functional_plane_through_lazy_names():

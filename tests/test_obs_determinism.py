@@ -18,7 +18,7 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 #: A seeded robust-tune over a fault ensemble, metrics to stdout.
 FAULTS_SCRIPT = """
 import sys
-from repro import FaultSpec, TPUV4, TuneRequest, robust_tune
+from repro import FaultSpec, TPUV4, TuneRequest
 from repro.models import get_model
 from repro.obs.export import collect_records, dumps_records
 
@@ -26,10 +26,10 @@ spec = FaultSpec(
     stragglers=1, straggler_slowdown=1.4, degraded_links=1,
     link_slowdown=1.5, launch_jitter=1e-6, outage_rate=0.05, seed=7,
 )
-result = robust_tune(TuneRequest(
+result = TuneRequest(
     model=get_model("gpt3-175b"), batch=8, chips=16, hw=TPUV4,
     mode="robust", spec=spec, ensemble=4,
-))
+).run()
 sys.stdout.write(f"mesh={result.mesh.shape}\\n")
 sys.stdout.write(dumps_records(collect_records()))
 """

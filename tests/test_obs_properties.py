@@ -156,10 +156,14 @@ def _pass_program():
     )
 
 
-def _simulate_pass(engine):
+def _simulate_pass(stacked=False):
     from repro.sim import simulate
+    from repro.sim.program import repeat_program
 
-    return simulate(_pass_program(), TPUV4, engine=engine)
+    program = _pass_program()
+    if stacked:
+        program = repeat_program(program, 2)
+    return simulate(program, TPUV4)
 
 
 def _hard_plan():
@@ -184,23 +188,16 @@ class TestLazyRunMetrics:
         monkeypatch.delenv("REPRO_NO_METRICS", raising=False)
 
     @pytest.mark.parametrize(
-        "engine, plan",
-        [
-            ("heap", None),
-            ("compiled", None),
-            ("heap", "soft"),
-            ("heap", "hard"),
-        ],
-        ids=["heap", "compiled", "faulted", "hard-failed"],
+        "plan", [None, "soft", "hard"], ids=["heap", "faulted", "hard-failed"]
     )
-    def test_lazy_equals_eager(self, engine, plan):
+    def test_lazy_equals_eager(self, plan):
         from repro.sim import simulate
 
         faults = {"soft": _soft_plan, "hard": _hard_plan}.get(plan, lambda: None)()
         program = _pass_program()
         with capture_waits() as waits:
-            spans, failure = program.execute(faults, engine=engine)
-        result = simulate(program, TPUV4, faults=faults, engine=engine)
+            spans, failure = program.execute(faults)
+        result = simulate(program, TPUV4, faults=faults)
         assert (failure is None) == (plan != "hard")
         assert result.failure == failure
         assert result.spans == spans
@@ -213,14 +210,14 @@ class TestLazyRunMetrics:
 
     def test_disabled_metrics_stay_none(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_METRICS", "1")
-        result = _simulate_pass("heap")
+        result = _simulate_pass()
         assert result.queue_wait is None
         assert result.metrics is None
 
     def test_pickle_round_trip(self):
         import pickle
 
-        result = _simulate_pass("heap")
+        result = _simulate_pass()
         fresh = pickle.loads(pickle.dumps(result))
         assert fresh == result
         assert fresh.metrics == result.metrics
@@ -231,14 +228,14 @@ class TestLazyRunMetrics:
     def test_survives_process_pool(self):
         from repro.experiments.common import grid_map
 
-        serial = [_simulate_pass(engine) for engine in ("heap", "compiled")]
-        pooled = grid_map(_simulate_pass, ["heap", "compiled"], jobs=2)
+        serial = [_simulate_pass(stacked) for stacked in (False, True)]
+        pooled = grid_map(_simulate_pass, [False, True], jobs=2)
         assert pooled == serial
         for got, want in zip(pooled, serial):
             assert got.metrics.as_dict() == want.metrics.as_dict()
 
     def test_equality_tracks_the_wait_summary(self, monkeypatch):
-        live = _simulate_pass("heap")
-        assert live == _simulate_pass("heap")
+        live = _simulate_pass()
+        assert live == _simulate_pass()
         monkeypatch.setenv("REPRO_NO_METRICS", "1")
-        assert _simulate_pass("heap") != live
+        assert _simulate_pass() != live

@@ -1,5 +1,8 @@
 """Tests for the stable top-level ``repro`` API surface."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -10,13 +13,21 @@ class TestPublicApi:
         assert isinstance(repro.__version__, str)
         assert len(repro.__version__.split(".")) == 3
 
+    def test_version_matches_pyproject(self):
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        match = re.search(
+            r'^version\s*=\s*"([^"]+)"', pyproject.read_text(), re.MULTILINE
+        )
+        assert match is not None
+        assert match.group(1) == repro.__version__
+
     def test_all_names_resolve(self):
         for name in repro.__all__:
             assert getattr(repro, name) is not None
 
     def test_lazy_names_in_dir(self):
         listing = dir(repro)
-        for name in ("simulate", "tune", "get_algorithm", "FaultPlan"):
+        for name in ("simulate", "TuneRequest", "get_algorithm", "FaultPlan"):
             assert name in listing
 
     def test_unknown_attribute(self):
@@ -31,14 +42,13 @@ class TestPublicApi:
 
     def test_lazy_exports_are_canonical_objects(self):
         from repro.algorithms import get_algorithm
-        from repro.autotuner import robust_tune, tune
         from repro.faults import NULL_PLAN, FaultPlan, FaultSpec
+        from repro.service import TuneRequest
         from repro.sim.cluster import SimResult, simulate
         from repro.sim.trace import Trace
 
         assert repro.simulate is simulate
-        assert repro.tune is tune
-        assert repro.robust_tune is robust_tune
+        assert repro.TuneRequest is TuneRequest
         assert repro.get_algorithm is get_algorithm
         assert repro.FaultPlan is FaultPlan
         assert repro.FaultSpec is FaultSpec

@@ -2,11 +2,13 @@
 
 import json
 import os
+import shutil
 import threading
+from pathlib import Path
 
 import pytest
 
-from repro.autotuner.search import robust_tune_model, tune_model
+from repro.autotuner.search import tune_model
 from repro.faults import FaultSpec
 from repro.hw import TPUV4, get_preset
 from repro.mesh import Mesh2D
@@ -31,6 +33,10 @@ TINY = LLMConfig(
 
 GPT3 = get_model("gpt3-175b")
 
+#: A ``tiny_request()`` record written under request schema 1, whose
+#: canonical form still carried an ``engine`` key.
+SCHEMA1_RECORD = Path(__file__).parent / "goldens" / "plan_store_schema1_tune.json"
+
 
 def tiny_request(**overrides):
     base = dict(model=TINY, batch=4, chips=16, hw=TPUV4)
@@ -39,9 +45,13 @@ def tiny_request(**overrides):
 
 
 class TestTuneRequest:
-    def test_canonical_drops_engine(self):
-        a = tiny_request(engine="compiled")
-        b = tiny_request()
+    def test_canonical_resets_tuner_knobs_in_degraded_mode(self):
+        base = dict(
+            model=TINY, batch=4, hw=TPUV4, mode="degraded",
+            mesh=Mesh2D(4, 4), dead=(0, 0),
+        )
+        a = TuneRequest(**base, max_slices=8, abft=True, sdc_rate=0.1)
+        b = TuneRequest(**base)
         assert a.canonical() == b.canonical()
         assert a.cache_key() == b.cache_key()
 
@@ -114,6 +124,9 @@ class TestTuneRequest:
             TuneRequest.from_dict({**good, "bogus": 1})
         with pytest.raises(ValueError, match="schema"):
             TuneRequest.from_dict({**good, "schema": 99})
+        # Schema 1's engine hint is gone, not silently ignored.
+        with pytest.raises(ValueError, match=r"unknown.*'engine'"):
+            TuneRequest.from_dict({**good, "engine": "heap"})
 
     def test_run_matches_engine_function(self):
         request = tiny_request()
@@ -122,52 +135,6 @@ class TestTuneRequest:
         assert served.mesh == direct.mesh
         assert served.block_seconds == direct.block_seconds
         assert served.passes == direct.passes
-
-
-class TestDeprecationShims:
-    def test_tune_positional_warns_and_matches(self):
-        from repro.autotuner import tune
-
-        with pytest.deprecated_call(match="tune"):
-            legacy = tune(TINY, 4, 16, TPUV4)
-        assert legacy == tune_model(TINY, 4, 16, TPUV4)
-
-    def test_tune_request_form_does_not_warn(self):
-        import warnings
-
-        from repro.autotuner import tune
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            result = tune(tiny_request())
-        assert result.mesh == tune_model(TINY, 4, 16, TPUV4).mesh
-
-    def test_robust_tune_positional_warns(self):
-        from repro.autotuner import robust_tune
-
-        spec = FaultSpec(stragglers=1, seed=1)
-        with pytest.deprecated_call(match="robust_tune"):
-            legacy = robust_tune(TINY, 4, 16, TPUV4, spec, ensemble=2)
-        direct = robust_tune_model(TINY, 4, 16, TPUV4, spec, ensemble=2)
-        assert legacy.mesh == direct.mesh
-        assert legacy.robust_seconds == direct.robust_seconds
-
-    def test_degraded_retune_positional_warns(self):
-        from repro.perf.pipeline import (
-            degraded_retune,
-            degraded_retune_model,
-        )
-
-        with pytest.deprecated_call(match="degraded_retune"):
-            legacy = degraded_retune(TINY, 4, Mesh2D(4, 4), (0, 0), TPUV4)
-        direct = degraded_retune_model(TINY, 4, Mesh2D(4, 4), (0, 0), TPUV4)
-        assert legacy == direct
-
-    def test_request_form_rejects_extra_arguments(self):
-        from repro.autotuner import tune
-
-        with pytest.raises(TypeError, match="no further"):
-            tune(tiny_request(), 4)
 
 
 class TestPlanStore:
@@ -234,6 +201,32 @@ class TestPlanStore:
             handle.write('{"schema": 99, "key": "zz"}')
         assert store.load(request) is None
         assert registry().counter_value("service.store.corrupt") >= before + 2
+
+    def test_schema1_record_is_a_miss(self, tmp_path):
+        """A record of the previous schema reads as a miss, never as a
+        misread, and serving the query rewrites it under schema 2."""
+        old = json.loads(SCHEMA1_RECORD.read_text())
+        assert old["schema"] == 1 and "engine" in old["request"]
+        store = PlanStore(str(tmp_path))
+        old_path = store.path_for(old["key"])
+        os.makedirs(os.path.dirname(old_path))
+        shutil.copyfile(SCHEMA1_RECORD, old_path)
+        request = tiny_request()
+        assert request.cache_key() != old["key"]
+        assert store.load(request) is None
+        assert list(store.records()) == []
+        assert store.nearest_neighbor(tiny_request(chips=32)) is None
+        with TunerService(str(tmp_path), workers=1) as svc:
+            served = svc.serve(request)
+        assert served == request.run()
+        with open(store.path_for(request.cache_key())) as handle:
+            new = json.load(handle)
+        assert new["schema"] == 2
+        assert "engine" not in new["request"]
+        loaded = store.load(request)
+        assert (loaded.mesh, loaded.block_seconds, loaded.passes) == (
+            served.mesh, served.block_seconds, served.passes
+        )
 
     def test_key_mismatch_is_a_miss(self, tmp_path):
         store = PlanStore(str(tmp_path))
@@ -401,7 +394,7 @@ class TestTunerService:
     def test_concurrent_identical_requests_coalesce(self, tmp_path):
         """Two threads, same canonical config: one search, one write."""
         request = tiny_request(chips=64)
-        alias = tiny_request(chips=64, engine="compiled")  # same canonical
+        alias = tiny_request(chips=64, ensemble=99)  # same canonical
         writes_before = registry().counter_value("service.store.writes")
         runs_before = registry().counter_value(
             "tuner.runs", labels={"model": TINY.name}

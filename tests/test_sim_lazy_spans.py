@@ -1,10 +1,10 @@
 """``SimResult`` keeps a span table and builds its spans on first read.
 
-The lazily built spans must equal what the engines emit when their
-tables are read directly, for every way a simulation can run: heap or
-compiled engine, no fault plan, a null plan, a perturbing plan, and a
-hard fault that kills the run. Equality and pickling must not depend on
-whether the spans were read.
+The lazily built spans must equal what the engine emits when its
+tables are read directly, for every way a simulation can run: no fault
+plan, a null plan, a perturbing plan, and a hard fault that kills the
+run, on a single GeMM program and on a layered stack of them. Equality
+and pickling must not depend on whether the spans were read.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from repro.faults import NULL_PLAN, FaultPlan, FaultSpec, chip_down
 from repro.hw import get_preset
 from repro.mesh import Mesh2D
 from repro.sim import simulate
-from repro.sim.compiled import CompiledEngine
 from repro.sim.engine import Activity, Engine, Span, SpanTable, makespan
 from repro.sim.program import repeat_program
 
@@ -59,27 +58,24 @@ def _eager(program, plan):
 
 
 @pytest.mark.parametrize(
-    "engine, plan, stacked",
+    "plan, stacked",
     [
-        ("heap", None, False),
-        ("heap", None, True),
-        ("compiled", None, True),
-        ("compiled", None, False),
-        ("heap", "null", False),
-        ("compiled", "null", True),
-        ("heap", "soft", False),
-        ("compiled", "soft", True),
-        ("heap", "hard", False),
+        (None, False),
+        (None, True),
+        ("null", False),
+        ("null", True),
+        ("soft", False),
+        ("soft", True),
+        ("hard", False),
     ],
-    ids=["heap", "heap-stacked", "compiled-stacked", "compiled",
-         "null-plan", "null-plan-compiled", "faulted", "faulted-compiled",
-         "hard-failed"],
+    ids=["heap", "heap-stacked", "null-plan", "null-plan-stacked",
+         "faulted", "faulted-stacked", "hard-failed"],
 )
-def test_lazy_spans_equal_eager_engine_spans(engine, plan, stacked):
+def test_lazy_spans_equal_eager_engine_spans(plan, stacked):
     program = _program(stacked)
     faults = _plan(plan)
     eager, failure = _eager(program, faults)
-    result = simulate(program, TPUV4, faults=faults, engine=engine)
+    result = simulate(program, TPUV4, faults=faults)
     assert result.table._spans is None  # nothing built by simulate
     assert len(result.table) == len(eager)
     assert result.failure == failure
@@ -91,12 +87,6 @@ def test_lazy_spans_equal_eager_engine_spans(engine, plan, stacked):
     assert all(type(span) is Span for span in spans)
     assert spans == eager
     assert result.spans is spans  # built once, cached
-    if engine == "compiled" and faults is None:
-        compiled = CompiledEngine(
-            program.activities, program.shared_capacities,
-            program.meta.get("motifs"),
-        ).run()
-        assert list(compiled) == eager
 
 
 def test_equality_does_not_depend_on_reading():
@@ -133,13 +123,13 @@ def test_pickled_hard_failure_round_trips():
     assert fresh.spans == result.spans
 
 
-def _point(engine):
-    return simulate(_program(engine == "compiled"), TPUV4, engine=engine)
+def _point(stacked):
+    return simulate(_program(stacked), TPUV4)
 
 
 def test_pooled_results_equal_serial():
-    serial = grid_map(_point, ["heap", "compiled"], jobs=1)
-    pooled = grid_map(_point, ["heap", "compiled"], jobs=2)
+    serial = grid_map(_point, [False, True], jobs=1)
+    pooled = grid_map(_point, [False, True], jobs=2)
     assert pooled == serial
     for got, want in zip(pooled, serial):
         assert got.spans == want.spans
@@ -170,10 +160,6 @@ class TestSpanTable:
         assert [(s.start, s.aid) for s in table] == sorted(
             (s.start, s.aid) for s in table
         )
-
-    def test_from_spans_round_trip(self):
-        spans = list(Engine(self._acts()).run())
-        assert SpanTable.from_spans(spans) == spans
 
     def test_empty_and_unhashable(self):
         table = Engine([]).run()
