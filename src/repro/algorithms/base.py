@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import abc
 import dataclasses
-from typing import TYPE_CHECKING, Dict, Optional, Tuple, Type
+from typing import TYPE_CHECKING, Dict, Hashable, Optional, Tuple, Type
 
 from repro.core.dataflow import Dataflow, sliced_dimension
 from repro.core.gemm import GeMMShape
 from repro.hw.params import HardwareParams
 from repro.mesh.topology import Mesh2D
+from repro.perf.cache import caching_enabled, named_cache
 from repro.sim.chip import gemm_cost
 from repro.sim.program import Program, ProgramBuilder
 
@@ -208,12 +209,17 @@ def traffic_seconds(cfg: GeMMConfig, hw: HardwareParams) -> Tuple[float, float]:
     return col_time, row_time
 
 
+#: Skeleton store: ``skeleton_key`` -> the :class:`repro.sim.program.Skeleton`
+#: its first build recorded.
+_SKELETONS = named_cache("program_skeleton")
+
+
 class DistributedGeMM(abc.ABC):
     """A distributed GeMM algorithm (timed plane plus optional functional).
 
-    Subclasses set ``name`` and implement :meth:`build_program`;
-    :meth:`check_support` reports configuration constraints (e.g.
-    Cannon's square-mesh requirement).
+    Subclasses set ``name`` and implement :meth:`build_program`, which
+    starts from :meth:`program_builder`; :meth:`check_support` reports
+    configuration constraints (e.g. Cannon's square-mesh requirement).
     """
 
     name: str = "abstract"
@@ -221,6 +227,45 @@ class DistributedGeMM(abc.ABC):
     @abc.abstractmethod
     def build_program(self, cfg: GeMMConfig, hw: HardwareParams) -> Program:
         """Build the representative-chip activity DAG for ``cfg``."""
+
+    def skeleton_key(self, cfg: GeMMConfig, hw: HardwareParams) -> Hashable:
+        """Everything the structure of ``build_program(cfg, hw)`` reads.
+
+        Two configurations with equal keys must build programs with
+        identical aids, labels, kinds, exclusive resources and
+        dependencies; only durations, shared demands and cost metadata
+        may differ. The default covers builders whose structure the
+        problem shape does not touch. Algorithms that branch on the
+        shape extend the key with what they branch on.
+        """
+        return (
+            self.name, cfg.mesh, cfg.dataflow, cfg.slices, cfg.transposed,
+            cfg.abft, hw,
+        )
+
+    def program_builder(
+        self, cfg: GeMMConfig, hw: HardwareParams
+    ) -> ProgramBuilder:
+        """The builder ``build_program(cfg, hw)`` starts from.
+
+        It replays the skeleton stored under :meth:`skeleton_key`, or
+        records one into the store on its first build. With caching
+        off (``REPRO_NO_CACHE``) it is a plain recording builder.
+        """
+        if not caching_enabled():
+            return ProgramBuilder(hw)
+        key = self.skeleton_key(cfg, hw)
+        store = _SKELETONS.store
+        skeleton = store.get(key)
+        if skeleton is None:
+            _SKELETONS.misses += 1
+
+            def on_record(recorded) -> None:
+                store[key] = recorded
+
+            return ProgramBuilder(hw, on_record=on_record)
+        _SKELETONS.hits += 1
+        return ProgramBuilder(hw, skeleton=skeleton)
 
     def check_support(self, cfg: GeMMConfig) -> Optional[str]:
         """Why ``cfg`` is unsupported, or ``None`` if it is supported."""

@@ -18,7 +18,7 @@ from repro.algorithms.base import DistributedGeMM, GeMMConfig, register
 from repro.core.dataflow import Dataflow
 from repro.hw.params import HardwareParams
 from repro.sim.engine import LINK_H, LINK_V
-from repro.sim.program import Program, ProgramBuilder
+from repro.sim.program import Program
 
 if TYPE_CHECKING:
     import numpy as np
@@ -49,7 +49,7 @@ class CannonGeMM(DistributedGeMM):
         reason = self.check_support(cfg)
         if reason:
             raise ValueError(reason)
-        builder = ProgramBuilder(hw)
+        builder = self.program_builder(cfg, hw)
         side = cfg.mesh.rows
         chips = cfg.mesh.size
         a_shard = cfg.shape.a_bytes / chips

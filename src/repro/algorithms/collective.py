@@ -25,7 +25,7 @@ from repro.algorithms.base import (
 from repro.core.dataflow import Dataflow
 from repro.hw.params import HardwareParams
 from repro.sim.engine import LINK_H, LINK_V
-from repro.sim.program import Program, ProgramBuilder
+from repro.sim.program import Program
 
 if TYPE_CHECKING:
     import numpy as np
@@ -43,7 +43,7 @@ class CollectiveGeMM(DistributedGeMM):
         return None
 
     def build_program(self, cfg: GeMMConfig, hw: HardwareParams) -> Program:
-        builder = ProgramBuilder(hw)
+        builder = self.program_builder(cfg, hw)
         chips = cfg.mesh.size
         (col_op, col_mat), (row_op, row_mat) = flow_ops(
             cfg.dataflow, cfg.transposed

@@ -29,7 +29,7 @@ from repro.algorithms.base import (
 from repro.core.dataflow import sliced_extent
 from repro.hw.params import HardwareParams
 from repro.sim.engine import LINK_H, LINK_V
-from repro.sim.program import Program, ProgramBuilder
+from repro.sim.program import Program
 
 if TYPE_CHECKING:
     import numpy as np
@@ -54,7 +54,7 @@ class MeshSliceGeMM(DistributedGeMM):
         return None
 
     def build_program(self, cfg: GeMMConfig, hw: HardwareParams) -> Program:
-        builder = ProgramBuilder(hw)
+        builder = self.program_builder(cfg, hw)
         chips = cfg.mesh.size
         slices = cfg.slices
         (col_op, col_mat), (row_op, row_mat) = flow_ops(

@@ -103,11 +103,17 @@ class OneDTensorParallel(DistributedGeMM):
 
     name = "1dtp"
 
+    def skeleton_key(self, cfg: GeMMConfig, hw: HardwareParams):
+        """The default key plus which matrix flows: the smaller of the
+        input and the output."""
+        shape = cfg.shape
+        return (super().skeleton_key(cfg, hw), shape.a_bytes <= shape.c_bytes)
+
     def canonical_config(self, cfg: GeMMConfig) -> GeMMConfig:
         return _canonical_1d(cfg)
 
     def build_program(self, cfg: GeMMConfig, hw: HardwareParams) -> Program:
-        builder = ProgramBuilder(hw)
+        builder = self.program_builder(cfg, hw)
         ring = cfg.mesh.size
         shape = cfg.shape
         groups = max(1, min(cfg.slices, ring))
@@ -189,7 +195,7 @@ class FSDPGeMM(DistributedGeMM):
         return _canonical_1d(cfg)
 
     def build_program(self, cfg: GeMMConfig, hw: HardwareParams) -> Program:
-        builder = ProgramBuilder(hw)
+        builder = self.program_builder(cfg, hw)
         ring = cfg.mesh.size
         shape = cfg.shape
         groups = max(1, min(cfg.slices, ring))

@@ -41,7 +41,7 @@ from repro.core.gemm import local_gemm
 from repro.hw.params import HardwareParams
 from repro.mesh.topology import Coord, hilbert_order
 from repro.sim.engine import LINK_H, LINK_V
-from repro.sim.program import Program, ProgramBuilder
+from repro.sim.program import Program
 
 if TYPE_CHECKING:
     import numpy as np
@@ -74,6 +74,11 @@ class SFCGeMM(DistributedGeMM):
 
     name = "sfc"
 
+    def skeleton_key(self, cfg: GeMMConfig, hw: HardwareParams):
+        """The whole configuration: which curve segment is the worst
+        chip's depends on the panel sizes, so on the shape."""
+        return (self.name, cfg, hw)
+
     def check_support(self, cfg: GeMMConfig) -> Optional[str]:
         if cfg.abft:
             return ABFT_UNSUPPORTED
@@ -98,7 +103,7 @@ class SFCGeMM(DistributedGeMM):
         return None
 
     def build_program(self, cfg: GeMMConfig, hw: HardwareParams) -> Program:
-        builder = ProgramBuilder(hw)
+        builder = self.program_builder(cfg, hw)
         costs = OneSidedCostModel.for_hw(hw)
         rows, cols = cfg.mesh.rows, cfg.mesh.cols
         a, b = tile_split(cfg.slices, rows, cols)

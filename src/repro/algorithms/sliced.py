@@ -43,7 +43,7 @@ from repro.core.gemm import local_gemm
 from repro.hw.params import HardwareParams
 from repro.mesh.topology import Mesh2D
 from repro.sim.engine import LINK_H, LINK_V
-from repro.sim.program import Program, ProgramBuilder
+from repro.sim.program import Program
 
 if TYPE_CHECKING:
     import numpy as np
@@ -62,6 +62,10 @@ class SlicedGeMM(DistributedGeMM):
 
     name = "sliced"
 
+    def skeleton_key(self, cfg: GeMMConfig, hw: HardwareParams):
+        """The whole configuration, so no two shapes share a skeleton."""
+        return (self.name, cfg, hw)
+
     def check_support(self, cfg: GeMMConfig) -> Optional[str]:
         if cfg.abft:
             return ABFT_UNSUPPORTED
@@ -77,7 +81,7 @@ class SlicedGeMM(DistributedGeMM):
         return None
 
     def build_program(self, cfg: GeMMConfig, hw: HardwareParams) -> Program:
-        builder = ProgramBuilder(hw)
+        builder = self.program_builder(cfg, hw)
         costs = OneSidedCostModel.for_hw(hw)
         chips = cfg.mesh.size
         slices = cfg.slices

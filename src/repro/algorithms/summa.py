@@ -37,7 +37,7 @@ from repro.core.gemm import local_gemm
 from repro.hw.params import HardwareParams
 from repro.mesh.topology import Coord, Mesh2D
 from repro.sim.engine import LINK_H, LINK_V
-from repro.sim.program import Program, ProgramBuilder
+from repro.sim.program import Program
 
 if TYPE_CHECKING:
     import numpy as np
@@ -66,7 +66,7 @@ class SummaGeMM(DistributedGeMM):
         return max(1, ring, by_size)
 
     def build_program(self, cfg: GeMMConfig, hw: HardwareParams) -> Program:
-        builder = ProgramBuilder(hw)
+        builder = self.program_builder(cfg, hw)
         chips = cfg.mesh.size
         iterations = cfg.slices
         (col_op, col_mat), (row_op, row_mat) = flow_ops(

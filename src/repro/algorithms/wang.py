@@ -65,6 +65,11 @@ class WangGeMM(DistributedGeMM):
         blocking = directions[1 - directions.index(decomposed)]
         return decomposed, blocking
 
+    def skeleton_key(self, cfg: GeMMConfig, hw: HardwareParams):
+        """The default key plus the decomposition, which the traffic of
+        the problem shape picks."""
+        return (super().skeleton_key(cfg, hw), self._split_directions(cfg))
+
     def canonical_config(self, cfg: GeMMConfig) -> GeMMConfig:
         """Clamp ``slices`` to the decomposed ring length.
 
@@ -79,7 +84,7 @@ class WangGeMM(DistributedGeMM):
         return dataclasses.replace(cfg, slices=groups)
 
     def build_program(self, cfg: GeMMConfig, hw: HardwareParams) -> Program:
-        builder = ProgramBuilder(hw)
+        builder = self.program_builder(cfg, hw)
         chips = cfg.mesh.size
         decomposed, blocking = self._split_directions(cfg)
 

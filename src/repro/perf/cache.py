@@ -170,9 +170,9 @@ def named_cache(name: str) -> _MemoCache:
     """Register and return a cache for manual get/put use.
 
     For call patterns :func:`memoize` cannot express — e.g. the
-    content-addressed simulation store, whose key (a program
-    fingerprint) is derived *inside* the cached computation rather
-    than from the call arguments. The returned object exposes
+    program skeleton store, whose entry is filled by a builder only
+    when the algorithm's ``build_program`` finishes rather than
+    returned by one call. The returned object exposes
     ``store`` (a plain dict) plus ``hits``/``misses`` counters; it
     participates in :func:`cache_stats` and :func:`clear_caches` like
     any decorated cache. Callers must honor :func:`caching_enabled`

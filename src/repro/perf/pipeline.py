@@ -9,24 +9,23 @@ shapes). All three key types are frozen dataclasses, so whole simulated
 pass results are memoized content-keyed here.
 
 Two configurations that would simulate identically share one cache
-entry through two canonicalization layers:
+entry through **canonical configuration keys**. Each algorithm maps a
+``GeMMConfig`` to the canonical representative of its equivalence
+class (:meth:`repro.algorithms.base.DistributedGeMM.canonical_config`):
+Cannon ignores ``slices`` entirely, and the SendRecv-pipeline
+algorithms (Wang, 1D TP, FSDP) clamp it to their decomposed ring
+length, so e.g. Wang at ``S = 64`` and ``S = 128`` on a 16-ring build
+byte-identical programs. The contract is *bit-identical programs*,
+never merely equal makespans — a cached ``SimResult`` is returned for
+every member of the class, spans and all.
 
-* **Canonical configuration keys.** Each algorithm maps a ``GeMMConfig``
-  to the canonical representative of its equivalence class
-  (:meth:`repro.algorithms.base.DistributedGeMM.canonical_config`):
-  Cannon ignores ``slices`` entirely, and the SendRecv-pipeline
-  algorithms (Wang, 1D TP, FSDP) clamp it to their decomposed ring
-  length, so e.g. Wang at ``S = 64`` and ``S = 128`` on a 16-ring build
-  byte-identical programs. The contract is *bit-identical programs*,
-  never merely equal makespans — a cached ``SimResult`` is returned for
-  every member of the class, spans and all.
-* **Content-addressed simulations.** Below the config-keyed cache,
-  results are stored under a fingerprint of the built program itself
-  (activities, dependencies, resources, durations, metadata, shared
-  capacities), so distinct configurations that happen to build
-  identical programs — equivalent transposed shapes on symmetric
-  meshes, knob values an algorithm ignores — still share one
-  simulation.
+Configurations that differ only in the problem shape build the same
+DAG with other costs. Below the config keys, each build replays the
+**program skeleton** its algorithm stored under
+:meth:`~repro.algorithms.base.DistributedGeMM.skeleton_key` (the
+``program_skeleton`` cache): the builder evaluates the cost functions
+only, and every program of one skeleton shares its structure columns
+and the engine's validated DAG (see :class:`repro.sim.program.Skeleton`).
 
 Treat every returned object as immutable: cached ``Program`` and
 ``SimResult`` instances are shared between callers.
@@ -48,7 +47,7 @@ from typing import TYPE_CHECKING, Dict, Tuple
 from repro.algorithms import GeMMConfig, get_algorithm
 from repro.faults.plan import FaultPlan
 from repro.hw.params import HardwareParams
-from repro.perf.cache import caching_enabled, memoize, named_cache
+from repro.perf.cache import memoize
 from repro.sim.cluster import SimResult, simulate
 from repro.sim.program import Program
 
@@ -88,70 +87,11 @@ def canonical_pass_config(algorithm: str, cfg: GeMMConfig) -> GeMMConfig:
     return _canonical_config(algorithm, cfg)
 
 
-#: Content-addressed simulation store: program fingerprint -> SimResult.
-_PROGRAM_RESULTS = named_cache("simulated_program")
-
-
-def _program_fingerprint(program: Program, hw: HardwareParams):
-    """A hashable content key of everything the simulation reads.
-
-    Covers the activity columns (order, labels, kinds, durations,
-    dependencies, resources, metadata — spans carry the labels and
-    metadata, and ``SimResult.flops_per_chip`` sums the ``flops``
-    metadata), the shared capacities, and the hardware. Program-level
-    ``meta`` is deliberately excluded: the engine never reads it, and
-    the embedded config is exactly the degree of freedom being
-    collapsed.
-
-    The columns that are already tuples of hashable values enter the
-    key as they are; the mappings enter as item tuples in insertion
-    order, unsorted: equal item tuples imply equal dicts, so no two
-    different programs can share a key, and the builders insert keys
-    in a fixed order, so sorting would buy no extra sharing. Two
-    programs share a key exactly when their per-activity
-    ``(aid, label, kind, duration, deps, exclusive, shared, meta)``
-    entries all match.
-    """
-    cols = program.columns
-    return (
-        hw,
-        tuple(program.shared_capacities.items()),
-        cols.aids,
-        cols.labels,
-        cols.kinds,
-        cols.durations,
-        cols.deps,
-        cols.exclusive,
-        tuple([tuple(demands.items()) for demands in cols.shared]),
-        tuple([tuple(meta.items()) for meta in cols.metas]),
-    )
-
-
-def _simulate_content_addressed(program: Program, hw: HardwareParams) -> SimResult:
-    """Simulate ``program``, sharing results between identical programs."""
-    if not caching_enabled():
-        return simulate(program, hw)
-    store = _PROGRAM_RESULTS.store
-    try:
-        key = _program_fingerprint(program, hw)
-        result = store.get(key)
-    except TypeError:
-        # Unhashable activity metadata: simulate without content
-        # sharing (the config-keyed level above still caches it).
-        return simulate(program, hw)
-    if result is None:
-        _PROGRAM_RESULTS.misses += 1
-        result = store[key] = simulate(program, hw)
-    else:
-        _PROGRAM_RESULTS.hits += 1
-    return result
-
-
 @memoize("simulated_pass")
 def _simulated_pass(
     algorithm: str, cfg: GeMMConfig, hw: HardwareParams
 ) -> SimResult:
-    return _simulate_content_addressed(_built_program(algorithm, cfg, hw), hw)
+    return simulate(_built_program(algorithm, cfg, hw), hw)
 
 
 def simulated_pass(

@@ -4,8 +4,7 @@ The serving layer's durable tier: every completed tuning search is
 written as one JSON record under the sha256 content address of its
 canonical :class:`~repro.service.request.TuneRequest`
 (:meth:`~repro.service.request.TuneRequest.cache_key`), layered *under*
-the in-memory result cache exactly as the content-addressed program
-store sits under the config-keyed memoization in ``repro.perf``.
+the in-memory result cache.
 
 Layout::
 

@@ -88,6 +88,7 @@ from repro.obs.hooks import wait_sink as _wait_sink
 
 if TYPE_CHECKING:  # pragma: no cover - avoid the sim -> faults cycle
     from repro.faults.hard import HardFault
+    from repro.sim.program import Skeleton
 
 #: Canonical resource names used by program builders.
 CORE = "core"
@@ -322,6 +323,83 @@ class SimFailure:
         return self.finished + len(self.in_flight) + self.unstarted
 
 
+class EngineStructure(NamedTuple):
+    """What the engine derives from a program's shape-independent columns.
+
+    Built once per program by :func:`engine_structure` — or once per
+    :class:`repro.sim.program.Skeleton`, shared by every program that
+    skeleton describes. Only tuples of numbers and one small dict, so
+    the garbage collector stops tracking it.
+    """
+
+    #: Distinct dependencies of each activity.
+    dep_count: Tuple[int, ...]
+    #: Column indices of each activity's dependents (reverse edges).
+    dependents: Tuple[Tuple[int, ...], ...]
+    #: Exclusive resource name -> dense index, in first-use order.
+    res_index: Dict[str, int]
+    #: Each activity's exclusive resources as ``res_index`` indices.
+    exclusives: Tuple[Tuple[int, ...], ...]
+
+
+def engine_structure(columns) -> EngineStructure:
+    """Validate a DAG and derive its :class:`EngineStructure`.
+
+    ``columns`` is anything with ``aids``, ``labels``, ``exclusive``
+    and ``deps`` columns (a :class:`Columns` or a skeleton). Raises
+    :class:`SimulationError` on duplicate ids or an unknown dependency.
+    """
+    aids = columns.aids
+    n_acts = len(aids)
+    index_of = {aid: i for i, aid in enumerate(aids)}
+    if len(index_of) != n_acts:
+        raise SimulationError("duplicate activity ids")
+    # Validation and the reverse dependency edges in one pass.
+    # Duplicate dep ids collapse, exactly as the reference engine's
+    # per-activity dependency *set* collapses them.
+    dep_count = [0] * n_acts
+    dependents: List[List[int]] = [[] for _ in range(n_acts)]
+    for i, deps in enumerate(columns.deps):
+        if not deps:
+            continue
+        if len(deps) > 1:
+            deps = set(deps)
+        dep_count[i] = len(deps)
+        for dep in deps:
+            parent = index_of.get(dep)
+            if parent is None:
+                raise SimulationError(
+                    f"activity {columns.labels[i]!r} depends on "
+                    f"unknown id {dep}"
+                )
+            dependents[parent].append(i)
+    res_index: Dict[str, int] = {}
+    # Programs repeat a handful of exclusive-resource tuples, so each
+    # distinct tuple is interned once.
+    interned: Dict[Tuple[str, ...], Tuple[int, ...]] = {}
+    exclusives: List[Tuple[int, ...]] = [()] * n_acts
+    for i, names in enumerate(columns.exclusive):
+        hashable = type(names) is tuple
+        excl = interned.get(names) if hashable else None
+        if excl is None:
+            indices = []
+            for name in names:
+                r = res_index.get(name)
+                if r is None:
+                    r = res_index[name] = len(res_index)
+                indices.append(r)
+            excl = tuple(indices)
+            if hashable:
+                interned[names] = excl
+        exclusives[i] = excl
+    return EngineStructure(
+        tuple(dep_count),
+        tuple(map(tuple, dependents)),
+        res_index,
+        tuple(exclusives),
+    )
+
+
 class Engine:
     """Runs a set of activities to completion.
 
@@ -332,42 +410,25 @@ class Engine:
         shared_capacities: Capacity (units/second) of each shared
             resource. Demands on resources not listed here are treated
             as unconstrained.
+        skeleton: The :class:`repro.sim.program.Skeleton` whose aids,
+            labels, exclusive and deps columns ``activities`` shares;
+            its (once-computed) structure is reused instead of being
+            derived from the columns again.
     """
 
     def __init__(
         self,
         activities: Union[Columns, Sequence[Activity]],
         shared_capacities: Optional[Dict[str, float]] = None,
+        skeleton: Optional["Skeleton"] = None,
     ):
         if not isinstance(activities, Columns):
             activities = Columns.of(activities)
         self.columns = activities
-        aids = activities.aids
-        n_acts = len(aids)
-        index_of = {aid: i for i, aid in enumerate(aids)}
-        if len(index_of) != n_acts:
-            raise SimulationError("duplicate activity ids")
-        # Validation and the reverse dependency edges in one pass.
-        # Duplicate dep ids collapse, exactly as the reference engine's
-        # per-activity dependency *set* collapses them.
-        dep_count = [0] * n_acts
-        dependents: List[List[int]] = [[] for _ in range(n_acts)]
-        for i, deps in enumerate(activities.deps):
-            if not deps:
-                continue
-            if len(deps) > 1:
-                deps = set(deps)
-            dep_count[i] = len(deps)
-            for dep in deps:
-                parent = index_of.get(dep)
-                if parent is None:
-                    raise SimulationError(
-                        f"activity {activities.labels[i]!r} depends on "
-                        f"unknown id {dep}"
-                    )
-                dependents[parent].append(i)
-        self._dep_count = dep_count
-        self._dependents = dependents
+        if skeleton is None:
+            self._structure = engine_structure(activities)
+        else:
+            self._structure = skeleton.structure()
         self.shared_capacities = dict(shared_capacities or {})
 
     def run(self) -> SpanTable:
@@ -444,38 +505,28 @@ class Engine:
             if marked:
                 poisoned = marked
 
-        res_index: Dict[str, int] = {}
-        # Programs repeat a handful of exclusive-resource tuples, so
-        # each distinct tuple is interned once.
-        interned: Dict[Tuple[str, ...], Tuple[int, ...]] = {}
-        exclusives: List[Tuple[int, ...]] = [()] * n_acts
-        for i, names in enumerate(cols.exclusive):
-            hashable = type(names) is tuple
-            excl = interned.get(names) if hashable else None
-            if excl is None:
-                indices = []
-                for name in names:
-                    r = res_index.get(name)
-                    if r is None:
-                        r = res_index[name] = len(res_index)
-                    indices.append(r)
-                excl = tuple(indices)
-                if hashable:
-                    interned[names] = excl
-            exclusives[i] = excl
+        structure = self._structure
+        exclusives = structure.exclusives
+        # Shared resources are indexed after the exclusive ones, in
+        # first-use order; programs share each cost record's demand
+        # dict between activities, so each distinct dict maps once.
+        res_index = dict(structure.res_index)
+        mapped: Dict[int, Dict[int, float]] = {}
         shareds: List[Dict[int, float]] = [{}] * n_acts
         for i, demands in enumerate(cols.shared):
             if not demands:
                 continue
-            shared: Dict[int, float] = {}
-            for name, demand in demands.items():
-                r = res_index.get(name)
-                if r is None:
-                    r = res_index[name] = len(res_index)
-                shared[r] = demand
+            shared = mapped.get(id(demands))
+            if shared is None:
+                shared = mapped[id(demands)] = {}
+                for name, demand in demands.items():
+                    r = res_index.get(name)
+                    if r is None:
+                        r = res_index[name] = len(res_index)
+                    shared[r] = demand
             shareds[i] = shared
-        dep_count = list(self._dep_count)
-        dependents = self._dependents
+        dep_count = list(structure.dep_count)
+        dependents = structure.dependents
 
         n_res = len(res_index)
         capacities: List[Optional[float]] = [None] * n_res

@@ -15,7 +15,7 @@ claims the core.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.comm.cost import CommCost, CommCostModel
 from repro.hw.params import HardwareParams
@@ -29,13 +29,55 @@ from repro.sim.engine import (
     Activity,
     Columns,
     Engine,
+    EngineStructure,
     SimFailure,
     SimulationError,
     SpanTable,
+    engine_structure,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - avoid the sim <-> faults cycle
     from repro.faults.plan import FaultPlan
+
+#: One activity's per-shape cost: ``(duration, shared, meta)``.
+_Record = Tuple[float, Dict[str, float], Dict[str, object]]
+
+
+class Skeleton:
+    """The shape-independent columns of a built program.
+
+    A distributed GeMM pipeline has the same activities, dependencies
+    and exclusive resources at every problem shape; only durations,
+    shared demands and cost metadata change. A skeleton holds the
+    ``aids``, ``labels``, ``kinds``, ``exclusive`` and ``deps`` columns
+    once, every program built from it shares those tuples, and the
+    engine's :class:`EngineStructure` (validation, reverse edges,
+    interned resources) is derived on first use and kept.
+    """
+
+    __slots__ = ("aids", "labels", "kinds", "exclusive", "deps", "_structure")
+
+    def __init__(
+        self,
+        aids: Tuple[int, ...],
+        labels: Tuple[str, ...],
+        kinds: Tuple[str, ...],
+        exclusive: Tuple[Tuple[str, ...], ...],
+        deps: Tuple[Tuple[int, ...], ...],
+    ):
+        self.aids = aids
+        self.labels = labels
+        self.kinds = kinds
+        self.exclusive = exclusive
+        self.deps = deps
+        self._structure: Optional[EngineStructure] = None
+
+    def structure(self) -> EngineStructure:
+        """The engine's view of this DAG, computed once."""
+        structure = self._structure
+        if structure is None:
+            structure = self._structure = engine_structure(self)
+        return structure
 
 
 @dataclasses.dataclass(init=False)
@@ -43,14 +85,20 @@ class Program:
     """An activity DAG plus the shared resource capacities it runs under.
 
     The activities are stored as :class:`Columns` — one tuple per
-    attribute — which is what the engine, the cache fingerprint, the
-    pruning bound and fault plans read. :attr:`activities` rebuilds
-    :class:`Activity` objects from the columns on each read.
+    attribute — which is what the engine, the pruning bound and fault
+    plans read. :attr:`activities` rebuilds :class:`Activity` objects
+    from the columns on each read. A program built through a skeleton
+    store (:meth:`repro.algorithms.base.DistributedGeMM.program_builder`)
+    carries its :class:`Skeleton`, whose columns its own share; the
+    skeleton takes no part in equality.
     """
 
     columns: Columns
     shared_capacities: Dict[str, float]
     meta: Dict[str, object]
+    skeleton: Optional[Skeleton] = dataclasses.field(
+        default=None, compare=False, repr=False
+    )
 
     def __init__(
         self,
@@ -61,6 +109,7 @@ class Program:
         self.columns = Columns.of(activities)
         self.shared_capacities = shared_capacities
         self.meta = {} if meta is None else meta
+        self.skeleton = None
 
     @classmethod
     def from_columns(
@@ -68,12 +117,14 @@ class Program:
         columns: Columns,
         shared_capacities: Dict[str, float],
         meta: Dict[str, object],
+        skeleton: Optional[Skeleton] = None,
     ) -> "Program":
         """A program over existing columns (shared, not copied)."""
         program = cls.__new__(cls)
         program.columns = columns
         program.shared_capacities = shared_capacities
         program.meta = meta
+        program.skeleton = skeleton
         return program
 
     @property
@@ -120,10 +171,15 @@ class Program:
         """
         if faults is None or faults.is_null:
             # A null plan is a no-op rewrite: run the program as built.
-            return Engine(self.columns, self.shared_capacities).run(), None
+            engine = Engine(self.columns, self.shared_capacities, self.skeleton)
+            return engine.run(), None
+        # A plan rewrites only durations, shared demands and metas, so
+        # the perturbed program keeps this one's skeleton.
         program = faults.apply(self)
-        heap = Engine(program.columns, program.shared_capacities)
-        return heap.run_with_failures(faults.hard_faults)
+        engine = Engine(
+            program.columns, program.shared_capacities, self.skeleton
+        )
+        return engine.run_with_failures(faults.hard_faults)
 
     @property
     def total_flops(self) -> float:
@@ -140,22 +196,76 @@ class ProgramBuilder:
     earlier calls. Link serialization (two collectives in the same
     direction cannot overlap) comes from exclusive link resources, so
     builders do not need to chain same-link operations explicitly.
+
+    A builder records a program's structure or replays a
+    :class:`Skeleton`:
+
+    * A *recording* builder (the default) appends every column. Given
+      ``on_record``, :meth:`build` also wraps the structure into a
+      skeleton, passes it to ``on_record`` and attaches it to the
+      program.
+    * A *replaying* builder (``skeleton=...``) is driven through the
+      same calls but appends only each activity's kind and cost;
+      :meth:`build` pairs them with the skeleton's columns and raises
+      :class:`SimulationError` if the kinds differ from the skeleton's.
+
+    Costs are charged as shared records: all activities charging the
+    same cost object — the memoized ``gemm_cost`` / ``slice_cost`` /
+    ``checksum_cost`` results, or a collective cost this builder
+    memoizes on its arguments — share one ``(duration, shared, meta)``
+    record, dicts included. Programs are read-only, so nothing writes
+    to those dicts (fault plans copy before rewriting).
     """
 
-    def __init__(self, hw: HardwareParams):
+    def __init__(
+        self,
+        hw: HardwareParams,
+        skeleton: Optional[Skeleton] = None,
+        on_record: Optional[Callable[[Skeleton], None]] = None,
+    ):
         self.hw = hw
         self.costs = CommCostModel.for_hw(hw)
-        # One list per activity attribute, in ``Columns`` field order.
+        self.skeleton = skeleton
+        self._on_record = on_record
+        # One list per activity attribute, in ``Columns`` field order;
+        # a replaying builder fills only kinds, durations, shared, metas.
         self._columns: Tuple[list, ...] = tuple([] for _ in Columns._fields)
         self._next_id = 0
+        # id(cost) -> its record; ``_charged`` keeps each cost alive so
+        # its id cannot be reused while this builder lives.
+        self._records: Dict[int, _Record] = {}
+        self._charged: List[object] = []
+        # (cost-model method, *arguments) -> CommCost.
+        self._comm_costs: Dict[tuple, object] = {}
 
     def build(self, **meta: object) -> Program:
         """Finalize into a runnable :class:`Program`."""
         capacities = {HBM: self.hw.hbm_bandwidth}
         if self.hw.has_shared_nic:
             capacities[NIC] = self.hw.nic_bandwidth
-        columns = Columns._make(map(tuple, self._columns))
-        return Program.from_columns(columns, capacities, meta)
+        skeleton = self.skeleton
+        if skeleton is None:
+            columns = Columns._make(map(tuple, self._columns))
+            if self._on_record is not None:
+                skeleton = Skeleton(
+                    columns.aids, columns.labels, columns.kinds,
+                    columns.exclusive, columns.deps,
+                )
+                self._on_record(skeleton)
+        else:
+            _aids, _labels, kinds, durations, _excl, shared, _deps, metas = (
+                self._columns
+            )
+            if tuple(kinds) != skeleton.kinds:
+                raise SimulationError(
+                    "replayed activities do not match the program skeleton"
+                )
+            columns = Columns(
+                skeleton.aids, skeleton.labels, skeleton.kinds,
+                tuple(durations), skeleton.exclusive, tuple(shared),
+                skeleton.deps, tuple(metas),
+            )
+        return Program.from_columns(columns, capacities, meta, skeleton)
 
     # ---------------------------------------------------------------- compute
 
@@ -216,15 +326,17 @@ class ProgramBuilder:
     def _compute_activity(
         self, label: str, kind: str, cost: ComputeCost, deps: Sequence[int]
     ) -> int:
-        return self._add(
-            label=label,
-            kind=kind,
-            duration=cost.seconds,
-            exclusive=(CORE,),
-            shared={HBM: cost.hbm_rate} if cost.hbm_rate > 0 else {},
-            deps=deps,
-            meta={"flops": cost.flops, "hbm_bytes": cost.hbm_bytes},
-        )
+        record = self._records.get(id(cost))
+        if record is None:
+            hbm_rate = cost.hbm_rate
+            record = self._charge(
+                label,
+                cost,
+                cost.seconds,
+                {HBM: hbm_rate} if hbm_rate > 0 else {},
+                {"flops": cost.flops, "hbm_bytes": cost.hbm_bytes},
+            )
+        return self._add(label, kind, record, (CORE,), deps)
 
     # ------------------------------------------------------------------- comm
 
@@ -250,7 +362,7 @@ class ProgramBuilder:
             return self._collective_steps(
                 label, "ag", ring_size, shard_bytes, link, deps
             )
-        cost = self.costs.allgather(ring_size, shard_bytes)
+        cost = self._comm_cost("allgather", ring_size, shard_bytes)
         return self._collective(label, cost, link, deps)
 
     def reducescatter(
@@ -270,7 +382,7 @@ class ProgramBuilder:
             return self._collective_steps(
                 label, "rds", ring_size, shard_bytes, link, deps
             )
-        cost = self.costs.reducescatter(ring_size, shard_bytes)
+        cost = self._comm_cost("reducescatter", ring_size, shard_bytes)
         return self._collective(label, cost, link, deps)
 
     def _collective_steps(
@@ -318,7 +430,7 @@ class ProgramBuilder:
         deps: Sequence[int] = (),
     ) -> int:
         """A SUMMA pipelined ring broadcast."""
-        cost = self.costs.broadcast(ring_size, shard_bytes, packets)
+        cost = self._comm_cost("broadcast", ring_size, shard_bytes, packets)
         return self._collective(label, cost, link, deps)
 
     def reduce(
@@ -331,7 +443,7 @@ class ProgramBuilder:
         deps: Sequence[int] = (),
     ) -> int:
         """A SUMMA pipelined ring all-to-one reduce."""
-        cost = self.costs.reduce(ring_size, shard_bytes, packets)
+        cost = self._comm_cost("reduce", ring_size, shard_bytes, packets)
         return self._collective(label, cost, link, deps)
 
     def sendrecv(
@@ -349,7 +461,7 @@ class ProgramBuilder:
         of the transfer additionally occupies the compute core,
         modelling compiler-created dependencies (Section 5.3.1).
         """
-        cost = self.costs.sendrecv(message_bytes, hops)
+        cost = self._comm_cost("sendrecv", message_bytes, hops)
         fraction = (
             self.hw.sendrecv_overlap_fraction if self.hw.overlap_sendrecv else 0.0
         )
@@ -357,8 +469,13 @@ class ProgramBuilder:
             return self._comm_activity(label, cost, (link,), deps)
         if fraction <= 0.0:
             return self._comm_activity(label, cost, (link, CORE), deps)
-        overlapped = cost.scaled(fraction)
-        blocking = cost.scaled(1.0 - fraction)
+        key = ("sendrecv/split", message_bytes, hops)
+        halves = self._comm_costs.get(key)
+        if halves is None:
+            halves = self._comm_costs[key] = (
+                cost.scaled(fraction), cost.scaled(1.0 - fraction)
+            )
+        overlapped, blocking = halves
         first = self._comm_activity(f"{label}/async", overlapped, (link,), deps)
         return self._comm_activity(
             f"{label}/blocking", blocking, (link, CORE), [first]
@@ -379,35 +496,38 @@ class ProgramBuilder:
         exclusive: Sequence[str],
         deps: Sequence[int],
     ) -> int:
-        duration = cost.total
-        shared = {}
-        if duration > 0 and cost.hbm_bytes > 0:
-            shared[HBM] = cost.hbm_bytes / duration
-        if (
-            self.hw.has_shared_nic
-            and duration > 0
-            and cost.wire_bytes > 0
-        ):
-            # On a logical mesh all ring traffic shares the chip's NIC:
-            # concurrent collectives in different directions contend
-            # (Section 6). The fluid engine stretches both when their
-            # combined demand exceeds the NIC bandwidth.
-            shared[NIC] = cost.wire_bytes / duration
-        return self._add(
-            label=label,
-            kind="comm",
-            duration=duration,
-            exclusive=tuple(exclusive),
-            shared=shared,
-            deps=deps,
-            meta={
+        record = self._records.get(id(cost))
+        if record is None:
+            duration = cost.total
+            shared = {}
+            if duration > 0 and cost.hbm_bytes > 0:
+                shared[HBM] = cost.hbm_bytes / duration
+            if (
+                self.hw.has_shared_nic
+                and duration > 0
+                and cost.wire_bytes > 0
+            ):
+                # On a logical mesh all ring traffic shares the chip's
+                # NIC: concurrent collectives in different directions
+                # contend (Section 6). The fluid engine stretches both
+                # when their combined demand exceeds the NIC bandwidth.
+                shared[NIC] = cost.wire_bytes / duration
+            record = self._charge(label, cost, duration, shared, {
                 "launch": cost.launch,
                 "transfer": cost.transfer,
                 "sync": cost.sync,
                 "syncs": cost.syncs,
                 "hbm_bytes": cost.hbm_bytes,
-            },
-        )
+            })
+        return self._add(label, "comm", record, exclusive, deps)
+
+    def _comm_cost(self, method: str, *args: float) -> CommCost:
+        """``self.costs.<method>(*args)``, memoized for this build."""
+        key = (method,) + args
+        cost = self._comm_costs.get(key)
+        if cost is None:
+            cost = self._comm_costs[key] = getattr(self.costs, method)(*args)
+        return cost
 
     def comm_on(
         self,
@@ -443,50 +563,62 @@ class ProgramBuilder:
 
     def barrier(self, label: str, deps: Sequence[int]) -> int:
         """A zero-duration ordering point."""
-        return self._add(
-            label=label, kind="barrier", duration=0.0, exclusive=(),
-            shared={}, deps=deps, meta={},
-        )
+        return self._add(label, "barrier", (0.0, {}, {}), (), deps)
 
-    def _add(
+    def _charge(
         self,
         label: str,
-        kind: str,
+        cost: object,
         duration: float,
-        exclusive: Sequence[str],
         shared: Dict[str, float],
-        deps: Sequence[int],
-        meta: Optional[Dict[str, object]] = None,
-    ) -> int:
-        # Takes ownership of ``shared``: every call site above passes a
-        # freshly built dict, so no defensive copy is made. This is the
-        # hottest allocation site of a sweep (one call per activity of
-        # every built program), so it appends to the attribute columns
-        # directly instead of building an ``Activity``; the
-        # ``Activity.__post_init__`` checks are inlined with identical
-        # messages.
+        meta: Dict[str, object],
+    ) -> _Record:
+        """Register the record of ``cost``, first charged by ``label``.
+
+        The ``Activity.__post_init__`` checks are made here, once per
+        record, with identical messages: the first activity charging an
+        invalid cost is the one that fails.
+        """
         if duration < 0:
             raise ValueError(f"activity {label!r} has negative duration")
         for demand in shared.values():
             if demand < 0:
                 raise ValueError(f"activity {label!r} has negative demand")
+        record = self._records[id(cost)] = (duration, shared, meta)
+        self._charged.append(cost)
+        return record
+
+    def _add(
+        self,
+        label: str,
+        kind: str,
+        record: _Record,
+        exclusive: Sequence[str],
+        deps: Sequence[int],
+    ) -> int:
+        # The hottest call of a sweep (one per activity of every built
+        # program), so it appends to the attribute columns directly
+        # instead of building an ``Activity``. A replaying builder
+        # leaves the structure columns to its skeleton.
         aid = self._next_id
         self._next_id += 1
-        if type(exclusive) is not tuple:
-            exclusive = tuple(exclusive)
-        if type(deps) is not tuple:
-            deps = tuple(deps)
         aids, labels, kinds, durations, exclusives, shareds, depss, metas = (
             self._columns
         )
-        aids.append(aid)
-        labels.append(label)
+        duration, shared, meta = record
         kinds.append(kind)
         durations.append(duration)
-        exclusives.append(exclusive)
         shareds.append(shared)
-        depss.append(deps)
-        metas.append(meta if meta is not None else {})
+        metas.append(meta)
+        if self.skeleton is None:
+            aids.append(aid)
+            labels.append(label)
+            if type(exclusive) is not tuple:
+                exclusive = tuple(exclusive)
+            if type(deps) is not tuple:
+                deps = tuple(deps)
+            exclusives.append(exclusive)
+            depss.append(deps)
         return aid
 
 

@@ -116,7 +116,7 @@ def test_pipeline_caches_are_registered():
         "simulated_pass",
         "pass_lower_bound",
         "canonical_config",
-        "simulated_program",
+        "program_skeleton",
     ):
         assert expected in names
 
@@ -191,12 +191,11 @@ def test_canonical_cannon_ignores_slices_and_transposition(hw):
 
 
 def test_canonical_configs_build_bit_identical_programs(hw):
-    """The canonical_config contract, enforced by fingerprint equality."""
+    """The canonical_config contract, enforced by column equality."""
     import random
 
     from repro.algorithms import algorithm_names, get_algorithm
     from repro.core.dataflow import Dataflow
-    from repro.perf.pipeline import _program_fingerprint
 
     rng = random.Random(7)
     collapsed = 0
@@ -220,68 +219,30 @@ def test_canonical_configs_build_bit_identical_programs(hw):
                 continue
             canonical = alg.canonical_config(cfg)
             assert alg.supports(canonical), (name, cfg)
-            assert _program_fingerprint(
-                alg.build_program(cfg, hw), hw
-            ) == _program_fingerprint(
-                alg.build_program(canonical, hw), hw
-            ), (name, cfg, canonical)
+            built = alg.build_program(cfg, hw)
+            again = alg.build_program(canonical, hw)
+            assert tuple(built.columns) == tuple(again.columns), (
+                name, cfg, canonical
+            )
+            assert built.shared_capacities == again.shared_capacities
             if canonical != cfg:
                 collapsed += 1
     # The sample must actually exercise non-identity collapses.
     assert collapsed >= 10
 
 
-def test_content_store_shares_identical_programs(hw, cfg):
-    """The content-addressed layer deduplicates below the config keys."""
-    from repro.perf.pipeline import (
-        _simulate_content_addressed,
-        built_program,
-    )
-
-    first = simulated_pass("meshslice", cfg, hw)
-    # An independently built (but bit-identical) program resolves to
-    # the *same* cached SimResult through the content store.
-    program = built_program("meshslice", cfg, hw)
-    again = _simulate_content_addressed(program, hw)
-    assert again is first
-    stats = cache_stats("simulated_program")["simulated_program"]
-    assert stats.hits == 1
-    assert stats.entries == 1
-
-
-def test_content_store_shares_programs_across_configs(hw):
-    """Two configs outside one canonical class that build content-equal
-    programs (FSDP on a 1x64 ring with n and k swapped) share one
-    simulation: the fingerprint keys mappings in insertion order, and
-    the builders insert keys in a fixed order."""
-    from repro.algorithms import get_algorithm
-    from repro.core.dataflow import Dataflow
-
-    fsdp = get_algorithm("fsdp")
-    first, second = (
-        GeMMConfig(GeMMShape(65536, n, k), Mesh2D(1, 64), Dataflow.OS, slices=4)
-        for n, k in ((36864, 12288), (12288, 36864))
-    )
-    assert fsdp.canonical_config(first) != fsdp.canonical_config(second)
-    a = simulated_pass("fsdp", first, hw)
-    b = simulated_pass("fsdp", second, hw)
-    assert b is a
-    stats = cache_stats("simulated_program")["simulated_program"]
-    assert (stats.hits, stats.misses, stats.entries) == (1, 1, 1)
-
-
 def test_fig9_cache_counts_pinned(hw, monkeypatch):
-    """One serial fig. 9 sweep makes exactly the cache traffic it made
-    when the program fingerprint sorted its mappings: any builder that
-    stops inserting keys in a fixed order loses hits here."""
+    """One serial fig. 9 sweep makes exactly this cache traffic: a
+    canonical-key or skeleton-key change that loses (or fakes) sharing
+    moves these counts."""
     from repro.experiments import fig09_weak_scaling
 
     monkeypatch.setenv("REPRO_JOBS", "1")
     fig09_weak_scaling.run()
     stats = cache_stats()
-    program = stats["simulated_program"]
+    skeletons = stats["program_skeleton"]
     passes = stats["simulated_pass"]
-    assert (program.hits, program.misses) == (1, 726)
+    assert (skeletons.hits, skeletons.misses) == (571, 678)
     assert (passes.hits, passes.misses) == (255, 727)
 
 

@@ -1,10 +1,8 @@
 """Columnar programs against the per-activity forms they replaced.
 
-The content-addressed simulation key and the pruning bound now read a
-program's attribute columns. Both must behave exactly like the
-per-activity implementations kept below as oracles: two programs share
-a key exactly when the oracle keys are equal, and the bound is the
-same float to the last bit. Checked on fuzzed programs (with targeted
+The pruning bound reads a program's attribute columns. It must be the
+same float, to the last bit, as the per-activity implementation kept
+below as an oracle. Checked on fuzzed programs (with targeted
 one-attribute mutations) and on every program Figure 9 builds.
 """
 
@@ -18,37 +16,11 @@ import pytest
 from repro.experiments import fig09_weak_scaling
 from repro.hw import get_preset
 from repro.perf.cache import KILL_SWITCH_ENV, _REGISTRY, clear_caches
-from repro.perf.pipeline import (
-    _BOUND_SAFETY,
-    _program_fingerprint,
-    _program_lower_bound,
-)
+from repro.perf.pipeline import _BOUND_SAFETY, _program_lower_bound
 from repro.sim.engine import Activity, Columns
 from repro.sim.program import Program, ProgramBuilder, repeat_program
 
 TPUV4 = get_preset("tpuv4-sim")
-CLOUD = get_preset("tpuv4-cloud-4x4")
-
-
-def oracle_fingerprint(program, hw):
-    """The per-activity program key the columnar key replaced."""
-    return (
-        hw,
-        tuple(program.shared_capacities.items()),
-        tuple(
-            (
-                act.aid,
-                act.label,
-                act.kind,
-                act.duration,
-                tuple(act.deps),
-                act.exclusive,
-                tuple(act.shared.items()),
-                tuple(act.meta.items()),
-            )
-            for act in program.activities
-        ),
-    )
 
 
 def oracle_lower_bound(program):
@@ -142,24 +114,11 @@ def _mutations(acts, rng):
     yield variant(shared={**act.shared, "hbm": 9.0})
     yield variant(meta={**act.meta, "flops": -1.0})
     yield variant(deps=act.deps + act.deps[:1])  # a repeated dep id
-    # Same items, other insertion order: unequal item tuples in both.
+    # Same items, other insertion order.
     yield variant(shared=dict(reversed(list(act.shared.items()))))
     yield [Activity(a.aid + 100, a.label, a.kind, a.duration, a.exclusive,
                     a.shared, tuple(d + 100 for d in a.deps), a.meta)
            for a in acts]
-
-
-def _assert_same_partition(programs, hw_of):
-    """Programs group identically under the new and the oracle key."""
-    by_key: Dict[object, set] = {}
-    by_oracle: Dict[object, set] = {}
-    for index, program in enumerate(programs):
-        hw = hw_of(index)
-        by_key.setdefault(_program_fingerprint(program, hw), set()).add(index)
-        by_oracle.setdefault(oracle_fingerprint(program, hw), set()).add(index)
-    assert sorted(map(sorted, by_key.values())) == sorted(
-        map(sorted, by_oracle.values())
-    )
 
 
 def _assert_same_bound(program):
@@ -176,22 +135,7 @@ class TestFuzzedPrograms:
             capacities = {"hbm": 2.0} if seed % 3 else {"hbm": 2.0, "nic": 1.0}
             for variant in _mutations(acts, rng):
                 programs.append(Program(list(variant), dict(capacities)))
-                # An identical copy must land in the same group.
-                programs.append(Program(
-                    [Activity(a.aid, a.label, a.kind, a.duration, a.exclusive,
-                              dict(a.shared), a.deps, dict(a.meta))
-                     for a in variant],
-                    dict(capacities),
-                ))
         return programs
-
-    def test_keys_partition_like_the_oracle(self):
-        programs = self._programs()
-        _assert_same_partition(programs, lambda i: TPUV4)
-        # The hardware is part of the key.
-        _assert_same_partition(
-            programs, lambda i: TPUV4 if i % 2 else CLOUD
-        )
 
     def test_bound_bit_identical(self):
         for program in self._programs():
@@ -211,9 +155,7 @@ class TestFuzzedPrograms:
         block = builder.build()
         extended = ProgramBuilder.extending(block, TPUV4)
         extended.reducescatter("dp", 4, 1e6, "link_v")
-        programs = [block, repeat_program(block, 3), extended.build(),
-                    repeat_program(block, 3)]
-        _assert_same_partition(programs, lambda i: TPUV4)
+        programs = [block, repeat_program(block, 3), extended.build()]
         for program in programs:
             _assert_same_bound(program)
 
@@ -252,17 +194,13 @@ def fig9_programs():
         try:
             fig09_weak_scaling.run(jobs=1)
             store = _REGISTRY["built_program"].store
-            yield [(key[2], program) for key, program in store.items()]
+            yield list(store.values())
         finally:
             clear_caches()
 
 
 class TestFig9Programs:
-    def test_keys_partition_like_the_oracle(self, fig9_programs):
-        programs = [program for _hw, program in fig9_programs]
-        assert len(programs) > 100
-        _assert_same_partition(programs, lambda i: fig9_programs[i][0])
-
     def test_bound_bit_identical(self, fig9_programs):
-        for _hw, program in fig9_programs:
+        assert len(fig9_programs) > 100
+        for program in fig9_programs:
             _assert_same_bound(program)
