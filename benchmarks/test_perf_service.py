@@ -4,16 +4,15 @@ Not a paper artifact: tracks the serving layer's amortization. A
 zipf-distributed query mix (heavy head of repeated configs, long tail
 of variants) is replayed through :class:`repro.service.TunerService`
 backed by a fresh on-disk plan store; the reference numbers — served
-throughput, speedup over per-query cold ``tune()``, warm-start prune
-ratio, latency tails — live in ``benchmarks/BENCH_service.json``. The
-acceptance floor (served >= 5x cold) is enforced both here and by the
-CI perf-smoke leg.
+throughput, speedup over per-query cold ``tune()``, latency tails —
+live in ``benchmarks/BENCH_service.json``. The acceptance floor
+(served >= 5x cold) is enforced both here and by the CI perf-smoke
+leg.
 """
 
 import pytest
 
 from repro.hw import TPUV4
-from repro.obs.registry import registry
 from repro.perf import clear_caches
 from repro.service import default_catalog, run_load, zipf_mix
 
@@ -42,10 +41,10 @@ def test_service_throughput(benchmark, tmp_path):
             mix, str(tmp_path / "store"), workers=4, measure_cold=False
         )
 
-    # One pedantic round: the first replay populates the store (cold
-    # searches, warm-started where neighbors landed first), repeats
-    # inside the mix hit memory/in-flight dedup; a steady-state replay
-    # would be faster still.
+    # One pedantic round: the first replay populates the store (one
+    # search per distinct config), repeats inside the mix hit
+    # memory/in-flight dedup; a steady-state replay would be faster
+    # still.
     report = benchmark.pedantic(serve_mix, rounds=1, iterations=1)
 
     unique = list({r.cache_key(): r for r in mix}.values())
@@ -59,9 +58,6 @@ def test_service_throughput(benchmark, tmp_path):
         f"service throughput floor: {speedup:.1f}x < 5x cold tune()"
     )
 
-    reg = registry()
-    tunings = reg.counter_value("service.warmstart.pass_tunings")
-    prunes = reg.counter_value("service.warmstart.pass_prunes")
     benchmark.extra_info["queries"] = report.queries
     benchmark.extra_info["unique_configs"] = report.unique
     benchmark.extra_info["throughput_qps"] = round(report.throughput_qps, 1)
@@ -69,9 +65,6 @@ def test_service_throughput(benchmark, tmp_path):
     benchmark.extra_info["speedup_vs_cold"] = round(speedup, 1)
     benchmark.extra_info["store_hit_rate"] = round(
         report.stats["store_hit_rate"], 3
-    )
-    benchmark.extra_info["warmstart_prune_ratio"] = round(
-        prunes / (tunings + prunes) if tunings + prunes else 0.0, 3
     )
     benchmark.extra_info["latency_p50_ms"] = round(
         report.stats["latency_p50_ms"], 2

@@ -339,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Run the tuning service: JSONL TuneRequest queries (one "
             "object per line; see docs/service.md) are answered through "
             "the in-memory cache, the on-disk plan store, and finally a "
-            "warm-started search. Queries come from stdin by default, "
+            "tuning search. Queries come from stdin by default, "
             "or from a file with --replay (one-shot mode)."
         ),
     )
@@ -360,11 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--repeat", type=int, default=1,
         help="replay the query mix this many times (default: 1)",
-    )
-    serve.add_argument(
-        "--no-warm-start", action="store_true",
-        help="disable neighbor-seeded search (results are identical; "
-             "only pruning changes)",
     )
     serve.add_argument(
         "--store-max-records", type=int, default=None, metavar="N",
@@ -1076,10 +1071,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_records=args.store_max_records,
             max_bytes=args.store_max_bytes,
         )
-    with TunerService(
-        store, workers=args.workers,
-        warm_start=not args.no_warm_start,
-    ) as service:
+    with TunerService(store, workers=args.workers) as service:
         for _ in range(args.repeat):
             results = service.serve_many(requests)
         for request, result in zip(requests, results):
@@ -1095,7 +1087,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"{int(stats['coalesced_inflight'])} coalesced, "
         f"{int(stats['store_hits'])} store hit(s) "
         f"(hit rate {stats['store_hit_rate']:.2f}), "
-        f"warm-start prune ratio {stats['warmstart_prune_ratio']:.2f}, "
         f"p50 {stats['latency_p50_ms']:.1f} ms, "
         f"p95 {stats['latency_p95_ms']:.1f} ms"
     )

@@ -36,9 +36,9 @@ class ProfileReport:
         cache_hit_rates: Hit rate of each warm memoization cache.
         service_stats: The tuning service's cumulative ``service.*``
             counters and gauges (store hit/miss/corrupt counts,
-            in-flight coalescing, warm-start tunings vs prunes, queue
-            depth, p50/p95 service latency), empty when no
-            :class:`repro.service.TunerService` ran in this process.
+            in-flight coalescing, queue depth, p50/p95 service
+            latency), empty when no :class:`repro.service.TunerService`
+            ran in this process.
         campaign_stats: The campaign layer's cumulative ``campaign.*``
             counters (store appends/corrupt/repairs, points ran vs
             skipped vs failed, retries), empty when no

@@ -237,11 +237,8 @@ class TunedElasticPlanner:
     Step times come from real tuning searches (full mesh, chained
     degraded drops, reshaped factorizations); migration charges come
     from simulating :class:`~repro.recovery.elastic.ReshardPlan`
-    programs. A :class:`~repro.service.store.PlanStore` warm-starts
-    and deduplicates the searches exactly like the tuning service: a
-    lifetime that revisits the same transition shape hits the store
-    instead of re-searching, and ``mode="tune"`` misses are seeded
-    from the nearest stored neighbor.
+    programs. The planner caches each answer (the full mesh, each
+    failure count, each reshaped chip count), so it tunes each once.
 
     Imports of :mod:`repro.service` are deferred to call time — the
     service layer executes degraded retunes through this package, so a
@@ -256,7 +253,6 @@ class TunedElasticPlanner:
         mesh: Mesh2D,
         *,
         plane: str = "onesided",
-        store=None,
         max_slices: int = 64,
     ):
         from repro.recovery.elastic import (
@@ -274,7 +270,6 @@ class TunedElasticPlanner:
         self.hw = hw
         self.mesh = mesh
         self.plane = plane
-        self.store = store
         self.max_slices = max_slices
         self._payload = migration_payload_bytes(model, batch_size, hw)
         self._full: Optional[Tuple[Mesh2D, float]] = None
@@ -283,53 +278,19 @@ class TunedElasticPlanner:
 
     # ------------------------------------------------------------ resolution
 
-    def _resolve(self, request):
-        """Store-backed request resolution (the service's warm path)."""
-        from repro.service import execute, warm_tune
-
-        canonical = request.canonical()
-        if self.store is not None:
-            stored = self.store.load(canonical)
-            if stored is not None:
-                return stored
-            if canonical.mode == "tune":
-                neighbor = self.store.nearest_neighbor(canonical)
-                if neighbor is not None:
-                    _metrics().inc("service.warmstart.seeded")
-                    result = warm_tune(
-                        canonical.model,
-                        canonical.batch,
-                        canonical.chips,
-                        canonical.hw,
-                        neighbor_mesh=neighbor.result.mesh,
-                        optimize_dataflow=canonical.optimize_dataflow,
-                        min_mesh_dim=canonical.min_mesh_dim,
-                        max_slices=canonical.max_slices,
-                        abft=canonical.abft,
-                        sdc_rate=canonical.sdc_rate,
-                    )
-                    self.store.save(canonical, result)
-                    return result
-        result = execute(canonical)
-        if self.store is not None:
-            self.store.save(canonical, result)
-        return result
-
     def _tune(self, chips: int, min_mesh_dim: int) -> Optional[Tuple[Mesh2D, float]]:
         from repro.service import TuneRequest
 
         try:
-            result = self._resolve(
-                TuneRequest(
-                    model=self.model,
-                    batch=self.batch_size,
-                    hw=self.hw,
-                    mode="tune",
-                    chips=chips,
-                    min_mesh_dim=min_mesh_dim,
-                    max_slices=self.max_slices,
-                )
-            )
+            result = TuneRequest(
+                model=self.model,
+                batch=self.batch_size,
+                hw=self.hw,
+                mode="tune",
+                chips=chips,
+                min_mesh_dim=min_mesh_dim,
+                max_slices=self.max_slices,
+            ).run()
         except ValueError:
             return None
         return result.mesh, result.block_seconds
@@ -356,17 +317,15 @@ class TunedElasticPlanner:
             plan: Optional[Tuple[Mesh2D, float]] = None
             try:
                 for _ in range(failures):
-                    retune = self._resolve(
-                        TuneRequest(
-                            model=self.model,
-                            batch=self.batch_size,
-                            hw=self.hw,
-                            mode="degraded",
-                            mesh=mesh,
-                            dead=(0, 0),
-                            max_slices=self.max_slices,
-                        )
-                    )
+                    retune = TuneRequest(
+                        model=self.model,
+                        batch=self.batch_size,
+                        hw=self.hw,
+                        mode="degraded",
+                        mesh=mesh,
+                        dead=(0, 0),
+                        max_slices=self.max_slices,
+                    ).run()
                     mesh = retune.mesh
                     plan = (retune.mesh, retune.block_seconds)
             except NoSurvivingMeshError:

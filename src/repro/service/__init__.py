@@ -6,8 +6,6 @@ The pieces, bottom to top:
   tuner entry points share (:mod:`repro.service.request`);
 * :class:`PlanStore` — on-disk content-addressed plan persistence
   (:mod:`repro.service.store`);
-* :func:`warm_tune` — neighbor-seeded branch-and-bound
-  (:mod:`repro.service.warmstart`);
 * :class:`TunerService` — the concurrent, deduplicating front end
   (:mod:`repro.service.server`);
 * :func:`run_load` / :func:`zipf_mix` — the load generator behind
@@ -23,19 +21,16 @@ from repro.service.loadgen import (
 )
 from repro.service.request import MODES, TuneRequest, execute
 from repro.service.server import TunerService
-from repro.service.store import PlanStore, StoredPlan
-from repro.service.warmstart import warm_tune
+from repro.service.store import PlanStore
 
 __all__ = [
     "LoadReport",
     "MODES",
     "PlanStore",
-    "StoredPlan",
     "TuneRequest",
     "TunerService",
     "default_catalog",
     "execute",
     "run_load",
-    "warm_tune",
     "zipf_mix",
 ]

@@ -47,7 +47,7 @@ class LoadReport:
         speedup: Served throughput over the cold baseline's
             (``cold_seconds_per_query * throughput_qps``).
         stats: The service's closing :meth:`TunerService.stats`
-            snapshot (hit rates, prune ratio, latency tails).
+            snapshot (hit rates, latency tails).
     """
 
     queries: int
@@ -68,8 +68,7 @@ def default_catalog(
     """A catalog of distinct nominal tuning requests.
 
     The cross product (model x chips x batch) mirrors a deployment
-    sweep; adjacent chip counts are what gives the warm-start tier
-    neighbors to seed from.
+    sweep.
     """
     catalog: List[TuneRequest] = []
     for model in models:
@@ -128,7 +127,6 @@ def run_load(
     mix: Sequence[TuneRequest],
     store: Union[PlanStore, str, None],
     workers: int = 4,
-    warm_start: bool = True,
     measure_cold: bool = True,
 ) -> LoadReport:
     """Replay a query mix through a fresh service and report throughput.
@@ -142,7 +140,7 @@ def run_load(
         unique.setdefault(request.cache_key(), request)
     cold = cold_baseline(list(unique.values())) if measure_cold else 0.0
 
-    with TunerService(store, workers=workers, warm_start=warm_start) as svc:
+    with TunerService(store, workers=workers) as svc:
         started = time.perf_counter()
         svc.serve_many(list(mix))
         elapsed = time.perf_counter() - started

@@ -1,4 +1,4 @@
-"""The tuning service: concurrent front end over store + warm search.
+"""The tuning service: concurrent front end over store + search.
 
 :class:`TunerService` is the layer ROADMAP item 2 asks for — the
 autotuner treated as a system serving traffic rather than a script.
@@ -10,9 +10,7 @@ through three tiers:
    ``repro.perf`` memoization the engine functions use internally);
 2. **store** — the on-disk :class:`~repro.service.store.PlanStore`,
    shared across processes and sessions;
-3. **search** — a real tuning run, warm-started from the nearest
-   stored neighbor when one exists (``mode="tune"`` only; robust and
-   degraded searches have no mesh-ordering prior worth seeding), and
+3. **search** — a real tuning run (:func:`~repro.service.request.execute`),
    persisted back to the store on completion.
 
 Identical in-flight requests are **coalesced**: the second submitter
@@ -23,7 +21,7 @@ is dominated by the numpy/simulator work already released by the
 memoization layer's lock-free caches, so threads batch well.
 
 Every tier is counted under ``service.*`` metrics (hit rates, queue
-depth, warm-start pruning) and wall-clock service latency feeds the
+depth) and wall-clock service latency feeds the
 ``service.latency.p50_ms``/``p95_ms`` gauges — all surfaced by
 :class:`repro.obs.ProfileReport`. Latency and queue metrics are
 wall-clock by nature; they live only in the registry, never in store
@@ -40,7 +38,6 @@ from typing import Dict, List, Optional, Sequence, Union
 from repro.obs.registry import registry as _metrics
 from repro.service.request import TuneRequest, execute
 from repro.service.store import PlanStore
-from repro.service.warmstart import warm_tune
 
 __all__ = ["TunerService"]
 
@@ -59,12 +56,8 @@ class TunerService:
     Args:
         store: Plan-store root directory, an existing
             :class:`PlanStore`, or ``None`` for a memory-only service
-            (no persistence, no warm starts).
+            (no persistence).
         workers: Thread-pool width for distinct concurrent requests.
-        warm_start: Seed ``mode="tune"`` searches from the nearest
-            stored neighbor. Disabling forces every search cold
-            (results are bit-identical either way; only the amount of
-            pruning changes).
 
     Usable as a context manager; :meth:`close` drains the pool.
     """
@@ -73,14 +66,12 @@ class TunerService:
         self,
         store: Union[PlanStore, str, None] = None,
         workers: int = 4,
-        warm_start: bool = True,
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if isinstance(store, str):
             store = PlanStore(store)
         self.store: Optional[PlanStore] = store
-        self.warm_start = warm_start
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="meshslice-serve"
         )
@@ -166,7 +157,7 @@ class TunerService:
                 if self.store is not None:
                     self._count("store_misses")
                     reg.inc("service.store.misses")
-                result = self._search(canonical)
+                result = execute(canonical)
                 if self.store is not None:
                     self.store.save(canonical, result)
             with self._lock:
@@ -188,44 +179,11 @@ class TunerService:
             )
             reg.set_gauge("service.queue.depth", float(depth))
 
-    def _search(self, canonical: TuneRequest) -> object:
-        neighbor = None
-        if (
-            self.warm_start
-            and canonical.mode == "tune"
-            and self.store is not None
-        ):
-            neighbor = self.store.nearest_neighbor(canonical)
-        if neighbor is None:
-            return execute(canonical)
-        _metrics().inc("service.warmstart.seeded")
-        return warm_tune(
-            canonical.model,
-            canonical.batch,
-            canonical.chips,
-            canonical.hw,
-            neighbor_mesh=neighbor.result.mesh,
-            optimize_dataflow=canonical.optimize_dataflow,
-            min_mesh_dim=canonical.min_mesh_dim,
-            max_slices=canonical.max_slices,
-            abft=canonical.abft,
-            sdc_rate=canonical.sdc_rate,
-        )
-
     # ------------------------------------------------------------- reporting
 
     def stats(self) -> Dict[str, float]:
-        """Current service health: hit rates, pruning, latency tails.
-
-        Hit counts are scoped to this service instance; the
-        warm-start prune ratio comes from the process-wide
-        ``service.warmstart.*`` counters (pruning happens inside the
-        shared search functions).
-        """
-        reg = _metrics()
-        tunings = reg.counter_value("service.warmstart.pass_tunings")
-        prunes = reg.counter_value("service.warmstart.pass_prunes")
-        considered = tunings + prunes
+        """Current service health: hit rates and latency tails, scoped
+        to this service instance."""
         with self._lock:
             counts = dict(self._counts)
             ordered = sorted(self._latencies)
@@ -239,9 +197,6 @@ class TunerService:
             "store_misses": float(counts["store_misses"]),
             "store_hit_rate": (
                 counts["store_hits"] / looked_up if looked_up else 0.0
-            ),
-            "warmstart_prune_ratio": (
-                prunes / considered if considered else 0.0
             ),
             "latency_p50_ms": _percentile(ordered, 0.50),
             "latency_p95_ms": _percentile(ordered, 0.95),

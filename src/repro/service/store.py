@@ -23,15 +23,12 @@ and result always produces identical bytes (sorted keys, no
 timestamps, no environment), so two runs — or two concurrent workers —
 that tune the same canonical config write the *same* record, and the
 byte-determinism suite can diff stores across runs and ``--jobs``
-settings. Search-path-dependent reporting (``per_mesh_seconds``) is
-deliberately excluded: a warm-started search prunes hopeless meshes
-early, so its per-mesh map is a subset of the cold search's, while the
-chosen mesh, tuned passes, and block time are bit-equal either way.
+settings. A tuning result's ``per_mesh_seconds`` map is reporting
+only and is not stored: a loaded result carries an empty map.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import tempfile
@@ -52,20 +49,10 @@ from repro.service.request import SCHEMA_VERSION, TuneRequest
 
 __all__ = [
     "PlanStore",
-    "StoredPlan",
     "decode_result",
     "encode_record",
     "encode_result",
 ]
-
-
-@dataclasses.dataclass(frozen=True)
-class StoredPlan:
-    """One decoded store record: the canonical request and its result."""
-
-    key: str
-    request: TuneRequest
-    result: object
 
 
 class PlanStore:
@@ -110,15 +97,15 @@ class PlanStore:
     def load(self, request: TuneRequest) -> Optional[object]:
         """The stored result of ``request``'s canonical form, if any."""
         key = request.cache_key()
-        plan = self._read(key)
-        if plan is not None and (
+        result = self._read(key)
+        if result is not None and (
             self.max_records is not None or self.max_bytes is not None
         ):
             try:
                 os.utime(self.path_for(key))
             except OSError:
                 pass
-        return plan.result if plan is not None else None
+        return result
 
     def save(self, request: TuneRequest, result: object) -> str:
         """Persist one completed search; returns the record path.
@@ -187,19 +174,19 @@ class PlanStore:
             except OSError:
                 pass  # shard directory still holds other records
 
-    def _read(self, key: str) -> Optional[StoredPlan]:
+    def _read(self, key: str) -> Optional[object]:
         path = self.path_for(key)
         try:
             with open(path, "r") as handle:
                 raw = handle.read()
         except OSError:
             return None
-        plan = self._decode(key, raw)
-        if plan is None:
+        result = self._decode(key, raw)
+        if result is None:
             _metrics().inc("service.store.corrupt")
-        return plan
+        return result
 
-    def _decode(self, key: str, raw: str) -> Optional[StoredPlan]:
+    def _decode(self, key: str, raw: str) -> Optional[object]:
         """Decode one record; ``None`` for anything not fully valid."""
         try:
             record = json.loads(raw)
@@ -218,7 +205,7 @@ class PlanStore:
             result = decode_result(record["result"], request)
         except (KeyError, TypeError, ValueError):
             return None
-        return StoredPlan(key=key, request=request, result=result)
+        return result
 
     # ----------------------------------------------------------- scanning
 
@@ -237,53 +224,6 @@ class PlanStore:
             for name in sorted(os.listdir(shard_dir)):
                 if name.endswith(".json") and not name.startswith("."):
                     yield os.path.join(shard_dir, name)
-
-    def records(self) -> Iterator[StoredPlan]:
-        """Every valid record, in deterministic (key) order."""
-        for path in self._record_paths():
-            key = os.path.basename(path)[: -len(".json")]
-            plan = self._read(key)
-            if plan is not None:
-                yield plan
-
-    def nearest_neighbor(
-        self, request: TuneRequest
-    ) -> Optional[StoredPlan]:
-        """The warm-start seed: same search, nearest other chip count.
-
-        A neighbor must match everything that shapes the mesh/slice
-        search space except the cluster size — same model, hardware,
-        mode, Phase-1 setting, slice bound, mesh-dim floor, and ABFT
-        knobs; the batch may differ (it scales every candidate's cost
-        roughly alike, so the neighbor's chosen shape remains a good
-        ordering prior). Among matches the smallest ``|log2(chips) -
-        log2(target)|`` wins, ties toward fewer chips — production
-        sweeps step in powers of two, so "adjacent chip count" means
-        one doubling away.
-        """
-        import math
-
-        target = request.canonical()
-        best: Optional[Tuple[float, int, StoredPlan]] = None
-        for plan in self.records():
-            cand = plan.request
-            if (
-                cand.mode != target.mode
-                or cand.model.name != target.model.name
-                or cand.hw != target.hw
-                or cand.chips == target.chips
-                or cand.optimize_dataflow != target.optimize_dataflow
-                or cand.min_mesh_dim != target.min_mesh_dim
-                or cand.max_slices != target.max_slices
-                or cand.abft != target.abft
-                or cand.sdc_rate != target.sdc_rate
-            ):
-                continue
-            distance = abs(math.log2(cand.chips) - math.log2(target.chips))
-            rank = (distance, cand.chips)
-            if best is None or rank < (best[0], best[1]):
-                best = (distance, cand.chips, plan)
-        return best[2] if best is not None else None
 
 
 # ------------------------------------------------------------- the codec
@@ -365,9 +305,7 @@ def decode_result(data: Dict[str, Any], request: TuneRequest) -> object:
 
 
 def _encode_tuning(result: TuningResult) -> Dict[str, Any]:
-    # per_mesh_seconds is reporting-only and search-path dependent
-    # (warm-started searches prune candidates); excluding it keeps
-    # records byte-identical across warm and cold searches.
+    # per_mesh_seconds is reporting only and stays out of the record.
     return {
         "mesh": list(result.mesh.shape),
         "passes": [_encode_pass(p) for p in result.passes],

@@ -100,8 +100,8 @@ sys.stdout.write(dumps_records(collect_records(include_caches=False)))
 #: Serve a query mix (with duplicates) through the tuning service into
 #: a plan store, then print every stored record's address and content
 #: hash. The store contract: the same canonical config produces the
-#: identical record bytes whatever the worker count, arrival order, or
-#: warm-start path that produced it.
+#: identical record bytes whatever the worker count or arrival order
+#: that produced it.
 STORE_SCRIPT = """
 import hashlib
 import os
@@ -208,12 +208,10 @@ class TestStoreByteDeterminism:
     def test_identical_records_across_runs_and_workers(self, tmp_path):
         """Same canonical configs -> identical stored record bytes.
 
-        Run one: a single worker serves the mix sequentially, so the
-        32- and 64-chip searches warm-start from stored neighbors.
-        Run two: four workers race, the duplicates coalesce in flight,
-        and the searches mostly run cold — under a different hash
-        seed. The stores must still match file for file, byte for
-        byte.
+        Run one: a single worker serves the mix sequentially. Run
+        two: four workers race and the duplicates coalesce in flight —
+        under a different hash seed. The stores must still match file
+        for file, byte for byte.
         """
         serial = _run(STORE_SCRIPT, tmp_path / "a", 1, hashseed="0")
         parallel = _run(STORE_SCRIPT, tmp_path / "b", 4, hashseed="31337")

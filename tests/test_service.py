@@ -1,4 +1,4 @@
-"""The tuning service: TuneRequest, PlanStore, warm start, serving."""
+"""The tuning service: TuneRequest, PlanStore, serving."""
 
 import json
 import os
@@ -20,7 +20,6 @@ from repro.service import (
     TunerService,
     default_catalog,
     execute,
-    warm_tune,
     zipf_mix,
 )
 from repro.service.store import encode_record
@@ -214,8 +213,6 @@ class TestPlanStore:
         request = tiny_request()
         assert request.cache_key() != old["key"]
         assert store.load(request) is None
-        assert list(store.records()) == []
-        assert store.nearest_neighbor(tiny_request(chips=32)) is None
         with TunerService(str(tmp_path), workers=1) as svc:
             served = svc.serve(request)
         assert served == request.run()
@@ -241,23 +238,6 @@ class TestPlanStore:
         with open(path, "w") as handle:
             handle.write(forged)
         assert store.load(request) is None
-
-    def test_nearest_neighbor_prefers_adjacent_chip_count(self, tmp_path):
-        store = PlanStore(str(tmp_path))
-        for chips in (8, 16, 64):
-            req = tiny_request(chips=chips)
-            store.save(req, execute(req))
-        neighbor = store.nearest_neighbor(tiny_request(chips=32))
-        assert neighbor.request.chips in (16, 64)
-        assert neighbor.request.chips == 16  # tie breaks to fewer chips
-        # Exact-chips records are not neighbors (they would be hits).
-        assert store.nearest_neighbor(tiny_request(chips=16)).request.chips == 8
-
-    def test_nearest_neighbor_requires_matching_knobs(self, tmp_path):
-        store = PlanStore(str(tmp_path))
-        req = tiny_request(chips=16, abft=True)
-        store.save(req, execute(req))
-        assert store.nearest_neighbor(tiny_request(chips=32)) is None
 
 
 class TestPlanStoreEviction:
@@ -336,32 +316,6 @@ class TestPlanStoreEviction:
             PlanStore(str(tmp_path), **kwargs)
 
 
-class TestWarmTune:
-    @pytest.mark.parametrize("chips", [16, 32, 64])
-    def test_warm_equals_cold_bitwise(self, chips):
-        cold = tune_model(TINY, 4, chips, TPUV4)
-        for neighbor in (None, Mesh2D(2, 8), Mesh2D(4, 4), Mesh2D(8, 2)):
-            warm = warm_tune(TINY, 4, chips, TPUV4, neighbor_mesh=neighbor)
-            assert warm.mesh == cold.mesh
-            assert warm.block_seconds == cold.block_seconds
-            assert warm.passes == cold.passes
-
-    def test_warm_per_mesh_is_subset_of_cold(self):
-        cold = tune_model(TINY, 4, 64, TPUV4)
-        warm = warm_tune(TINY, 4, 64, TPUV4, neighbor_mesh=cold.mesh)
-        for shape, seconds in warm.per_mesh_seconds.items():
-            assert cold.per_mesh_seconds[shape] == seconds
-
-    def test_good_seed_prunes(self):
-        cold = tune_model(TINY, 4, 64, TPUV4)
-        before = registry().counter_value("service.warmstart.pass_prunes")
-        warm_tune(TINY, 4, 64, TPUV4, neighbor_mesh=cold.mesh)
-        assert (
-            registry().counter_value("service.warmstart.pass_prunes")
-            > before
-        )
-
-
 class TestTunerService:
     def test_three_tiers(self, tmp_path):
         request = tiny_request()
@@ -379,17 +333,23 @@ class TestTunerService:
             result = svc.serve(tiny_request())
         assert result.mesh == tune_model(TINY, 4, 16, TPUV4).mesh
 
-    def test_warm_start_from_neighbor(self, tmp_path):
-        with TunerService(str(tmp_path), workers=1) as svc:
-            svc.serve(tiny_request(chips=16))
-            before = registry().counter_value("service.warmstart.seeded")
-            warm = svc.serve(tiny_request(chips=32))
-        assert registry().counter_value("service.warmstart.seeded") == \
-            before + 1
-        cold = tune_model(TINY, 4, 32, TPUV4)
-        assert warm.mesh == cold.mesh
-        assert warm.block_seconds == cold.block_seconds
-        assert warm.passes == cold.passes
+    def test_neighbor_sweep_serves_cold_results(self, tmp_path):
+        """Each search of a chip sweep is the cold search, whatever the
+        store already holds: the served result equals ``request.run()``
+        field for field, ``per_mesh_seconds`` included, and its record
+        holds the cold result's bytes."""
+        store = PlanStore(str(tmp_path))
+        requests = [tiny_request(chips=chips) for chips in (16, 32, 64, 8)]
+        with TunerService(store, workers=1) as svc:
+            for request in requests:
+                assert svc.serve(request) == request.run()
+        for request in requests:
+            canonical = request.canonical()
+            key = canonical.cache_key()
+            with open(store.path_for(key)) as handle:
+                assert handle.read() == encode_record(
+                    key, canonical, request.run()
+                )
 
     def test_concurrent_identical_requests_coalesce(self, tmp_path):
         """Two threads, same canonical config: one search, one write."""
@@ -435,8 +395,7 @@ class TestTunerService:
             stats = svc.stats()
         for key in (
             "requests", "served_from_memory", "store_hits",
-            "store_hit_rate", "warmstart_prune_ratio",
-            "latency_p50_ms", "latency_p95_ms", "queue_depth",
+            "store_hit_rate", "latency_p50_ms", "latency_p95_ms", "queue_depth",
         ):
             assert key in stats
         assert stats["queue_depth"] == 0.0
