@@ -11,6 +11,7 @@ history — from the store alone. See ``docs/campaign.md``.
 
 from repro.campaign.codec import (
     canonical_json,
+    content_key,
     decode_value,
     encode_value,
     point_key,
@@ -50,6 +51,7 @@ __all__ = [
     "campaign_names",
     "campaign_specs",
     "canonical_json",
+    "content_key",
     "counter_history",
     "cross_campaign_totals",
     "decode_value",

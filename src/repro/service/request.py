@@ -12,9 +12,10 @@ layer (:mod:`repro.service.server`) all share to ask for any of them:
   mode ignores (the request-level analogue of
   :meth:`repro.algorithms.base.DistributedGeMM.canonical_config`), so
   near-duplicate production queries collapse onto one cache identity;
-* :meth:`TuneRequest.cache_key` hashes the canonical JSON form into
-  the content address used by the in-memory result cache and the
-  on-disk :class:`repro.service.store.PlanStore`;
+* :meth:`TuneRequest.cache_key` hashes the canonical form (through
+  :func:`repro.campaign.codec.content_key`) into the content address
+  used by the in-memory result cache and the on-disk
+  :class:`repro.service.store.PlanStore`;
 * :func:`execute` (and :meth:`TuneRequest.run`) dispatches a request
   to the tuner function of its mode and returns the mode's result
   object.
@@ -23,10 +24,9 @@ layer (:mod:`repro.service.server`) all share to ask for any of them:
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 from typing import Any, Dict, Optional, Tuple
 
+from repro.campaign.codec import content_key
 from repro.faults.hard import HardFault
 from repro.faults.spec import FaultSpec
 from repro.hw.params import HardwareParams
@@ -36,9 +36,9 @@ from repro.models.config import LLMConfig
 #: The three tuning modes a request can ask for.
 MODES = ("tune", "robust", "degraded")
 
-#: Version of the canonical JSON schema; bump on incompatible change
-#: so stored plans from older layouts are treated as misses, never
-#: misread.
+#: Version of the ``to_dict``/``from_dict`` query-file schema; bump on
+#: incompatible change. Plan-store records carry their own version
+#: (:data:`repro.service.store.RECORD_SCHEMA`).
 SCHEMA_VERSION = 2
 
 
@@ -154,12 +154,7 @@ class TuneRequest:
 
     def cache_key(self) -> str:
         """Content address of the canonical form (sha256 hex digest)."""
-        payload = json.dumps(
-            self.canonical().to_dict(),
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return content_key(self.canonical())
 
     # ------------------------------------------------------- serialization
 
@@ -187,7 +182,7 @@ class TuneRequest:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "TuneRequest":
-        """Build a request from a dict (CLI query files, store records).
+        """Build a request from a dict (``serve`` query files).
 
         ``model`` and ``hw`` accept either a registry name
         (``"gpt3-175b"``, ``"tpuv4-sim"``) or the full field dict the

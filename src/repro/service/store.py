@@ -10,10 +10,16 @@ Layout::
 
     <root>/<key[:2]>/<key>.json
 
+A record is the shared codec's (:mod:`repro.campaign.codec`) canonical
+JSON of ``{"schema", "key", "request", "result"}``: the canonical
+request and the result stored whole, except a robust result's
+``fault_plans``, which loading re-samples from the request's spec.
+
 Records are written atomically (temp file + ``os.replace``) and loaded
 corruption-tolerantly: unreadable bytes, malformed JSON, schema
-mismatches, and records whose embedded request no longer hashes to
-their filename are all treated as cache *misses* (counted under
+mismatches, type refs that do not resolve, results of the wrong type,
+and records whose embedded request no longer hashes to their filename
+are all treated as cache *misses* (counted under
 ``service.store.corrupt``), never as errors — a half-written or
 bit-rotted record can cost a redundant search but can never poison a
 serving process.
@@ -23,36 +29,31 @@ and result always produces identical bytes (sorted keys, no
 timestamps, no environment), so two runs — or two concurrent workers —
 that tune the same canonical config write the *same* record, and the
 byte-determinism suite can diff stores across runs and ``--jobs``
-settings. A tuning result's ``per_mesh_seconds`` map is reporting
-only and is not stored: a loaded result carries an empty map.
+settings.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import tempfile
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, Optional
 
-from repro.autotuner.costmodel import CostEstimate
-from repro.autotuner.dataflow import PassPlan
-from repro.autotuner.search import (
-    RobustTuningResult,
-    TunedPass,
-    TuningResult,
-)
-from repro.core.dataflow import Dataflow
-from repro.core.gemm import GeMMShape
-from repro.mesh.topology import Mesh2D
+from repro.autotuner.search import RobustTuningResult, TuningResult
+from repro.campaign.codec import canonical_json, decode_value
 from repro.obs.registry import registry as _metrics
-from repro.service.request import SCHEMA_VERSION, TuneRequest
+from repro.service.request import TuneRequest
 
 __all__ = [
     "PlanStore",
-    "decode_result",
+    "RECORD_SCHEMA",
     "encode_record",
-    "encode_result",
 ]
+
+#: Version of the plan-store record layout; bump on incompatible change
+#: so records of older layouts read as misses, never as misreads.
+RECORD_SCHEMA = 3
 
 
 class PlanStore:
@@ -192,18 +193,30 @@ class PlanStore:
             record = json.loads(raw)
             if (
                 not isinstance(record, dict)
-                or record.get("schema") != SCHEMA_VERSION
+                or record.get("schema") != RECORD_SCHEMA
                 or record.get("key") != key
             ):
                 return None
-            request = TuneRequest.from_dict(record["request"])
-            if request.cache_key() != key:
+            request = decode_value(record["request"])
+            if (
+                not isinstance(request, TuneRequest)
+                or request.cache_key() != key
+            ):
                 # The record's content no longer hashes to its address
                 # (bit rot, or a hand-edited file): a miss, not a hit
                 # for the wrong query.
                 return None
-            result = decode_result(record["result"], request)
-        except (KeyError, TypeError, ValueError):
+            result = decode_value(record["result"])
+            if type(result) is not _result_type(request.mode):
+                return None
+            if isinstance(result, RobustTuningResult):
+                plans = request.spec.ensemble(
+                    request.chips, request.hw, request.ensemble
+                )
+                result = dataclasses.replace(result, fault_plans=plans)
+        except (AttributeError, KeyError, TypeError, ValueError):
+            # AttributeError: a hand-edited field of the wrong type
+            # fails the request's own validation that way.
             return None
         return result
 
@@ -226,156 +239,23 @@ class PlanStore:
                     yield os.path.join(shard_dir, name)
 
 
-# ------------------------------------------------------------- the codec
+# ------------------------------------------------------------ the record
 
 
 def encode_record(key: str, request: TuneRequest, result: object) -> str:
-    """The canonical record bytes of one completed search."""
-    record = {
-        "schema": SCHEMA_VERSION,
-        "key": key,
-        "request": request.to_dict(),
-        "result": encode_result(result),
-    }
-    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def encode_result(result: object) -> Dict[str, Any]:
-    """Serialize any of the three mode result objects."""
-    if isinstance(result, TuningResult):
-        return {"kind": "tune", **_encode_tuning(result)}
+    """The record bytes of one completed search (canonical request)."""
     if isinstance(result, RobustTuningResult):
-        return {
-            "kind": "robust",
-            "mesh": list(result.mesh.shape),
-            "passes": [_encode_pass(p) for p in result.passes],
-            "quantile": result.quantile,
-            "robust_seconds": result.robust_seconds,
-            "mean_seconds": result.mean_seconds,
-            "nominal_seconds": result.nominal_seconds,
-            "per_mesh_robust": _encode_per_mesh(result.per_mesh_robust),
-        }
-    from repro.recovery.degraded import DegradedRetune
-
-    if isinstance(result, DegradedRetune):
-        return {
-            "kind": "degraded",
-            "original": list(result.original.shape),
-            "dead": list(result.dead),
-            "dropped": result.dropped,
-            "result": _encode_tuning(result.result),
-        }
-    raise TypeError(f"cannot encode result type {type(result).__name__}")
+        result = dataclasses.replace(result, fault_plans=())
+    return canonical_json({
+        "schema": RECORD_SCHEMA, "key": key,
+        "request": request, "result": result,
+    }) + "\n"
 
 
-def decode_result(data: Dict[str, Any], request: TuneRequest) -> object:
-    """Inverse of :func:`encode_result`.
-
-    ``request`` (canonical) supplies the context a record omits
-    because it is reproducible: robust mode's fault-plan ensemble is
-    re-sampled from the spec's seed rather than stored.
-    """
-    kind = data["kind"]
-    if kind == "tune":
-        return _decode_tuning(data)
-    if kind == "robust":
-        fault_plans = request.spec.ensemble(
-            request.chips, request.hw, request.ensemble
-        )
-        return RobustTuningResult(
-            mesh=Mesh2D(*data["mesh"]),
-            passes=tuple(_decode_pass(p) for p in data["passes"]),
-            quantile=data["quantile"],
-            robust_seconds=data["robust_seconds"],
-            mean_seconds=data["mean_seconds"],
-            nominal_seconds=data["nominal_seconds"],
-            per_mesh_robust=_decode_per_mesh(data["per_mesh_robust"]),
-            fault_plans=fault_plans,
-        )
-    if kind == "degraded":
+def _result_type(mode: str) -> type:
+    """The result class a request of ``mode`` resolves to."""
+    if mode == "degraded":
         from repro.recovery.degraded import DegradedRetune
 
-        return DegradedRetune(
-            original=Mesh2D(*data["original"]),
-            dead=tuple(data["dead"]),
-            dropped=data["dropped"],
-            result=_decode_tuning(data["result"]),
-        )
-    raise ValueError(f"unknown result kind {kind!r}")
-
-
-def _encode_tuning(result: TuningResult) -> Dict[str, Any]:
-    # per_mesh_seconds is reporting only and stays out of the record.
-    return {
-        "mesh": list(result.mesh.shape),
-        "passes": [_encode_pass(p) for p in result.passes],
-        "block_seconds": result.block_seconds,
-    }
-
-
-def _decode_tuning(data: Dict[str, Any]) -> TuningResult:
-    return TuningResult(
-        mesh=Mesh2D(*data["mesh"]),
-        passes=tuple(_decode_pass(p) for p in data["passes"]),
-        block_seconds=data["block_seconds"],
-        per_mesh_seconds={},
-    )
-
-
-def _encode_pass(tuned: TunedPass) -> Dict[str, Any]:
-    shape = tuned.plan.shape
-    estimate = tuned.estimate
-    return {
-        "layer": tuned.layer_name,
-        "pass": tuned.plan.pass_name,
-        "shape": [shape.m, shape.n, shape.k, shape.dtype_bytes],
-        "dataflow": tuned.plan.dataflow.name,
-        "transposed": tuned.plan.transposed,
-        "slices": tuned.slices,
-        "estimate": [
-            estimate.prologue,
-            estimate.steady,
-            estimate.epilogue,
-            estimate.slices,
-            estimate.flops_per_chip,
-        ],
-        "abft": tuned.abft,
-        "sdc_rate": tuned.sdc_rate,
-    }
-
-
-def _decode_pass(data: Dict[str, Any]) -> TunedPass:
-    m, n, k, dtype_bytes = data["shape"]
-    prologue, steady, epilogue, slices, flops = data["estimate"]
-    return TunedPass(
-        layer_name=data["layer"],
-        plan=PassPlan(
-            pass_name=data["pass"],
-            shape=GeMMShape(m=m, n=n, k=k, dtype_bytes=dtype_bytes),
-            dataflow=Dataflow[data["dataflow"]],
-            transposed=data["transposed"],
-        ),
-        slices=data["slices"],
-        estimate=CostEstimate(
-            prologue=prologue,
-            steady=steady,
-            epilogue=epilogue,
-            slices=slices,
-            flops_per_chip=flops,
-        ),
-        abft=data["abft"],
-        sdc_rate=data["sdc_rate"],
-    )
-
-
-def _encode_per_mesh(
-    per_mesh: Dict[Tuple[int, int], float]
-) -> List[List[Any]]:
-    return [
-        [rows, cols, seconds]
-        for (rows, cols), seconds in sorted(per_mesh.items())
-    ]
-
-
-def _decode_per_mesh(data: List[List[Any]]) -> Dict[Tuple[int, int], float]:
-    return {(rows, cols): seconds for rows, cols, seconds in data}
+        return DegradedRetune
+    return RobustTuningResult if mode == "robust" else TuningResult

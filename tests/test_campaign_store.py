@@ -1,7 +1,9 @@
 """The campaign record store: codec, schema, appends, loads, repair."""
 
+import hashlib
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from repro.campaign import (
     CampaignStore,
     SCHEMA_VERSION,
     canonical_json,
+    content_key,
     decode_value,
     encode_record,
     encode_value,
@@ -70,9 +73,37 @@ class TestCodec:
         with pytest.raises(TypeError):
             encode_value({"__tuple__": [1]})
 
-    def test_non_string_dict_keys_rejected(self):
+    def test_tuple_keyed_dict_round_trips_in_canonical_order(self):
+        value = {(4, 8): 1.5, (2, 16): 2.5, (1, 32): 3.5}
+        backwards = dict(reversed(list(value.items())))
+        assert canonical_json(value) == canonical_json(backwards)
+        assert encode_value(value) == {"__items__": [
+            [{"__tuple__": [1, 32]}, 3.5],
+            [{"__tuple__": [2, 16]}, 2.5],
+            [{"__tuple__": [4, 8]}, 1.5],
+        ]}
+        out = decode_value(encode_value(value))
+        assert out == value
+        assert all(isinstance(key, tuple) for key in out)
+
+    def test_invalid_dict_keys_rejected(self):
         with pytest.raises(TypeError):
-            encode_value({1: "a"})
+            encode_value({object(): "a"})
+        with pytest.raises(TypeError):
+            encode_value({"__items__": [[1, "a"]]})
+
+    def test_refs_outside_repro_are_refused_before_import(self):
+        assert "antigravity" not in sys.modules
+        with pytest.raises(ValueError, match="outside the repro package"):
+            decode_value({"__dataclass__": "antigravity:X", "fields": {}})
+        assert "antigravity" not in sys.modules
+
+    @pytest.mark.parametrize("ref", [
+        "repro.nope:Gone", "repro.mesh.topology:Gone", "repro", 7,
+    ])
+    def test_unresolvable_refs_raise_value_error(self, ref):
+        with pytest.raises(ValueError):
+            decode_value({"__enum__": ref, "name": "X"})
 
     def test_unencodable_value_rejected(self):
         with pytest.raises(TypeError):
@@ -87,6 +118,15 @@ class TestCodec:
         assert len(key) == 64 and int(key, 16) >= 0
         assert key != point_key("fig10", (1, 2))
         assert key != point_key("fig9", (2, 1))
+
+    def test_point_key_bytes_are_pinned(self):
+        """Existing campaign stores are addressed by these bytes: a
+        codec change must not re-address them."""
+        key = point_key("fig9", (1, 2))
+        assert key == (
+            "74c0a783115cff000c00ece4b3fcd43b3ffff4b9c5e2062e8623d7bdb218330d"
+        )
+        assert key == content_key({"campaign": "fig9", "point": (1, 2)})
 
 
 class TestRecords:
@@ -129,6 +169,21 @@ class TestRecords:
         assert line == json.dumps(
             parsed, sort_keys=True, separators=(",", ":")
         ) + "\n"
+
+    def test_encode_record_bytes_are_pinned(self):
+        """One record line with every marker a campaign row uses, as
+        stores written before the ``__items__`` marker hold it."""
+        point = (Mesh2D(2, 4), Dataflow.LS, GeMMShape(m=8, n=8, k=8))
+        record = make_record(
+            "demo", point_key("demo", point), point, "ok",
+            result={"shape": GeMMShape(m=64, n=32, k=16),
+                    "seconds": (1.5, 2.25)},
+        )
+        record["version"] = "1.9.0"
+        line = encode_record(record)
+        assert hashlib.sha256(line.encode("utf-8")).hexdigest() == (
+            "070056a02e075c62c240ce91dec7131817c0e9f0fd16dda96745b259d48fce4b"
+        )
 
     def test_record_metrics_keeps_only_deterministic_series(self):
         reg = MetricsRegistry()

@@ -22,7 +22,7 @@ from repro.service import (
     execute,
     zipf_mix,
 )
-from repro.service.store import encode_record
+from repro.service.store import RECORD_SCHEMA, encode_record
 
 #: Small enough to tune in milliseconds, large enough to be non-trivial.
 TINY = LLMConfig(
@@ -32,9 +32,15 @@ TINY = LLMConfig(
 
 GPT3 = get_model("gpt3-175b")
 
+GOLDENS = Path(__file__).parent / "goldens"
+
 #: A ``tiny_request()`` record written under request schema 1, whose
 #: canonical form still carried an ``engine`` key.
-SCHEMA1_RECORD = Path(__file__).parent / "goldens" / "plan_store_schema1_tune.json"
+SCHEMA1_RECORD = GOLDENS / "plan_store_schema1_tune.json"
+
+#: A ``tiny_request()`` record of the schema-2 layout: hand-written
+#: per-type JSON, request dict from ``to_dict``, no ``per_mesh_seconds``.
+SCHEMA2_RECORD = GOLDENS / "plan_store_schema2_tune.json"
 
 
 def tiny_request(**overrides):
@@ -138,6 +144,8 @@ class TestTuneRequest:
 
 class TestPlanStore:
     def test_round_trip_all_modes(self, tmp_path):
+        """A loaded result equals the search's, field for field:
+        ``per_mesh_*`` maps included, robust ``fault_plans`` rebuilt."""
         store = PlanStore(str(tmp_path))
         spec = FaultSpec(stragglers=1, seed=5)
         requests = [
@@ -149,12 +157,8 @@ class TestPlanStore:
             ),
         ]
         for request in requests:
-            result = execute(request)
-            store.save(request, result)
-            loaded = store.load(request)
-            assert type(loaded) is type(result)
-            assert loaded.mesh == result.mesh if hasattr(result, "mesh") \
-                else True
+            store.save(request, execute(request))
+            assert store.load(request) == execute(request)
         assert len(store) == 3
 
     def test_tune_record_restores_exact_passes(self, tmp_path):
@@ -202,8 +206,8 @@ class TestPlanStore:
         assert registry().counter_value("service.store.corrupt") >= before + 2
 
     def test_schema1_record_is_a_miss(self, tmp_path):
-        """A record of the previous schema reads as a miss, never as a
-        misread, and serving the query rewrites it under schema 2."""
+        """A record of an old schema reads as a miss, never as a
+        misread, and serving the query rewrites it under schema 3."""
         old = json.loads(SCHEMA1_RECORD.read_text())
         assert old["schema"] == 1 and "engine" in old["request"]
         store = PlanStore(str(tmp_path))
@@ -218,12 +222,45 @@ class TestPlanStore:
         assert served == request.run()
         with open(store.path_for(request.cache_key())) as handle:
             new = json.load(handle)
-        assert new["schema"] == 2
-        assert "engine" not in new["request"]
-        loaded = store.load(request)
-        assert (loaded.mesh, loaded.block_seconds, loaded.passes) == (
-            served.mesh, served.block_seconds, served.passes
+        assert new["schema"] == RECORD_SCHEMA == 3
+        assert "engine" not in new["request"]["fields"]
+        assert store.load(request) == served
+
+    def test_schema2_record_is_corrupt(self, tmp_path):
+        """The previous layout, even at the current key's path, is a
+        counted miss."""
+        old = json.loads(SCHEMA2_RECORD.read_text())
+        assert old["schema"] == 2 and old["result"]["kind"] == "tune"
+        store = PlanStore(str(tmp_path))
+        request = tiny_request()
+        path = store.path_for(request.cache_key())
+        os.makedirs(os.path.dirname(path))
+        shutil.copyfile(SCHEMA2_RECORD, path)
+        before = registry().counter_value("service.store.corrupt")
+        assert store.load(request) is None
+        assert registry().counter_value("service.store.corrupt") == before + 1
+
+    @pytest.mark.parametrize("mode, edit", [
+        ("tune", lambda record: record["result"].update(
+            __dataclass__="repro.nope:Gone")),
+        ("degraded", lambda record: record["request"]["fields"].update(
+            mesh=16)),
+    ], ids=["unresolvable-type-ref", "mistyped-request-field"])
+    def test_hand_edited_record_is_corrupt(self, tmp_path, mode, edit):
+        store = PlanStore(str(tmp_path))
+        request = tiny_request() if mode == "tune" else TuneRequest(
+            model=TINY, batch=4, hw=TPUV4, mode="degraded",
+            mesh=Mesh2D(4, 4), dead=(0, 0),
         )
+        path = store.save(request, execute(request))
+        with open(path) as handle:
+            record = json.load(handle)
+        edit(record)
+        with open(path, "w") as handle:
+            json.dump(record, handle)
+        before = registry().counter_value("service.store.corrupt")
+        assert store.load(request) is None
+        assert registry().counter_value("service.store.corrupt") == before + 1
 
     def test_key_mismatch_is_a_miss(self, tmp_path):
         store = PlanStore(str(tmp_path))
