@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import abc
 import dataclasses
-from typing import TYPE_CHECKING, Dict, Hashable, Optional, Tuple, Type
+from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Tuple, Type
 
 from repro.core.dataflow import Dataflow, sliced_dimension
 from repro.core.gemm import GeMMShape
@@ -26,7 +26,8 @@ from repro.hw.params import HardwareParams
 from repro.mesh.topology import Mesh2D
 from repro.perf.cache import caching_enabled, named_cache
 from repro.sim.chip import gemm_cost
-from repro.sim.program import Program, ProgramBuilder
+from repro.sim.engine import LINK_H, LINK_V
+from repro.sim.program import CostTable, Program, ProgramBuilder, shared_capacities
 
 if TYPE_CHECKING:
     import numpy as np
@@ -101,6 +102,9 @@ class GeMMConfig:
 #: One flowing matrix in one torus direction: ("ag"|"rds", "a"|"b"|"c").
 FlowOp = Tuple[str, str]
 
+#: A cost table's slots: each declared name -> its slot.
+Slots = Dict[Hashable, int]
+
 _FLOW_TABLE = {
     Dataflow.OS: (("ag", "a"), ("ag", "b")),
     Dataflow.LS: (("rds", "c"), ("ag", "b")),
@@ -121,6 +125,20 @@ def flow_ops(dataflow: Dataflow, transposed: bool = False) -> Tuple[FlowOp, Flow
     if transposed:
         return row_op, col_op
     return col_op, row_op
+
+
+def flow_directions(cfg: GeMMConfig) -> Tuple[Tuple[str, str, str, int], ...]:
+    """``(collective, matrix, link, ring size)`` of both torus directions.
+
+    The inter-column direction (row rings, :data:`LINK_H`) comes first,
+    then the inter-row direction (column rings, :data:`LINK_V`); see
+    :func:`flow_ops`.
+    """
+    (col_op, col_mat), (row_op, row_mat) = flow_ops(cfg.dataflow, cfg.transposed)
+    return (
+        (col_op, col_mat, LINK_H, cfg.mesh.cols),
+        (row_op, row_mat, LINK_V, cfg.mesh.rows),
+    )
 
 
 def matrix_bytes(shape: GeMMShape, matrix: str) -> float:
@@ -154,29 +172,42 @@ def abft_payload_factor(cfg: GeMMConfig, matrix: str) -> float:
     raise ValueError(f"unknown matrix {matrix!r}")
 
 
-def abft_epilogue(
-    builder: ProgramBuilder,
-    cfg: GeMMConfig,
-    hw: HardwareParams,
-    deps: Tuple[int, ...],
-) -> int:
-    """Append the ABFT verify-and-recompute epilogue to a program.
+def abft_costs(table: CostTable, cfg: GeMMConfig) -> None:
+    """Declare the ABFT records of a protected GeMM.
 
-    One checksum pass re-sums the accumulated local output block
-    against its carried row/column checksums (the data is read for the
-    row sums and again for the column sums, hence the factor 2), then
-    an expected-cost recompute of the full local block models the
-    fallback for detected-uncorrectable corruption: its probability is
-    the per-operation SDC rate times the number of protected
-    operations, capped at 1.
+    Both operands' checksum encodes (one streaming pass per local
+    shard), then the verify-and-recompute epilogue: one checksum pass
+    re-sums the accumulated local output block against its carried
+    row/column checksums (the data is read for the row sums and again
+    for the column sums, hence the factor 2), and an expected-cost
+    recompute of the full local block models the fallback for
+    detected-uncorrectable corruption: its probability is the
+    per-operation SDC rate times the number of protected operations,
+    capped at 1.
     """
-    out_elements = float(cfg.shape.m) * cfg.shape.n / cfg.mesh.size
-    verify = builder.checksum("abft_verify_c", 2.0 * out_elements, deps=deps)
+    chips = cfg.mesh.size
+    for mat in ("a", "b"):
+        elements = matrix_bytes(cfg.shape, mat) / (chips * cfg.shape.dtype_bytes)
+        table.checksum(f"abft_encode_{mat}", elements)
+    out_elements = float(cfg.shape.m) * cfg.shape.n / chips
+    table.checksum("abft_verify_c", 2.0 * out_elements)
     probability = min(1.0, cfg.sdc_rate * abft_protected_ops(cfg))
     m, n, k = collective_local_dims(cfg)
-    return builder.expected_compute(
-        "abft_recompute", gemm_cost(m, n, k, hw), probability, deps=[verify]
-    )
+    table.expected("abft_recompute", gemm_cost(m, n, k, table.hw), probability)
+
+
+def abft_encode(builder: ProgramBuilder, slot: Slots) -> Dict[str, int]:
+    """Emit both operands' checksum encodes: ``{matrix: activity id}``."""
+    return {
+        mat: builder.emit_compute(f"abft_encode_{mat}", slot[f"abft_encode_{mat}"])
+        for mat in ("a", "b")
+    }
+
+
+def abft_epilogue(builder: ProgramBuilder, slot: Slots, deps: Sequence[int]) -> int:
+    """Emit the ABFT verify-and-recompute epilogue after ``deps``."""
+    verify = builder.emit_compute("abft_verify_c", slot["abft_verify_c"], deps)
+    return builder.emit_compute("abft_recompute", slot["abft_recompute"], (verify,))
 
 
 def abft_protected_ops(cfg: GeMMConfig) -> int:
@@ -217,9 +248,12 @@ _SKELETONS = named_cache("program_skeleton")
 class DistributedGeMM(abc.ABC):
     """A distributed GeMM algorithm (timed plane plus optional functional).
 
-    Subclasses set ``name`` and implement :meth:`build_program`, which
-    starts from :meth:`program_builder`; :meth:`check_support` reports
-    configuration constraints (e.g. Cannon's square-mesh requirement).
+    Subclasses set ``name`` and split their timed plane in two:
+    :meth:`costs` declares the per-shape cost records and :meth:`emit`
+    emits the DAG, charging each activity to a record by slot.
+    :meth:`build_program` is :meth:`assemble` (Cannon checks its
+    support first). :meth:`check_support` reports configuration
+    constraints (e.g. Cannon's square-mesh requirement).
     """
 
     name: str = "abstract"
@@ -228,12 +262,26 @@ class DistributedGeMM(abc.ABC):
     def build_program(self, cfg: GeMMConfig, hw: HardwareParams) -> Program:
         """Build the representative-chip activity DAG for ``cfg``."""
 
+    @abc.abstractmethod
+    def costs(self, cfg: GeMMConfig, hw: HardwareParams) -> CostTable:
+        """The records ``build_program(cfg, hw)`` charges, in slot order.
+
+        Configurations with equal :meth:`skeleton_key` must declare the
+        same names in the same order; only the records' values may
+        differ.
+        """
+
+    @abc.abstractmethod
+    def emit(self, builder: ProgramBuilder, cfg: GeMMConfig, slot: Slots) -> None:
+        """Emit ``cfg``'s DAG, charging the slots ``costs`` declared
+        (``slot`` maps each declared name to its slot)."""
+
     def skeleton_key(self, cfg: GeMMConfig, hw: HardwareParams) -> Hashable:
         """Everything the structure of ``build_program(cfg, hw)`` reads.
 
         Two configurations with equal keys must build programs with
-        identical aids, labels, kinds, exclusive resources and
-        dependencies; only durations, shared demands and cost metadata
+        identical aids, labels, kinds, exclusive resources, dependencies
+        and cost slots; only durations, shared demands and cost metadata
         may differ. The default covers builders whose structure the
         problem shape does not touch. Algorithms that branch on the
         shape extend the key with what they branch on.
@@ -243,29 +291,34 @@ class DistributedGeMM(abc.ABC):
             cfg.abft, hw,
         )
 
-    def program_builder(
-        self, cfg: GeMMConfig, hw: HardwareParams
-    ) -> ProgramBuilder:
-        """The builder ``build_program(cfg, hw)`` starts from.
+    def assemble(self, cfg: GeMMConfig, hw: HardwareParams) -> Program:
+        """``cfg``'s program: its :meth:`costs` scattered over a skeleton.
 
-        It replays the skeleton stored under :meth:`skeleton_key`, or
-        records one into the store on its first build. With caching
-        off (``REPRO_NO_CACHE``) it is a plain recording builder.
+        The skeleton is the one stored under :meth:`skeleton_key`; the
+        first build of a key runs :meth:`emit` once and stores it. With
+        caching off (``REPRO_NO_CACHE``) every build runs :meth:`emit`
+        and the program carries no skeleton.
         """
+        table = self.costs(cfg, hw)
+        meta = {"algorithm": self.name, "config": cfg}
         if not caching_enabled():
-            return ProgramBuilder(hw)
+            return self._emitted(cfg, table).build(**meta)
         key = self.skeleton_key(cfg, hw)
         store = _SKELETONS.store
         skeleton = store.get(key)
         if skeleton is None:
             _SKELETONS.misses += 1
+            skeleton = store[key] = self._emitted(cfg, table).skeleton()
+        else:
+            _SKELETONS.hits += 1
+        return Program.from_columns(
+            skeleton.columns(table), shared_capacities(hw), meta, skeleton
+        )
 
-            def on_record(recorded) -> None:
-                store[key] = recorded
-
-            return ProgramBuilder(hw, on_record=on_record)
-        _SKELETONS.hits += 1
-        return ProgramBuilder(hw, skeleton=skeleton)
+    def _emitted(self, cfg: GeMMConfig, table: CostTable) -> ProgramBuilder:
+        builder = ProgramBuilder(table.hw, table)
+        self.emit(builder, cfg, table.slots)
+        return builder
 
     def check_support(self, cfg: GeMMConfig) -> Optional[str]:
         """Why ``cfg`` is unsupported, or ``None`` if it is supported."""
@@ -382,6 +435,20 @@ def sliced_local_dims(cfg: GeMMConfig, slices: int) -> Tuple[int, int, int]:
     if dim == "n":
         return (m, _div(n, slices), k)
     return (_div(m, slices), n, k)
+
+
+def group_bounds(steps: int, groups: int) -> List[int]:
+    """Where each of ``groups`` merged groups of a ``steps``-step
+    pipeline starts, plus the end: loop unrolling (Section 4.2) merges
+    the SendRecv pipelines' steps into ``groups`` larger GeMM groups."""
+    return [g * steps // groups for g in range(groups + 1)]
+
+
+def group_sizes(bounds: Sequence[int]) -> Tuple[int, ...]:
+    """The distinct non-empty group sizes of ``bounds``, in order."""
+    return tuple(dict.fromkeys(
+        end - start for start, end in zip(bounds, bounds[1:]) if end > start
+    ))
 
 
 def _div(extent: int, parts: int) -> int:

@@ -14,11 +14,12 @@ from __future__ import annotations
 import dataclasses
 from typing import TYPE_CHECKING, Optional
 
-from repro.algorithms.base import DistributedGeMM, GeMMConfig, register
+from repro.algorithms.base import DistributedGeMM, GeMMConfig, Slots, register
+from repro.comm.cost import CommCostModel
 from repro.core.dataflow import Dataflow
 from repro.hw.params import HardwareParams
 from repro.sim.engine import LINK_H, LINK_V
-from repro.sim.program import Program
+from repro.sim.program import CostTable, Program, ProgramBuilder
 
 if TYPE_CHECKING:
     import numpy as np
@@ -49,37 +50,43 @@ class CannonGeMM(DistributedGeMM):
         reason = self.check_support(cfg)
         if reason:
             raise ValueError(reason)
-        builder = self.program_builder(cfg, hw)
+        return self.assemble(cfg, hw)
+
+    def costs(self, cfg: GeMMConfig, hw: HardwareParams) -> CostTable:
+        table = CostTable(hw)
+        comm = CommCostModel.for_hw(hw)
         side = cfg.mesh.rows
         chips = cfg.mesh.size
         a_shard = cfg.shape.a_bytes / chips
         b_shard = cfg.shape.b_bytes / chips
-        m = max(1, cfg.shape.m // side)
-        n = max(1, cfg.shape.n // side)
-        k = max(1, cfg.shape.k // side)
-
         # Skew: the worst chip moves its shard floor(P/2) hops (the
-        # torus halves the worst-case distance). Both directions skew
-        # in parallel on their own links.
-        skew_hops = side // 2
-        skew_a = builder.sendrecv("skew_a", a_shard, LINK_H, hops=skew_hops)
-        skew_b = builder.sendrecv("skew_b", b_shard, LINK_V, hops=skew_hops)
+        # torus halves the worst-case distance).
+        table.sendrecv("skew_a", comm.sendrecv(a_shard, side // 2))
+        table.sendrecv("skew_b", comm.sendrecv(b_shard, side // 2))
+        table.sendrecv("shift_a", comm.sendrecv(a_shard))
+        table.sendrecv("shift_b", comm.sendrecv(b_shard))
+        dims = (cfg.shape.m, cfg.shape.n, cfg.shape.k)
+        table.gemm("gemm", *(max(1, dim // side) for dim in dims))
+        return table
 
-        prev_shift_a, prev_shift_b = skew_a, skew_b
+    def emit(self, builder: ProgramBuilder, cfg: GeMMConfig, slot: Slots) -> None:
+        # Both directions skew in parallel on their own links.
+        prev_shift_a = builder.emit_sendrecv("skew_a", slot["skew_a"], LINK_H)
+        prev_shift_b = builder.emit_sendrecv("skew_b", slot["skew_b"], LINK_V)
         prev_gemm = None
+        side = cfg.mesh.rows
         for step in range(side):
             deps = [prev_shift_a, prev_shift_b]
             if prev_gemm is not None:
                 deps.append(prev_gemm)
-            prev_gemm = builder.gemm(f"gemm[{step}]", m, n, k, deps=deps)
+            prev_gemm = builder.emit_compute(f"gemm[{step}]", slot["gemm"], deps)
             if step < side - 1:
-                prev_shift_a = builder.sendrecv(
-                    f"shift_a[{step}]", a_shard, LINK_H, deps=[prev_shift_a]
+                prev_shift_a = builder.emit_sendrecv(
+                    f"shift_a[{step}]", slot["shift_a"], LINK_H, [prev_shift_a]
                 )
-                prev_shift_b = builder.sendrecv(
-                    f"shift_b[{step}]", b_shard, LINK_V, deps=[prev_shift_b]
+                prev_shift_b = builder.emit_sendrecv(
+                    f"shift_b[{step}]", slot["shift_b"], LINK_V, [prev_shift_b]
                 )
-        return builder.build(algorithm=self.name, config=cfg)
 
     def functional(
         self, a: np.ndarray, b: np.ndarray, cfg: GeMMConfig

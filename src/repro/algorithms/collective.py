@@ -15,17 +15,20 @@ from typing import TYPE_CHECKING, Optional
 from repro.algorithms.base import (
     DistributedGeMM,
     GeMMConfig,
+    Slots,
+    abft_costs,
+    abft_encode,
     abft_epilogue,
     abft_payload_factor,
     collective_local_dims,
-    flow_ops,
+    flow_directions,
     matrix_bytes,
     register,
 )
+from repro.comm.cost import CommCostModel
 from repro.core.dataflow import Dataflow
 from repro.hw.params import HardwareParams
-from repro.sim.engine import LINK_H, LINK_V
-from repro.sim.program import Program
+from repro.sim.program import CostTable, Program, ProgramBuilder
 
 if TYPE_CHECKING:
     import numpy as np
@@ -43,55 +46,46 @@ class CollectiveGeMM(DistributedGeMM):
         return None
 
     def build_program(self, cfg: GeMMConfig, hw: HardwareParams) -> Program:
-        builder = self.program_builder(cfg, hw)
-        chips = cfg.mesh.size
-        (col_op, col_mat), (row_op, row_mat) = flow_ops(
-            cfg.dataflow, cfg.transposed
-        )
-        directions = [
-            (col_op, col_mat, LINK_H, cfg.mesh.cols),
-            (row_op, row_mat, LINK_V, cfg.mesh.rows),
-        ]
-        encode = {}
+        return self.assemble(cfg, hw)
+
+    def costs(self, cfg: GeMMConfig, hw: HardwareParams) -> CostTable:
+        table = CostTable(hw)
+        comm = CommCostModel.for_hw(hw)
+        for op, mat, _link, ring in flow_directions(cfg):
+            shard_bytes = (
+                matrix_bytes(cfg.shape, mat)
+                * abft_payload_factor(cfg, mat)
+                / cfg.mesh.size
+            )
+            collective = comm.allgather if op == "ag" else comm.reducescatter
+            table.comm(mat, collective(ring, shard_bytes))
+        table.gemm("gemm", *collective_local_dims(cfg))
         if cfg.abft:
-            for mat in ("a", "b"):
-                elements = matrix_bytes(cfg.shape, mat) / (
-                    chips * cfg.shape.dtype_bytes
-                )
-                encode[mat] = builder.checksum(f"abft_encode_{mat}", elements)
+            abft_costs(table, cfg)
+        return table
+
+    def emit(self, builder: ProgramBuilder, cfg: GeMMConfig, slot: Slots) -> None:
+        directions = flow_directions(cfg)
+        encode = abft_encode(builder, slot) if cfg.abft else {}
         gemm_deps = []
-        for op, mat, link, ring in directions:
+        for op, mat, link, _ring in directions:
             if op != "ag":
                 continue
-            shard_bytes = (
-                matrix_bytes(cfg.shape, mat)
-                * abft_payload_factor(cfg, mat)
-                / chips
-            )
             deps = [encode[mat]] if mat in encode else []
             gemm_deps.append(
-                builder.allgather(f"ag_{mat}", ring, shard_bytes, link, deps=deps)
+                builder.emit_collective(f"ag_{mat}", slot[mat], link, deps)
             )
         gemm_deps += [e for e in encode.values() if e not in gemm_deps]
-        m, n, k = collective_local_dims(cfg)
-        gemm = builder.gemm("gemm", m, n, k, deps=gemm_deps)
+        gemm = builder.emit_compute("gemm", slot["gemm"], gemm_deps)
         tail = [gemm]
-        for op, mat, link, ring in directions:
+        for op, mat, link, _ring in directions:
             if op != "rds":
                 continue
-            shard_bytes = (
-                matrix_bytes(cfg.shape, mat)
-                * abft_payload_factor(cfg, mat)
-                / chips
-            )
             tail.append(
-                builder.reducescatter(
-                    f"rds_{mat}", ring, shard_bytes, link, deps=[gemm]
-                )
+                builder.emit_collective(f"rds_{mat}", slot[mat], link, [gemm])
             )
         if cfg.abft:
-            abft_epilogue(builder, cfg, hw, tail)
-        return builder.build(algorithm=self.name, config=cfg)
+            abft_epilogue(builder, slot, tail)
 
     def functional(
         self, a: np.ndarray, b: np.ndarray, cfg: GeMMConfig

@@ -18,18 +18,21 @@ from typing import TYPE_CHECKING, List, Optional
 from repro.algorithms.base import (
     DistributedGeMM,
     GeMMConfig,
+    Slots,
+    abft_costs,
+    abft_encode,
     abft_epilogue,
     abft_payload_factor,
     effective_problem,
-    flow_ops,
+    flow_directions,
     matrix_bytes,
     register,
     sliced_local_dims,
 )
+from repro.comm.cost import CommCostModel
 from repro.core.dataflow import sliced_extent
 from repro.hw.params import HardwareParams
-from repro.sim.engine import LINK_H, LINK_V
-from repro.sim.program import Program
+from repro.sim.program import CostTable, Program, ProgramBuilder
 
 if TYPE_CHECKING:
     import numpy as np
@@ -54,27 +57,34 @@ class MeshSliceGeMM(DistributedGeMM):
         return None
 
     def build_program(self, cfg: GeMMConfig, hw: HardwareParams) -> Program:
-        builder = self.program_builder(cfg, hw)
-        chips = cfg.mesh.size
+        return self.assemble(cfg, hw)
+
+    def costs(self, cfg: GeMMConfig, hw: HardwareParams) -> CostTable:
+        table = CostTable(hw)
+        comm = CommCostModel.for_hw(hw)
+        chips, slices = cfg.mesh.size, cfg.slices
+        for op, mat, _link, ring in flow_directions(cfg):
+            shard_bytes = (
+                matrix_bytes(cfg.shape, mat)
+                * abft_payload_factor(cfg, mat)
+                / (chips * slices)
+            )
+            if slices > 1:
+                table.slice(f"slice_{mat}", shard_bytes)
+            collective = comm.allgather if op == "ag" else comm.reducescatter
+            table.comm(f"{op}_{mat}", collective(ring, shard_bytes))
+        table.gemm("gemm", *sliced_local_dims(cfg, slices))
+        if cfg.abft:
+            abft_costs(table, cfg)
+        return table
+
+    def emit(self, builder: ProgramBuilder, cfg: GeMMConfig, slot: Slots) -> None:
         slices = cfg.slices
-        (col_op, col_mat), (row_op, row_mat) = flow_ops(
-            cfg.dataflow, cfg.transposed
-        )
-        directions = [
-            (col_op, col_mat, LINK_H, cfg.mesh.cols),
-            (row_op, row_mat, LINK_V, cfg.mesh.rows),
-        ]
-        m, n, k = sliced_local_dims(cfg, slices)
+        directions = flow_directions(cfg)
 
         # ABFT: encode both operands' checksums up front (one streaming
         # pass per local shard); everything downstream depends on them.
-        encode = {}
-        if cfg.abft:
-            for mat in ("a", "b"):
-                elements = matrix_bytes(cfg.shape, mat) / (
-                    chips * cfg.shape.dtype_bytes
-                )
-                encode[mat] = builder.checksum(f"abft_encode_{mat}", elements)
+        encode = abft_encode(builder, slot) if cfg.abft else {}
 
         # Input slicing only depends on the stationary local shards, so
         # all iterations' slice copies are issued up front; the core
@@ -82,59 +92,49 @@ class MeshSliceGeMM(DistributedGeMM):
         # At S = 1 slicing is the identity, so MeshSlice degenerates to
         # exactly the Collective algorithm (Section 5.1.1).
         gather_ids: List[List[int]] = []  # [direction][s] -> AG activity
-        for op, mat, link, ring in directions:
+        for op, mat, link, _ring in directions:
             if op != "ag":
                 gather_ids.append([])
                 continue
-            shard_bytes = (
-                matrix_bytes(cfg.shape, mat)
-                * abft_payload_factor(cfg, mat)
-                / (chips * slices)
-            )
+            copy, gather = slot.get(f"slice_{mat}"), slot[f"ag_{mat}"]
+            encoded = (encode[mat],) if mat in encode else ()
             ags = []
             for s in range(slices):
-                deps = [encode[mat]] if mat in encode else []
+                deps = encoded
                 if slices > 1:
-                    deps = [
-                        builder.slice_copy(
-                            f"slice_{mat}[{s}]", shard_bytes, deps=deps
-                        )
-                    ]
+                    deps = (builder.emit_compute(
+                        f"slice_{mat}[{s}]", copy, deps, kind="slice"
+                    ),)
                 ags.append(
-                    builder.allgather(
-                        f"ag_{mat}[{s}]", ring, shard_bytes, link, deps=deps
-                    )
+                    builder.emit_collective(f"ag_{mat}[{s}]", gather, link, deps)
                 )
             gather_ids.append(ags)
 
+        scatters = [
+            (mat, link, slot[f"rds_{mat}"], slot.get(f"slice_{mat}"))
+            for op, mat, link, _ring in directions
+            if op == "rds"
+        ]
         tail: List[int] = []
         for s in range(slices):
             gemm_deps = [ags[s] for ags in gather_ids if ags]
             if s == 0:
                 # A stationary operand's encode has no AG chain to ride.
                 gemm_deps += [e for e in encode.values() if e not in gemm_deps]
-            gemm = builder.gemm(f"gemm[{s}]", m, n, k, deps=gemm_deps)
+            gemm = builder.emit_compute(f"gemm[{s}]", slot["gemm"], gemm_deps)
             tail = [gemm]
-            for op, mat, link, ring in directions:
-                if op != "rds":
-                    continue
-                shard_bytes = (
-                    matrix_bytes(cfg.shape, mat)
-                    * abft_payload_factor(cfg, mat)
-                    / (chips * slices)
+            for mat, link, scatter, copy in scatters:
+                rds = builder.emit_collective(
+                    f"rds_{mat}[{s}]", scatter, link, (gemm,)
                 )
-                rds = builder.reducescatter(
-                    f"rds_{mat}[{s}]", ring, shard_bytes, link, deps=[gemm]
-                )
-                tail.append(rds)
                 if slices > 1:
-                    tail[-1] = builder.slice_copy(
-                        f"unslice_{mat}[{s}]", shard_bytes, deps=[rds]
+                    rds = builder.emit_compute(
+                        f"unslice_{mat}[{s}]", copy, (rds,), kind="slice"
                     )
+                tail.append(rds)
 
         if cfg.abft:
-            abft_epilogue(builder, cfg, hw, tail)
-        return builder.build(algorithm=self.name, config=cfg)
+            abft_epilogue(builder, slot, tail)
 
     def functional(
         self, a: np.ndarray, b: np.ndarray, cfg: GeMMConfig

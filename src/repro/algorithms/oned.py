@@ -25,39 +25,49 @@ from typing import TYPE_CHECKING, List
 from repro.algorithms.base import (
     DistributedGeMM,
     GeMMConfig,
+    Slots,
+    group_bounds,
+    group_sizes,
     register,
 )
+from repro.comm.cost import CommCostModel
 from repro.core.dataflow import Dataflow
 from repro.hw.params import HardwareParams
 from repro.sim.engine import LINK_H
-from repro.sim.program import Program, ProgramBuilder
+from repro.sim.program import CostTable, Program, ProgramBuilder
 
 if TYPE_CHECKING:
     import numpy as np
 
 
+def _pipeline_costs(
+    table: CostTable, ring: int, step_bytes: float, groups: int, dims_for_group
+) -> None:
+    """The records of a :func:`_pipeline`: one SendRecv step, and one
+    GeMM per distinct group size."""
+    table.sendrecv("sendrecv", CommCostModel.for_hw(table.hw).sendrecv(step_bytes))
+    for size in group_sizes(group_bounds(ring, groups)):
+        table.gemm(("gemm", size), *dims_for_group(size))
+
+
 def _pipeline(
-    builder: ProgramBuilder,
-    label: str,
-    ring: int,
-    step_bytes: float,
-    groups: int,
-    dims_for_group,
+    builder: ProgramBuilder, slot: Slots, label: str, ring: int, groups: int
 ) -> None:
     """Wang-style SendRecv pipeline over one ring.
 
-    ``dims_for_group(size)`` returns the kernel dims of a GeMM covering
-    ``size`` of the ring's ``ring`` shards.
+    GeMM group ``g`` covers the shards below ``bounds[g + 1]``; shard
+    ``h`` arrives at hop ``h`` (shard 0 is local).
     """
-    bounds = [g * ring // groups for g in range(groups + 1)]
+    bounds = group_bounds(ring, groups)
+    hop = slot["sendrecv"]
     hops: List[int] = []
     prev = None
     for h in range(1, ring):
-        prev = builder.sendrecv(
+        prev = builder.emit_sendrecv(
             f"sendrecv_{label}[{h}]",
-            step_bytes,
+            hop,
             LINK_H,
-            deps=[prev] if prev is not None else [],
+            deps=(prev,) if prev is not None else (),
         )
         hops.append(prev)
     gemm = None
@@ -71,8 +81,7 @@ def _pipeline(
             deps.append(hops[last_shard - 1])
         if gemm is not None:
             deps.append(gemm)
-        m, n, k = dims_for_group(size)
-        gemm = builder.gemm(f"gemm[{g}]", m, n, k, deps=deps)
+        gemm = builder.emit_compute(f"gemm[{g}]", slot["gemm", size], deps)
 
 
 def _canonical_1d(cfg: GeMMConfig) -> GeMMConfig:
@@ -113,50 +122,50 @@ class OneDTensorParallel(DistributedGeMM):
         return _canonical_1d(cfg)
 
     def build_program(self, cfg: GeMMConfig, hw: HardwareParams) -> Program:
-        builder = self.program_builder(cfg, hw)
-        ring = cfg.mesh.size
-        shape = cfg.shape
-        groups = max(1, min(cfg.slices, ring))
+        return self.assemble(cfg, hw)
+
+    def costs(self, cfg: GeMMConfig, hw: HardwareParams) -> CostTable:
+        table = CostTable(hw)
+        ring, shape = cfg.mesh.size, cfg.shape
+        m_chunk = max(1, shape.m // ring)
         if shape.a_bytes <= shape.c_bytes:
             # Gather the input along the ring; weight is output-sharded.
-            step_bytes = shape.a_bytes / ring
-            m_chunk = max(1, shape.m // ring)
-
-            def dims(size: int):
-                return (m_chunk * size, max(1, shape.n // ring), shape.k)
-
-            _pipeline(builder, "a", ring, step_bytes, groups, dims)
+            flowing, n, k = shape.a_bytes, max(1, shape.n // ring), shape.k
         else:
-            # Weight is input-sharded; reduce-scatter the partial
-            # outputs. The pipeline is the mirrored decomposition:
-            # partial GeMMs feed accumulate-and-forward SendRecvs.
-            step_bytes = shape.c_bytes / ring
-            m_chunk = max(1, shape.m // ring)
-            bounds = [g * ring // groups for g in range(groups + 1)]
-            prev_hop = None
-            gemm = None
-            total_hops = ring - 1
-            hop_bounds = [g * total_hops // groups for g in range(groups + 1)]
-            for g in range(groups):
-                size = bounds[g + 1] - bounds[g]
-                if size <= 0:
-                    continue
-                deps = [gemm] if gemm is not None else []
-                gemm = builder.gemm(
-                    f"gemm[{g}]",
-                    m_chunk * size,
-                    shape.n,
-                    max(1, shape.k // ring),
-                    deps=deps,
+            # Weight is input-sharded; reduce-scatter the partial outputs.
+            flowing, n, k = shape.c_bytes, shape.n, max(1, shape.k // ring)
+        groups = max(1, min(cfg.slices, ring))
+        _pipeline_costs(
+            table, ring, flowing / ring, groups, lambda size: (m_chunk * size, n, k)
+        )
+        return table
+
+    def emit(self, builder: ProgramBuilder, cfg: GeMMConfig, slot: Slots) -> None:
+        ring = cfg.mesh.size
+        groups = max(1, min(cfg.slices, ring))
+        if cfg.shape.a_bytes <= cfg.shape.c_bytes:
+            _pipeline(builder, slot, "a", ring, groups)
+            return
+        # The mirrored pipeline: partial GeMMs feed accumulate-and-forward
+        # SendRecvs.
+        bounds = group_bounds(ring, groups)
+        hop_bounds = group_bounds(ring - 1, groups)
+        hop = slot["sendrecv"]
+        prev_hop = None
+        gemm = None
+        for g in range(groups):
+            size = bounds[g + 1] - bounds[g]
+            if size <= 0:
+                continue
+            deps = [gemm] if gemm is not None else []
+            gemm = builder.emit_compute(f"gemm[{g}]", slot["gemm", size], deps)
+            for h in range(hop_bounds[g], hop_bounds[g + 1]):
+                hop_deps = [gemm]
+                if prev_hop is not None:
+                    hop_deps.append(prev_hop)
+                prev_hop = builder.emit_sendrecv(
+                    f"sendrecv_c[{h}]", hop, LINK_H, deps=hop_deps
                 )
-                for h in range(hop_bounds[g], hop_bounds[g + 1]):
-                    hop_deps = [gemm]
-                    if prev_hop is not None:
-                        hop_deps.append(prev_hop)
-                    prev_hop = builder.sendrecv(
-                        f"sendrecv_c[{h}]", step_bytes, LINK_H, deps=hop_deps
-                    )
-        return builder.build(algorithm=self.name, config=cfg)
 
     def functional(
         self, a: np.ndarray, b: np.ndarray, cfg: GeMMConfig
@@ -195,19 +204,25 @@ class FSDPGeMM(DistributedGeMM):
         return _canonical_1d(cfg)
 
     def build_program(self, cfg: GeMMConfig, hw: HardwareParams) -> Program:
-        builder = self.program_builder(cfg, hw)
+        return self.assemble(cfg, hw)
+
+    def costs(self, cfg: GeMMConfig, hw: HardwareParams) -> CostTable:
+        table = CostTable(hw)
         ring = cfg.mesh.size
         shape = cfg.shape
-        groups = max(1, min(cfg.slices, ring))
-        step_bytes = shape.b_bytes / ring
         m_local = max(1, shape.m // ring)
         k_chunk = max(1, shape.k // ring)
 
         def dims(size: int):
             return (m_local, shape.n, k_chunk * size)
 
-        _pipeline(builder, "w", ring, step_bytes, groups, dims)
-        return builder.build(algorithm=self.name, config=cfg)
+        groups = max(1, min(cfg.slices, ring))
+        _pipeline_costs(table, ring, shape.b_bytes / ring, groups, dims)
+        return table
+
+    def emit(self, builder: ProgramBuilder, cfg: GeMMConfig, slot: Slots) -> None:
+        ring = cfg.mesh.size
+        _pipeline(builder, slot, "w", ring, max(1, min(cfg.slices, ring)))
 
     def functional(
         self, a: np.ndarray, b: np.ndarray, cfg: GeMMConfig

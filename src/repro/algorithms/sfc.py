@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from repro.algorithms.base import (
     DistributedGeMM,
     GeMMConfig,
+    Slots,
     matrix_bytes,
     register,
 )
@@ -41,7 +42,7 @@ from repro.core.gemm import local_gemm
 from repro.hw.params import HardwareParams
 from repro.mesh.topology import Coord, hilbert_order
 from repro.sim.engine import LINK_H, LINK_V
-from repro.sim.program import Program
+from repro.sim.program import CostTable, Program, ProgramBuilder
 
 if TYPE_CHECKING:
     import numpy as np
@@ -103,11 +104,27 @@ class SFCGeMM(DistributedGeMM):
         return None
 
     def build_program(self, cfg: GeMMConfig, hw: HardwareParams) -> Program:
-        builder = self.program_builder(cfg, hw)
-        costs = OneSidedCostModel.for_hw(hw)
+        return self.assemble(cfg, hw)
+
+    def costs(self, cfg: GeMMConfig, hw: HardwareParams) -> CostTable:
+        table = CostTable(hw)
+        model = OneSidedCostModel.for_hw(hw)
         rows, cols = cfg.mesh.rows, cfg.mesh.cols
         a, b = tile_split(cfg.slices, rows, cols)
         grid_r, grid_c = rows * a, cols * b
+        a_panel = matrix_bytes(cfg.shape, "a") / grid_r
+        b_panel = matrix_bytes(cfg.shape, "b") / grid_c
+        hops = model.mean_ring_hops
+        table.comm("panel_a", model.panel(cols, a_panel / cols, hops(cols)))
+        table.comm("fence_a", model.fence(cols))
+        table.comm("panel_b", model.panel(rows, b_panel / rows, hops(rows)))
+        table.comm("fence_b", model.fence(rows))
+        table.gemm("gemm", cfg.shape.m // grid_r, cfg.shape.n // grid_c, cfg.shape.k)
+        return table
+
+    def emit(self, builder: ProgramBuilder, cfg: GeMMConfig, slot: Slots) -> None:
+        a, b = tile_split(cfg.slices, cfg.mesh.rows, cfg.mesh.cols)
+        grid_r, grid_c = cfg.mesh.rows * a, cfg.mesh.cols * b
         segments = _curve_segments(grid_r, grid_c, cfg.slices)
 
         # Simulate the worst chip: the segment touching the most panel
@@ -125,33 +142,27 @@ class SFCGeMM(DistributedGeMM):
             ),
         )
 
-        m, n, k = cfg.shape.m // grid_r, cfg.shape.n // grid_c, cfg.shape.k
         row_fence: Dict[int, int] = {}  # tile-row -> fence activity id
         col_fence: Dict[int, int] = {}
         for ti, tj in segment:
             if ti not in row_fence:
-                fetch = builder.comm_on(
-                    f"panel_a[{ti}]",
-                    costs.panel(cols, a_panel / cols, costs.mean_ring_hops(cols)),
-                    (LINK_H,),
+                fetch = builder.emit_comm(
+                    f"panel_a[{ti}]", slot["panel_a"], (LINK_H,)
                 )
-                row_fence[ti] = builder.comm_on(
-                    f"fence_a[{ti}]", costs.fence(cols), (LINK_H,), deps=[fetch]
+                row_fence[ti] = builder.emit_comm(
+                    f"fence_a[{ti}]", slot["fence_a"], (LINK_H,), deps=[fetch]
                 )
             if tj not in col_fence:
-                fetch = builder.comm_on(
-                    f"panel_b[{tj}]",
-                    costs.panel(rows, b_panel / rows, costs.mean_ring_hops(rows)),
-                    (LINK_V,),
+                fetch = builder.emit_comm(
+                    f"panel_b[{tj}]", slot["panel_b"], (LINK_V,)
                 )
-                col_fence[tj] = builder.comm_on(
-                    f"fence_b[{tj}]", costs.fence(rows), (LINK_V,), deps=[fetch]
+                col_fence[tj] = builder.emit_comm(
+                    f"fence_b[{tj}]", slot["fence_b"], (LINK_V,), deps=[fetch]
                 )
-            builder.gemm(
-                f"gemm[{ti},{tj}]", m, n, k,
+            builder.emit_compute(
+                f"gemm[{ti},{tj}]", slot["gemm"],
                 deps=[row_fence[ti], col_fence[tj]],
             )
-        return builder.build(algorithm=self.name, config=cfg)
 
     def functional(
         self, a_mat: np.ndarray, b_mat: np.ndarray, cfg: GeMMConfig

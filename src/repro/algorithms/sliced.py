@@ -30,8 +30,9 @@ from typing import TYPE_CHECKING, List, Optional
 from repro.algorithms.base import (
     DistributedGeMM,
     GeMMConfig,
+    Slots,
     effective_problem,
-    flow_ops,
+    flow_directions,
     matrix_bytes,
     register,
     sliced_local_dims,
@@ -42,8 +43,7 @@ from repro.core.dataflow import Dataflow, sliced_extent
 from repro.core.gemm import local_gemm
 from repro.hw.params import HardwareParams
 from repro.mesh.topology import Mesh2D
-from repro.sim.engine import LINK_H, LINK_V
-from repro.sim.program import Program
+from repro.sim.program import CostTable, Program, ProgramBuilder
 
 if TYPE_CHECKING:
     import numpy as np
@@ -81,61 +81,59 @@ class SlicedGeMM(DistributedGeMM):
         return None
 
     def build_program(self, cfg: GeMMConfig, hw: HardwareParams) -> Program:
-        builder = self.program_builder(cfg, hw)
-        costs = OneSidedCostModel.for_hw(hw)
-        chips = cfg.mesh.size
-        slices = cfg.slices
-        (col_op, col_mat), (row_op, row_mat) = flow_ops(
-            cfg.dataflow, cfg.transposed
-        )
-        directions = [
-            (col_op, col_mat, LINK_H, cfg.mesh.cols),
-            (row_op, row_mat, LINK_V, cfg.mesh.rows),
-        ]
-        m, n, k = sliced_local_dims(cfg, slices)
+        return self.assemble(cfg, hw)
+
+    def costs(self, cfg: GeMMConfig, hw: HardwareParams) -> CostTable:
+        table = CostTable(hw)
+        model = OneSidedCostModel.for_hw(hw)
+        chips, slices = cfg.mesh.size, cfg.slices
+        for op, mat, _link, ring in flow_directions(cfg):
+            sub_bytes = matrix_bytes(cfg.shape, mat) / (chips * slices)
+            epoch = model.epoch if op == "ag" else model.accumulate_epoch
+            table.comm(("epoch", mat), epoch(ring, sub_bytes))
+            table.comm(("fence", mat), model.fence(ring))
+        table.gemm("gemm", *sliced_local_dims(cfg, slices))
+        return table
+
+    def emit(self, builder: ProgramBuilder, cfg: GeMMConfig, slot: Slots) -> None:
+        directions = flow_directions(cfg)
 
         # Gather side: one get epoch per slice per flowing input — the
         # window addressing replaces MeshSlice's local slicing copies,
         # so the loop body is epoch + fence only.
         fence_ids: List[List[int]] = []  # [direction][s] -> fence id
-        for op, mat, link, ring in directions:
+        for op, mat, link, _ring in directions:
             if op != "ag":
                 fence_ids.append([])
                 continue
-            sub_bytes = matrix_bytes(cfg.shape, mat) / (chips * slices)
             fences = []
-            for s in range(slices):
-                epoch = builder.comm_on(
-                    f"get_{mat}[{s}]", costs.epoch(ring, sub_bytes), (link,)
+            for s in range(cfg.slices):
+                epoch = builder.emit_comm(
+                    f"get_{mat}[{s}]", slot["epoch", mat], (link,)
                 )
                 fences.append(
-                    builder.comm_on(
-                        f"fence_{mat}[{s}]", costs.fence(ring), (link,),
+                    builder.emit_comm(
+                        f"fence_{mat}[{s}]", slot["fence", mat], (link,),
                         deps=[epoch],
                     )
                 )
             fence_ids.append(fences)
 
-        for s in range(slices):
-            gemm = builder.gemm(
-                f"gemm[{s}]", m, n, k,
-                deps=[fences[s] for fences in fence_ids if fences],
+        for s in range(cfg.slices):
+            gemm = builder.emit_compute(
+                f"gemm[{s}]", slot["gemm"],
+                [fences[s] for fences in fence_ids if fences],
             )
-            for op, mat, link, ring in directions:
+            for op, mat, link, _ring in directions:
                 if op != "rds":
                     continue
-                sub_bytes = matrix_bytes(cfg.shape, mat) / (chips * slices)
-                acc = builder.comm_on(
-                    f"acc_{mat}[{s}]",
-                    costs.accumulate_epoch(ring, sub_bytes),
-                    (link,),
-                    deps=[gemm],
+                acc = builder.emit_comm(
+                    f"acc_{mat}[{s}]", slot["epoch", mat], (link,), deps=[gemm]
                 )
-                builder.comm_on(
-                    f"fence_{mat}[{s}]", costs.fence(ring), (link,),
+                builder.emit_comm(
+                    f"fence_{mat}[{s}]", slot["fence", mat], (link,),
                     deps=[acc],
                 )
-        return builder.build(algorithm=self.name, config=cfg)
 
     def functional(
         self, a: np.ndarray, b: np.ndarray, cfg: GeMMConfig

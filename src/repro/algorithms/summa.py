@@ -25,19 +25,22 @@ from typing import TYPE_CHECKING, Dict
 from repro.algorithms.base import (
     DistributedGeMM,
     GeMMConfig,
+    Slots,
+    abft_costs,
+    abft_encode,
     abft_epilogue,
     abft_payload_factor,
-    flow_ops,
+    flow_directions,
     matrix_bytes,
     register,
     sliced_local_dims,
 )
+from repro.comm.cost import CommCostModel
 from repro.core.dataflow import Dataflow
 from repro.core.gemm import local_gemm
 from repro.hw.params import HardwareParams
 from repro.mesh.topology import Coord, Mesh2D
-from repro.sim.engine import LINK_H, LINK_V
-from repro.sim.program import Program
+from repro.sim.program import CostTable, Program, ProgramBuilder
 
 if TYPE_CHECKING:
     import numpy as np
@@ -66,72 +69,56 @@ class SummaGeMM(DistributedGeMM):
         return max(1, ring, by_size)
 
     def build_program(self, cfg: GeMMConfig, hw: HardwareParams) -> Program:
-        builder = self.program_builder(cfg, hw)
-        chips = cfg.mesh.size
-        iterations = cfg.slices
-        (col_op, col_mat), (row_op, row_mat) = flow_ops(
-            cfg.dataflow, cfg.transposed
-        )
-        directions = [
-            (col_op, col_mat, LINK_H, cfg.mesh.cols),
-            (row_op, row_mat, LINK_V, cfg.mesh.rows),
-        ]
-        m, n, k = sliced_local_dims(cfg, iterations)
-        encode = []
+        return self.assemble(cfg, hw)
+
+    def costs(self, cfg: GeMMConfig, hw: HardwareParams) -> CostTable:
+        table = CostTable(hw)
+        comm = CommCostModel.for_hw(hw)
+        chips, iterations = cfg.mesh.size, cfg.slices
+        for op, mat, _link, ring in flow_directions(cfg):
+            # Each iteration broadcasts (or reduces) one panel: the
+            # per-ring share of the flowing matrix divided over
+            # iterations.
+            payload = (
+                matrix_bytes(cfg.shape, mat)
+                * abft_payload_factor(cfg, mat)
+                * ring
+                / (chips * iterations)
+            )
+            transfer = comm.broadcast if op == "ag" else comm.reduce
+            table.comm(mat, transfer(ring, payload, self._packets(payload, ring)))
+        table.gemm("gemm", *sliced_local_dims(cfg, iterations))
         if cfg.abft:
-            for mat in ("a", "b"):
-                elements = matrix_bytes(cfg.shape, mat) / (
-                    chips * cfg.shape.dtype_bytes
-                )
-                encode.append(builder.checksum(f"abft_encode_{mat}", elements))
+            abft_costs(table, cfg)
+        return table
+
+    def emit(self, builder: ProgramBuilder, cfg: GeMMConfig, slot: Slots) -> None:
+        directions = flow_directions(cfg)
+        encode = tuple(abft_encode(builder, slot).values()) if cfg.abft else ()
         tail = []
-        for step in range(iterations):
+        for step in range(cfg.slices):
             deps = list(encode) if step == 0 else []
-            for op, mat, link, ring in directions:
+            for op, mat, link, _ring in directions:
                 if op != "ag":
                     continue
-                # Each iteration broadcasts one panel: the per-ring
-                # share of the flowing matrix divided over iterations.
-                payload = (
-                    matrix_bytes(cfg.shape, mat)
-                    * abft_payload_factor(cfg, mat)
-                    * ring
-                    / (chips * iterations)
-                )
                 deps.append(
-                    builder.broadcast(
-                        f"bcast_{mat}[{step}]",
-                        ring,
-                        payload,
-                        self._packets(payload, ring),
-                        link,
-                        deps=list(encode) if step == 0 else (),
+                    builder.emit_collective(
+                        f"bcast_{mat}[{step}]", slot[mat], link,
+                        deps=encode if step == 0 else (),
                     )
                 )
-            gemm = builder.gemm(f"gemm[{step}]", m, n, k, deps=deps)
+            gemm = builder.emit_compute(f"gemm[{step}]", slot["gemm"], deps)
             tail = [gemm]
-            for op, mat, link, ring in directions:
+            for op, mat, link, _ring in directions:
                 if op != "rds":
                     continue
-                payload = (
-                    matrix_bytes(cfg.shape, mat)
-                    * abft_payload_factor(cfg, mat)
-                    * ring
-                    / (chips * iterations)
-                )
                 tail.append(
-                    builder.reduce(
-                        f"reduce_{mat}[{step}]",
-                        ring,
-                        payload,
-                        self._packets(payload, ring),
-                        link,
-                        deps=[gemm],
+                    builder.emit_collective(
+                        f"reduce_{mat}[{step}]", slot[mat], link, (gemm,)
                     )
                 )
         if cfg.abft:
-            abft_epilogue(builder, cfg, hw, tail)
-        return builder.build(algorithm=self.name, config=cfg)
+            abft_epilogue(builder, slot, tail)
 
     # ------------------------------------------------------------ functional
 

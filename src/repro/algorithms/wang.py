@@ -16,21 +16,24 @@ GeMM groups, matching MeshSlice's granularity for fairness.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List
 
 from repro.algorithms.base import (
     DistributedGeMM,
     GeMMConfig,
+    Slots,
     collective_local_dims,
     effective_problem,
-    flow_ops,
+    flow_directions,
+    group_bounds,
+    group_sizes,
     matrix_bytes,
     register,
 )
+from repro.comm.cost import CommCostModel
 from repro.core.dataflow import Dataflow, sliced_dimension
 from repro.hw.params import HardwareParams
-from repro.sim.engine import LINK_H, LINK_V
-from repro.sim.program import Program, ProgramBuilder
+from repro.sim.program import CostTable, Program, ProgramBuilder
 
 if TYPE_CHECKING:
     import numpy as np
@@ -49,13 +52,7 @@ class WangGeMM(DistributedGeMM):
         cost — the profitable one to overlap.
         """
         chips = cfg.mesh.size
-        (col_op, col_mat), (row_op, row_mat) = flow_ops(
-            cfg.dataflow, cfg.transposed
-        )
-        directions = [
-            (col_op, col_mat, LINK_H, cfg.mesh.cols),
-            (row_op, row_mat, LINK_V, cfg.mesh.rows),
-        ]
+        directions = flow_directions(cfg)
 
         def traffic(direction) -> float:
             op, mat, _link, ring = direction
@@ -84,47 +81,58 @@ class WangGeMM(DistributedGeMM):
         return dataclasses.replace(cfg, slices=groups)
 
     def build_program(self, cfg: GeMMConfig, hw: HardwareParams) -> Program:
-        builder = self.program_builder(cfg, hw)
-        chips = cfg.mesh.size
-        decomposed, blocking = self._split_directions(cfg)
+        return self.assemble(cfg, hw)
 
-        # Blocking collective of the non-decomposed direction.
-        prologue: List[int] = []
-        if blocking[3] > 1:
-            op, mat, link, ring = blocking
+    def costs(self, cfg: GeMMConfig, hw: HardwareParams) -> CostTable:
+        table = CostTable(hw)
+        comm = CommCostModel.for_hw(hw)
+        chips = cfg.mesh.size
+        decomposed, (op, mat, _link, ring) = self._split_directions(cfg)
+        if ring > 1:
+            collective = comm.allgather if op == "ag" else comm.reducescatter
             shard_bytes = matrix_bytes(cfg.shape, mat) / chips
-            if op == "ag":
-                prologue.append(
-                    builder.allgather(f"ag_{mat}", ring, shard_bytes, link)
-                )
-        dec_op, dec_mat, dec_link, dec_ring = decomposed
+            table.comm("blocking", collective(ring, shard_bytes))
+        _op, dec_mat, _link, dec_ring = decomposed
         step_bytes = matrix_bytes(cfg.shape, dec_mat) / chips
-        groups = max(1, min(cfg.slices, dec_ring))
-        bounds = [g * dec_ring // groups for g in range(groups + 1)]
+        table.sendrecv("sendrecv", comm.sendrecv(step_bytes))
 
         _shape, eff_dataflow = effective_problem(cfg)
         full_dims = collective_local_dims(cfg)
         split_dim = {"m": 0, "n": 1, "k": 2}[sliced_dimension(eff_dataflow)]
-
-        def group_dims(size: int):
+        groups = max(1, min(cfg.slices, dec_ring))
+        for size in group_sizes(group_bounds(dec_ring, groups)):
             dims = list(full_dims)
             dims[split_dim] = max(1, dims[split_dim] * size // dec_ring)
-            return tuple(dims)
+            table.gemm(("gemm", size), *dims)
+        return table
 
+    def emit(self, builder: ProgramBuilder, cfg: GeMMConfig, slot: Slots) -> None:
+        decomposed, (op, mat, link, ring) = self._split_directions(cfg)
+
+        # Blocking collective of the non-decomposed direction.
+        prologue: List[int] = []
+        if ring > 1 and op == "ag":
+            prologue.append(
+                builder.emit_collective(f"ag_{mat}", slot["blocking"], link)
+            )
+        dec_op, dec_mat, dec_link, dec_ring = decomposed
+        groups = max(1, min(cfg.slices, dec_ring))
+        bounds = group_bounds(dec_ring, groups)
+        hop = slot["sendrecv"]
+        gemm = None
         if dec_op == "ag":
             # SendRecv pipeline delivers shard h at hop h (shard 0 is
             # local); GeMM group g needs every shard below bounds[g+1].
             hops: List[int] = []
             prev = None
             for h in range(1, dec_ring):
-                prev = builder.sendrecv(
+                prev = builder.emit_sendrecv(
                     f"sendrecv_{dec_mat}[{h}]",
-                    step_bytes,
+                    hop,
                     dec_link,
-                    deps=[prev] if prev is not None else [],
+                    deps=(prev,) if prev is not None else (),
                 )
                 hops.append(prev)
-            gemm = None
             for g in range(groups):
                 size = bounds[g + 1] - bounds[g]
                 if size <= 0:
@@ -135,17 +143,13 @@ class WangGeMM(DistributedGeMM):
                     deps.append(hops[last_shard - 1])
                 if gemm is not None:
                     deps.append(gemm)
-                m, n, k = group_dims(size)
-                gemm = builder.gemm(f"gemm[{g}]", m, n, k, deps=deps)
-            self._blocking_epilogue(builder, cfg, blocking, [gemm])
+                gemm = builder.emit_compute(f"gemm[{g}]", slot["gemm", size], deps)
         else:
             # Decomposed ReduceScatter: partial GeMMs feed a chain of
             # accumulate-and-forward SendRecvs; the tail of the chain is
             # the non-overlapped epilogue.
-            total_hops = dec_ring - 1
-            hop_bounds = [g * total_hops // groups for g in range(groups + 1)]
+            hop_bounds = group_bounds(dec_ring - 1, groups)
             prev_hop = None
-            gemm = None
             for g in range(groups):
                 size = bounds[g + 1] - bounds[g]
                 if size <= 0:
@@ -153,33 +157,20 @@ class WangGeMM(DistributedGeMM):
                 deps = list(prologue)
                 if gemm is not None:
                     deps.append(gemm)
-                m, n, k = group_dims(size)
-                gemm = builder.gemm(f"gemm[{g}]", m, n, k, deps=deps)
+                gemm = builder.emit_compute(f"gemm[{g}]", slot["gemm", size], deps)
                 for h in range(hop_bounds[g], hop_bounds[g + 1]):
                     hop_deps = [gemm]
                     if prev_hop is not None:
                         hop_deps.append(prev_hop)
-                    prev_hop = builder.sendrecv(
-                        f"sendrecv_{dec_mat}[{h}]",
-                        step_bytes,
-                        dec_link,
-                        deps=hop_deps,
+                    prev_hop = builder.emit_sendrecv(
+                        f"sendrecv_{dec_mat}[{h}]", hop, dec_link, deps=hop_deps
                     )
-            self._blocking_epilogue(builder, cfg, blocking, [gemm])
-        return builder.build(algorithm=self.name, config=cfg)
-
-    @staticmethod
-    def _blocking_epilogue(
-        builder: ProgramBuilder, cfg: GeMMConfig, blocking, deps: List[Optional[int]]
-    ) -> None:
-        op, mat, link, ring = blocking
-        if op != "rds" or ring <= 1:
-            return
-        shard_bytes = matrix_bytes(cfg.shape, mat) / cfg.mesh.size
-        builder.reducescatter(
-            f"rds_{mat}", ring, shard_bytes, link,
-            deps=[d for d in deps if d is not None],
-        )
+        # Blocking epilogue: the non-decomposed direction's scatter.
+        if ring > 1 and op == "rds":
+            builder.emit_collective(
+                f"rds_{mat}", slot["blocking"], link,
+                deps=[gemm] if gemm is not None else [],
+            )
 
     # ------------------------------------------------------------ functional
 

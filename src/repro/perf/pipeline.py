@@ -20,12 +20,14 @@ never merely equal makespans — a cached ``SimResult`` is returned for
 every member of the class, spans and all.
 
 Configurations that differ only in the problem shape build the same
-DAG with other costs. Below the config keys, each build replays the
-**program skeleton** its algorithm stored under
+DAG with other costs. Below the config keys, a build is its
+algorithm's cost table (``costs(cfg, hw)``: the few distinct records
+the DAG charges) scattered over the **program skeleton** stored under
 :meth:`~repro.algorithms.base.DistributedGeMM.skeleton_key` (the
-``program_skeleton`` cache): the builder evaluates the cost functions
-only, and every program of one skeleton shares its structure columns
-and the engine's validated DAG (see :class:`repro.sim.program.Skeleton`).
+``program_skeleton`` cache); the emission loop runs only on the first
+build of a key. Every program of one skeleton shares its structure
+columns and the engine's validated DAG (see
+:class:`repro.sim.program.Skeleton`).
 
 Treat every returned object as immutable: cached ``Program`` and
 ``SimResult`` instances are shared between callers.

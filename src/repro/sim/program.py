@@ -10,12 +10,27 @@ policy (Section 5.3): when ``hw.overlap_collectives`` is false,
 collective communications also claim the compute core; when SendRecv
 overlap is limited, the non-overlappable fraction of each SendRecv
 claims the core.
+
+A program is a :class:`Skeleton` — the structure columns plus each
+activity's slot in a cost table — and a :class:`CostTable` of
+``(duration, shared, meta)`` records; building one scatters the
+table's records over the skeleton's slots.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Hashable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.comm.cost import CommCost, CommCostModel
 from repro.hw.params import HardwareParams
@@ -43,6 +58,144 @@ if TYPE_CHECKING:  # pragma: no cover - avoid the sim <-> faults cycle
 _Record = Tuple[float, Dict[str, float], Dict[str, object]]
 
 
+class CostTable:
+    """The per-shape half of a program: its ordered cost records.
+
+    Each record is one ``(duration, shared, meta)`` triple, charged to
+    every activity whose ``cost_index`` entry is its slot (its position
+    in :attr:`records`). :attr:`names` holds the name each record was
+    declared under, and :attr:`slots` maps it to the slot; an emission
+    loop looks slots up there.
+    A table is the one place records are made from a
+    :class:`ComputeCost` or a :class:`CommCost`. Records with a
+    negative duration or demand are accepted here and rejected when a
+    program charges them (see :meth:`Skeleton.columns`).
+    """
+
+    __slots__ = ("hw", "records", "names", "invalid", "_nic")
+
+    def __init__(self, hw: HardwareParams):
+        self.hw = hw
+        self._nic = hw.has_shared_nic
+        self.records: List[_Record] = []
+        self.names: List[Hashable] = []
+        self.invalid: List[int] = []
+
+    @property
+    def slots(self) -> Dict[Hashable, int]:
+        """Each declared name -> its slot."""
+        return {name: slot for slot, name in enumerate(self.names)}
+
+    def _put(
+        self,
+        name: Hashable,
+        duration: float,
+        shared: Dict[str, float],
+        meta: Dict[str, object],
+    ) -> int:
+        slot = len(self.records)
+        self.names.append(name)
+        self.records.append((duration, shared, meta))
+        if duration < 0 or (shared and min(shared.values()) < 0):
+            self.invalid.append(slot)
+        return slot
+
+    def compute(self, name: Hashable, cost: ComputeCost) -> int:
+        """Declare a compute kernel's record; returns its slot."""
+        hbm_rate = cost.hbm_rate
+        return self._put(
+            name,
+            cost.seconds,
+            {HBM: hbm_rate} if hbm_rate > 0 else {},
+            {"flops": cost.flops, "hbm_bytes": cost.hbm_bytes},
+        )
+
+    def comm(self, name: Hashable, cost: CommCost) -> int:
+        """Declare a communication's record; returns its slot."""
+        duration = cost.total
+        shared = {}
+        if duration > 0 and cost.hbm_bytes > 0:
+            shared[HBM] = cost.hbm_bytes / duration
+        if self._nic and duration > 0 and cost.wire_bytes > 0:
+            # On a logical mesh all ring traffic shares the chip's NIC:
+            # concurrent collectives in different directions contend
+            # (Section 6). The fluid engine stretches both when their
+            # combined demand exceeds the NIC bandwidth.
+            shared[NIC] = cost.wire_bytes / duration
+        return self._put(name, duration, shared, {
+            "launch": cost.launch,
+            "transfer": cost.transfer,
+            "sync": cost.sync,
+            "syncs": cost.syncs,
+            "hbm_bytes": cost.hbm_bytes,
+        })
+
+    def sendrecv(self, name: Hashable, cost: CommCost) -> int:
+        """Declare a SendRecv's records; returns the first slot.
+
+        Under partial SendRecv overlap the transfer splits into an
+        overlapped and a blocking part: two consecutive slots, which
+        :meth:`ProgramBuilder.emit_sendrecv` charges in that order.
+        """
+        fraction = _sendrecv_overlap(self.hw)
+        if not 0.0 < fraction < 1.0:
+            return self.comm(name, cost)
+        slot = self.comm(name, cost.scaled(fraction))
+        self.comm((name, "blocking"), cost.scaled(1.0 - fraction))
+        return slot
+
+    def gemm(self, name: Hashable, m: int, n: int, k: int) -> int:
+        return self.compute(name, gemm_cost(m, n, k, self.hw))
+
+    def slice(self, name: Hashable, sub_shard_bytes: float) -> int:
+        return self.compute(name, slice_cost(sub_shard_bytes, self.hw))
+
+    def checksum(self, name: Hashable, elements: float) -> int:
+        return self.compute(name, checksum_cost(elements, self.hw))
+
+    def expected(
+        self, name: Hashable, cost: ComputeCost, probability: float
+    ) -> int:
+        """A kernel charged at its probability-scaled cost.
+
+        Models a recovery epilogue that only sometimes runs — e.g. the
+        ABFT recompute of a corrupted block, whose expected duration is
+        the block recompute time times the per-run corruption
+        probability. FLOPs are reported as zero: recovery work is
+        overhead, not useful throughput.
+        """
+        if not 0.0 <= probability <= 1.0:
+            raise ValueError(f"probability must be in [0, 1], got {probability}")
+        return self.compute(name, ComputeCost(
+            seconds=cost.seconds * probability,
+            hbm_bytes=cost.hbm_bytes * probability,
+            flops=0.0,
+        ))
+
+
+def _sendrecv_overlap(hw: HardwareParams) -> float:
+    """The fraction of a SendRecv that overlaps the compute core."""
+    return hw.sendrecv_overlap_fraction if hw.overlap_sendrecv else 0.0
+
+
+def _picker(cost_index: Tuple[int, ...]) -> Callable[[tuple], tuple]:
+    """Picks a column's entries, in activity order, from its per-slot
+    values. ``itemgetter`` returns a bare item for a single index, so
+    fewer than two activities take a slice of the values instead."""
+    if len(cost_index) > 1:
+        return itemgetter(*cost_index)
+    start = cost_index[0] if cost_index else 0
+    return itemgetter(slice(start, start + len(cost_index)))
+
+
+def shared_capacities(hw: HardwareParams) -> Dict[str, float]:
+    """The shared resource capacities a program on ``hw`` runs under."""
+    capacities = {HBM: hw.hbm_bandwidth}
+    if hw.has_shared_nic:
+        capacities[NIC] = hw.nic_bandwidth
+    return capacities
+
+
 class Skeleton:
     """The shape-independent columns of a built program.
 
@@ -50,12 +203,18 @@ class Skeleton:
     and exclusive resources at every problem shape; only durations,
     shared demands and cost metadata change. A skeleton holds the
     ``aids``, ``labels``, ``kinds``, ``exclusive`` and ``deps`` columns
-    once, every program built from it shares those tuples, and the
-    engine's :class:`EngineStructure` (validation, reverse edges,
-    interned resources) is derived on first use and kept.
+    once, plus ``cost_index``: the slot of each activity's record in a
+    :class:`CostTable` of ``slots`` records. :meth:`columns` scatters a
+    table's records over that column; every program built from one
+    skeleton shares its structure tuples, and the engine's
+    :class:`EngineStructure` (validation, reverse edges, interned
+    resources) is derived on first use and kept.
     """
 
-    __slots__ = ("aids", "labels", "kinds", "exclusive", "deps", "_structure")
+    __slots__ = (
+        "aids", "labels", "kinds", "exclusive", "deps", "cost_index", "slots",
+        "_pick", "_structure",
+    )
 
     def __init__(
         self,
@@ -64,12 +223,17 @@ class Skeleton:
         kinds: Tuple[str, ...],
         exclusive: Tuple[Tuple[str, ...], ...],
         deps: Tuple[Tuple[int, ...], ...],
+        cost_index: Tuple[int, ...],
+        slots: int,
     ):
         self.aids = aids
         self.labels = labels
         self.kinds = kinds
         self.exclusive = exclusive
         self.deps = deps
+        self.cost_index = cost_index
+        self.slots = slots
+        self._pick = _picker(cost_index)
         self._structure: Optional[EngineStructure] = None
 
     def structure(self) -> EngineStructure:
@@ -78,6 +242,36 @@ class Skeleton:
         if structure is None:
             structure = self._structure = engine_structure(self)
         return structure
+
+    def columns(self, table: CostTable) -> Columns:
+        """This DAG's columns with ``table``'s records scattered in.
+
+        Raises :class:`SimulationError` if the table does not hold
+        exactly one record per slot. A record with a negative duration
+        or demand raises the ``Activity`` check's ``ValueError``, naming
+        the first activity that charges it.
+        """
+        records = table.records
+        if len(records) != self.slots:
+            raise SimulationError(
+                f"a cost table of {len(records)} records does not match "
+                f"the program skeleton's {self.slots} slots"
+            )
+        if table.invalid:
+            self._reject(records, table.invalid)
+        by_slot = tuple(zip(*records)) or ((), (), ())
+        durations, shared, metas = map(self._pick, by_slot)
+        return Columns(
+            self.aids, self.labels, self.kinds, durations, self.exclusive,
+            shared, self.deps, metas,
+        )
+
+    def _reject(self, records: Sequence[_Record], invalid: List[int]) -> None:
+        for label, slot in zip(self.labels, self.cost_index):
+            if slot in invalid:
+                if records[slot][0] < 0:
+                    raise ValueError(f"activity {label!r} has negative duration")
+                raise ValueError(f"activity {label!r} has negative demand")
 
 
 @dataclasses.dataclass(init=False)
@@ -88,7 +282,7 @@ class Program:
     attribute — which is what the engine, the pruning bound and fault
     plans read. :attr:`activities` rebuilds :class:`Activity` objects
     from the columns on each read. A program built through a skeleton
-    store (:meth:`repro.algorithms.base.DistributedGeMM.program_builder`)
+    store (:meth:`repro.algorithms.base.DistributedGeMM.assemble`)
     carries its :class:`Skeleton`, whose columns its own share; the
     skeleton takes no part in equality.
     """
@@ -197,77 +391,113 @@ class ProgramBuilder:
     direction cannot overlap) comes from exclusive link resources, so
     builders do not need to chain same-link operations explicitly.
 
-    A builder records a program's structure or replays a
-    :class:`Skeleton`:
+    A builder appends each activity's structure (id, label, kind,
+    exclusive resources, dependencies) and the slot of its record in
+    :attr:`table`, a :class:`CostTable`. There are two vocabularies:
 
-    * A *recording* builder (the default) appends every column. Given
-      ``on_record``, :meth:`build` also wraps the structure into a
-      skeleton, passes it to ``on_record`` and attaches it to the
-      program.
-    * A *replaying* builder (``skeleton=...``) is driven through the
-      same calls but appends only each activity's kind and cost;
-      :meth:`build` pairs them with the skeleton's columns and raises
-      :class:`SimulationError` if the kinds differ from the skeleton's.
+    * The ``emit_*`` methods charge a slot the table already holds.
+      A skeleton-keyed algorithm declares its records in
+      ``costs(cfg, hw)`` and its emission loop charges them by slot
+      (:meth:`repro.algorithms.base.DistributedGeMM.assemble`).
+    * The direct methods (:meth:`gemm`, :meth:`allgather`, ...) take
+      the cost arguments, declare the record and emit the activity.
+      Activities charging equal costs share one record, dicts
+      included.
 
-    Costs are charged as shared records: all activities charging the
-    same cost object — the memoized ``gemm_cost`` / ``slice_cost`` /
-    ``checksum_cost`` results, or a collective cost this builder
-    memoizes on its arguments — share one ``(duration, shared, meta)``
-    record, dicts included. Programs are read-only, so nothing writes
-    to those dicts (fault plans copy before rewriting).
+    :meth:`skeleton` wraps the structure into a :class:`Skeleton`;
+    :meth:`build` scatters the table over it into a runnable
+    :class:`Program`. Programs are read-only, so nothing writes to the
+    shared record dicts (fault plans copy before rewriting).
     """
 
-    def __init__(
-        self,
-        hw: HardwareParams,
-        skeleton: Optional[Skeleton] = None,
-        on_record: Optional[Callable[[Skeleton], None]] = None,
-    ):
+    def __init__(self, hw: HardwareParams, table: Optional[CostTable] = None):
         self.hw = hw
-        self.costs = CommCostModel.for_hw(hw)
-        self.skeleton = skeleton
-        self._on_record = on_record
-        # One list per activity attribute, in ``Columns`` field order;
-        # a replaying builder fills only kinds, durations, shared, metas.
-        self._columns: Tuple[list, ...] = tuple([] for _ in Columns._fields)
+        self.table = CostTable(hw) if table is None else table
+        self.comm_model = CommCostModel.for_hw(hw)
+        # One list per skeleton column (aids, labels, kinds, exclusive,
+        # deps, cost_index), and their bound ``append`` methods.
+        self._columns: Tuple[list, ...] = ([], [], [], [], [], [])
+        self._appends = tuple(column.append for column in self._columns)
         self._next_id = 0
-        # id(cost) -> its record; ``_charged`` keeps each cost alive so
-        # its id cannot be reused while this builder lives.
-        self._records: Dict[int, _Record] = {}
-        self._charged: List[object] = []
-        # (cost-model method, *arguments) -> CommCost.
-        self._comm_costs: Dict[tuple, object] = {}
+        # The exclusive resources of a collective on each link.
+        self._links = {
+            link: (link,) if hw.overlap_collectives else (link, CORE)
+            for link in (LINK_H, LINK_V)
+        }
+        self._overlap = _sendrecv_overlap(hw)
+        # The direct vocabulary's records: (declaration, cost) -> slot.
+        self._charged: Dict[Hashable, int] = {}
+
+    def skeleton(self) -> Skeleton:
+        """The structure emitted so far, over this builder's table."""
+        return Skeleton(*map(tuple, self._columns), len(self.table.records))
 
     def build(self, **meta: object) -> Program:
         """Finalize into a runnable :class:`Program`."""
-        capacities = {HBM: self.hw.hbm_bandwidth}
-        if self.hw.has_shared_nic:
-            capacities[NIC] = self.hw.nic_bandwidth
-        skeleton = self.skeleton
-        if skeleton is None:
-            columns = Columns._make(map(tuple, self._columns))
-            if self._on_record is not None:
-                skeleton = Skeleton(
-                    columns.aids, columns.labels, columns.kinds,
-                    columns.exclusive, columns.deps,
-                )
-                self._on_record(skeleton)
-        else:
-            _aids, _labels, kinds, durations, _excl, shared, _deps, metas = (
-                self._columns
-            )
-            if tuple(kinds) != skeleton.kinds:
-                raise SimulationError(
-                    "replayed activities do not match the program skeleton"
-                )
-            columns = Columns(
-                skeleton.aids, skeleton.labels, skeleton.kinds,
-                tuple(durations), skeleton.exclusive, tuple(shared),
-                skeleton.deps, tuple(metas),
-            )
-        return Program.from_columns(columns, capacities, meta, skeleton)
+        return Program.from_columns(
+            self.skeleton().columns(self.table),
+            shared_capacities(self.hw),
+            meta,
+        )
 
-    # ---------------------------------------------------------------- compute
+    # ------------------------------------------------------------ by slot
+
+    def emit_compute(
+        self, label: str, slot: int, deps: Sequence[int] = (),
+        kind: str = "compute",
+    ) -> int:
+        """A kernel on the compute core charged to ``slot``."""
+        return self._add(label, kind, slot, (CORE,), deps)
+
+    def emit_collective(
+        self, label: str, slot: int, link: str, deps: Sequence[int] = ()
+    ) -> int:
+        """A ring collective on one link direction charged to ``slot``.
+
+        When ``hw.overlap_collectives`` is false the collective also
+        claims the compute core.
+        """
+        exclusive = self._links.get(link)
+        if exclusive is None:
+            raise ValueError(f"unknown link {link!r}")
+        return self._add(label, "comm", slot, exclusive, deps)
+
+    def emit_sendrecv(
+        self, label: str, slot: int, link: str, deps: Sequence[int] = ()
+    ) -> int:
+        """A point-to-point SendRecv charged to the slot(s) that
+        :meth:`CostTable.sendrecv` declared at ``slot``.
+
+        Honors ``hw.overlap_sendrecv`` and
+        ``hw.sendrecv_overlap_fraction``: the non-overlappable fraction
+        of the transfer additionally occupies the compute core,
+        modelling compiler-created dependencies (Section 5.3.1).
+        """
+        fraction = self._overlap
+        if fraction >= 1.0:
+            return self._add(label, "comm", slot, (link,), deps)
+        if fraction <= 0.0:
+            return self._add(label, "comm", slot, (link, CORE), deps)
+        first = self._add(f"{label}/async", "comm", slot, (link,), deps)
+        return self._add(
+            f"{label}/blocking", "comm", slot + 1, (link, CORE), (first,)
+        )
+
+    def emit_comm(
+        self, label: str, slot: int, resources: Sequence[str], deps: Sequence[int] = ()
+    ) -> int:
+        """A communication on explicit exclusive resources.
+
+        For rings outside the 2D plane (e.g. the replica dimension of a
+        3D torus) where the standard link policy does not apply. The
+        collective-overlap policy is still honored.
+        """
+        exclusive = tuple(resources)
+        if not self.hw.overlap_collectives and CORE not in exclusive:
+            exclusive = exclusive + (CORE,)
+        return self._add(label, "comm", slot, exclusive, deps)
+
+    # ------------------------------------------------------------ compute
 
     def gemm(
         self,
@@ -278,15 +508,15 @@ class ProgramBuilder:
         deps: Sequence[int] = (),
     ) -> int:
         """A local GeMM kernel on the compute core."""
-        cost = gemm_cost(m, n, k, self.hw)
-        return self._compute_activity(label, "compute", cost, deps)
+        slot = self._charge(gemm_cost(m, n, k, self.hw), self.table.compute)
+        return self.emit_compute(label, slot, deps)
 
     def slice_copy(
         self, label: str, sub_shard_bytes: float, deps: Sequence[int] = ()
     ) -> int:
         """A blocked slicing (or slice write-back) copy on the core."""
-        cost = slice_cost(sub_shard_bytes, self.hw)
-        return self._compute_activity(label, "slice", cost, deps)
+        slot = self._charge(slice_cost(sub_shard_bytes, self.hw), self.table.compute)
+        return self.emit_compute(label, slot, deps, kind="slice")
 
     def checksum(
         self, label: str, elements: float, deps: Sequence[int] = ()
@@ -296,8 +526,8 @@ class ProgramBuilder:
         A memory-bound streaming reduction on the core (zero useful
         FLOPs), used by the ``abft=True`` program variants.
         """
-        cost = checksum_cost(elements, self.hw)
-        return self._compute_activity(label, "compute", cost, deps)
+        slot = self._charge(checksum_cost(elements, self.hw), self.table.compute)
+        return self.emit_compute(label, slot, deps)
 
     def expected_compute(
         self,
@@ -306,37 +536,10 @@ class ProgramBuilder:
         probability: float,
         deps: Sequence[int] = (),
     ) -> int:
-        """A compute kernel charged at its expected (probability-scaled) cost.
-
-        Models a recovery epilogue that only sometimes runs — e.g. the
-        ABFT recompute of a corrupted block, whose expected duration is
-        the block recompute time times the per-run corruption
-        probability. FLOPs are reported as zero: recovery work is
-        overhead, not useful throughput.
-        """
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError(f"probability must be in [0, 1], got {probability}")
-        scaled = ComputeCost(
-            seconds=cost.seconds * probability,
-            hbm_bytes=cost.hbm_bytes * probability,
-            flops=0.0,
-        )
-        return self._compute_activity(label, "compute", scaled, deps)
-
-    def _compute_activity(
-        self, label: str, kind: str, cost: ComputeCost, deps: Sequence[int]
-    ) -> int:
-        record = self._records.get(id(cost))
-        if record is None:
-            hbm_rate = cost.hbm_rate
-            record = self._charge(
-                label,
-                cost,
-                cost.seconds,
-                {HBM: hbm_rate} if hbm_rate > 0 else {},
-                {"flops": cost.flops, "hbm_bytes": cost.hbm_bytes},
-            )
-        return self._add(label, kind, record, (CORE,), deps)
+        """A compute kernel charged at its expected (probability-scaled)
+        cost (see :meth:`CostTable.expected`)."""
+        slot = self.table.expected(self._fresh(), cost, probability)
+        return self.emit_compute(label, slot, deps)
 
     # ------------------------------------------------------------------- comm
 
@@ -362,7 +565,7 @@ class ProgramBuilder:
             return self._collective_steps(
                 label, "ag", ring_size, shard_bytes, link, deps
             )
-        cost = self._comm_cost("allgather", ring_size, shard_bytes)
+        cost = self.comm_model.allgather(ring_size, shard_bytes)
         return self._collective(label, cost, link, deps)
 
     def reducescatter(
@@ -382,7 +585,7 @@ class ProgramBuilder:
             return self._collective_steps(
                 label, "rds", ring_size, shard_bytes, link, deps
             )
-        cost = self._comm_cost("reducescatter", ring_size, shard_bytes)
+        cost = self.comm_model.reducescatter(ring_size, shard_bytes)
         return self._collective(label, cost, link, deps)
 
     def _collective_steps(
@@ -395,11 +598,11 @@ class ProgramBuilder:
         deps: Sequence[int],
     ) -> int:
         """Emit a collective as its individual synchronized ring steps."""
-        if link not in (LINK_H, LINK_V):
+        exclusive = self._links.get(link)
+        if exclusive is None:
             raise ValueError(f"unknown link {link!r}")
         if ring_size <= 1:
             return self.barrier(f"{label}/noop", deps)
-        exclusive = (link,) if self.hw.overlap_collectives else (link, CORE)
         hbm_factor = 3.0 if kind == "rds" else 2.0
         step_cost = CommCost(
             launch=0.0,
@@ -413,10 +616,14 @@ class ProgramBuilder:
             launch=self.hw.t_launch, transfer=0.0, sync=0.0,
             hbm_bytes=0.0, syncs=0, wire_bytes=0.0,
         )
-        prev = self._comm_activity(f"{label}/launch", launch_cost, (), deps)
-        for step in range(ring_size - 1):
-            prev = self._comm_activity(
-                f"{label}/step{step}", step_cost, exclusive, [prev]
+        comm = self.table.comm
+        prev = self._add(
+            f"{label}/launch", "comm", self._charge(launch_cost, comm), (), deps
+        )
+        step = self._charge(step_cost, comm)
+        for index in range(ring_size - 1):
+            prev = self._add(
+                f"{label}/step{index}", "comm", step, exclusive, (prev,)
             )
         return prev
 
@@ -430,7 +637,7 @@ class ProgramBuilder:
         deps: Sequence[int] = (),
     ) -> int:
         """A SUMMA pipelined ring broadcast."""
-        cost = self._comm_cost("broadcast", ring_size, shard_bytes, packets)
+        cost = self.comm_model.broadcast(ring_size, shard_bytes, packets)
         return self._collective(label, cost, link, deps)
 
     def reduce(
@@ -443,7 +650,7 @@ class ProgramBuilder:
         deps: Sequence[int] = (),
     ) -> int:
         """A SUMMA pipelined ring all-to-one reduce."""
-        cost = self._comm_cost("reduce", ring_size, shard_bytes, packets)
+        cost = self.comm_model.reduce(ring_size, shard_bytes, packets)
         return self._collective(label, cost, link, deps)
 
     def sendrecv(
@@ -454,80 +661,17 @@ class ProgramBuilder:
         deps: Sequence[int] = (),
         hops: int = 1,
     ) -> int:
-        """A point-to-point SendRecv (Cannon shifts, Wang decomposition).
-
-        Honors ``hw.overlap_sendrecv`` and
-        ``hw.sendrecv_overlap_fraction``: the non-overlappable fraction
-        of the transfer additionally occupies the compute core,
-        modelling compiler-created dependencies (Section 5.3.1).
-        """
-        cost = self._comm_cost("sendrecv", message_bytes, hops)
-        fraction = (
-            self.hw.sendrecv_overlap_fraction if self.hw.overlap_sendrecv else 0.0
-        )
-        if fraction >= 1.0:
-            return self._comm_activity(label, cost, (link,), deps)
-        if fraction <= 0.0:
-            return self._comm_activity(label, cost, (link, CORE), deps)
-        key = ("sendrecv/split", message_bytes, hops)
-        halves = self._comm_costs.get(key)
-        if halves is None:
-            halves = self._comm_costs[key] = (
-                cost.scaled(fraction), cost.scaled(1.0 - fraction)
-            )
-        overlapped, blocking = halves
-        first = self._comm_activity(f"{label}/async", overlapped, (link,), deps)
-        return self._comm_activity(
-            f"{label}/blocking", blocking, (link, CORE), [first]
-        )
+        """A point-to-point SendRecv (Cannon shifts, Wang decomposition);
+        see :meth:`emit_sendrecv` for the overlap policy."""
+        cost = self.comm_model.sendrecv(message_bytes, hops)
+        slot = self._charge(cost, self.table.sendrecv)
+        return self.emit_sendrecv(label, slot, link, deps)
 
     def _collective(
         self, label: str, cost: CommCost, link: str, deps: Sequence[int]
     ) -> int:
-        if link not in (LINK_H, LINK_V):
-            raise ValueError(f"unknown link {link!r}")
-        exclusive = (link,) if self.hw.overlap_collectives else (link, CORE)
-        return self._comm_activity(label, cost, exclusive, deps)
-
-    def _comm_activity(
-        self,
-        label: str,
-        cost: CommCost,
-        exclusive: Sequence[str],
-        deps: Sequence[int],
-    ) -> int:
-        record = self._records.get(id(cost))
-        if record is None:
-            duration = cost.total
-            shared = {}
-            if duration > 0 and cost.hbm_bytes > 0:
-                shared[HBM] = cost.hbm_bytes / duration
-            if (
-                self.hw.has_shared_nic
-                and duration > 0
-                and cost.wire_bytes > 0
-            ):
-                # On a logical mesh all ring traffic shares the chip's
-                # NIC: concurrent collectives in different directions
-                # contend (Section 6). The fluid engine stretches both
-                # when their combined demand exceeds the NIC bandwidth.
-                shared[NIC] = cost.wire_bytes / duration
-            record = self._charge(label, cost, duration, shared, {
-                "launch": cost.launch,
-                "transfer": cost.transfer,
-                "sync": cost.sync,
-                "syncs": cost.syncs,
-                "hbm_bytes": cost.hbm_bytes,
-            })
-        return self._add(label, "comm", record, exclusive, deps)
-
-    def _comm_cost(self, method: str, *args: float) -> CommCost:
-        """``self.costs.<method>(*args)``, memoized for this build."""
-        key = (method,) + args
-        cost = self._comm_costs.get(key)
-        if cost is None:
-            cost = self._comm_costs[key] = getattr(self.costs, method)(*args)
-        return cost
+        slot = self._charge(cost, self.table.comm)
+        return self.emit_collective(label, slot, link, deps)
 
     def comm_on(
         self,
@@ -536,16 +680,10 @@ class ProgramBuilder:
         resources: Sequence[str],
         deps: Sequence[int] = (),
     ) -> int:
-        """A communication activity on explicit exclusive resources.
-
-        For rings outside the 2D plane (e.g. the replica dimension of a
-        3D torus) where the standard link policy does not apply. The
-        collective-overlap policy is still honored.
-        """
-        exclusive = tuple(resources)
-        if not self.hw.overlap_collectives and CORE not in exclusive:
-            exclusive = exclusive + (CORE,)
-        return self._comm_activity(label, cost, exclusive, deps)
+        """A communication activity on explicit exclusive resources
+        (see :meth:`emit_comm`)."""
+        slot = self._charge(cost, self.table.comm)
+        return self.emit_comm(label, slot, resources, deps)
 
     # ---------------------------------------------------------------- plumbing
 
@@ -554,125 +692,63 @@ class ProgramBuilder:
         """A builder pre-loaded with an existing program's activities.
 
         Used to append cluster-level operations (e.g. a data-parallel
-        gradient all-reduce) to an algorithm's GeMM program.
+        gradient all-reduce) to an algorithm's GeMM program. Each
+        existing activity keeps its own record.
         """
         builder = cls(hw)
-        builder._columns = tuple(map(list, program.columns))
-        builder._next_id = max(program.columns.aids, default=-1) + 1
+        cols = program.columns
+        for record in zip(cols.durations, cols.shared, cols.metas):
+            builder.table._put(builder._fresh(), *record)
+        for column, values in zip(builder._columns, (
+            cols.aids, cols.labels, cols.kinds, cols.exclusive, cols.deps,
+            range(len(cols.aids)),
+        )):
+            column.extend(values)
+        builder._next_id = max(cols.aids, default=-1) + 1
         return builder
 
     def barrier(self, label: str, deps: Sequence[int]) -> int:
         """A zero-duration ordering point."""
-        return self._add(label, "barrier", (0.0, {}, {}), (), deps)
+        slot = self._charged.get("barrier")
+        if slot is None:
+            slot = self._charged["barrier"] = self.table._put(
+                "barrier", 0.0, {}, {}
+            )
+        return self._add(label, "barrier", slot, (), deps)
 
-    def _charge(
-        self,
-        label: str,
-        cost: object,
-        duration: float,
-        shared: Dict[str, float],
-        meta: Dict[str, object],
-    ) -> _Record:
-        """Register the record of ``cost``, first charged by ``label``.
+    def _fresh(self) -> Hashable:
+        """A table name no other record of this builder uses."""
+        return ("direct", len(self.table.records))
 
-        The ``Activity.__post_init__`` checks are made here, once per
-        record, with identical messages: the first activity charging an
-        invalid cost is the one that fails.
-        """
-        if duration < 0:
-            raise ValueError(f"activity {label!r} has negative duration")
-        for demand in shared.values():
-            if demand < 0:
-                raise ValueError(f"activity {label!r} has negative demand")
-        record = self._records[id(cost)] = (duration, shared, meta)
-        self._charged.append(cost)
-        return record
+    def _charge(self, cost: object, declare: Callable[[Hashable, object], int]) -> int:
+        """The slot of ``cost``'s record, declared on first charge:
+        equal costs share one record."""
+        name = (declare.__name__, cost)
+        slot = self._charged.get(name)
+        if slot is None:
+            slot = self._charged[name] = declare(name, cost)
+        return slot
 
     def _add(
         self,
         label: str,
         kind: str,
-        record: _Record,
-        exclusive: Sequence[str],
+        slot: int,
+        exclusive: Tuple[str, ...],
         deps: Sequence[int],
     ) -> int:
-        # The hottest call of a sweep (one per activity of every built
-        # program), so it appends to the attribute columns directly
-        # instead of building an ``Activity``. A replaying builder
-        # leaves the structure columns to its skeleton.
+        # The hottest call of a first build (one per activity): it
+        # appends to the columns directly, allocating nothing new but
+        # the dependency tuple.
         aid = self._next_id
-        self._next_id += 1
-        aids, labels, kinds, durations, exclusives, shareds, depss, metas = (
-            self._columns
+        self._next_id = aid + 1
+        add_aid, add_label, add_kind, add_exclusive, add_deps, add_slot = (
+            self._appends
         )
-        duration, shared, meta = record
-        kinds.append(kind)
-        durations.append(duration)
-        shareds.append(shared)
-        metas.append(meta)
-        if self.skeleton is None:
-            aids.append(aid)
-            labels.append(label)
-            if type(exclusive) is not tuple:
-                exclusive = tuple(exclusive)
-            if type(deps) is not tuple:
-                deps = tuple(deps)
-            exclusives.append(exclusive)
-            depss.append(deps)
+        add_aid(aid)
+        add_label(label)
+        add_kind(kind)
+        add_exclusive(exclusive)
+        add_deps(deps if type(deps) is tuple else tuple(deps))
+        add_slot(slot)
         return aid
-
-
-def repeat_program(block: Program, copies: int) -> Program:
-    """Stack ``copies`` sequential repetitions of ``block``.
-
-    This is the deep-model constructor: one transformer-style layer
-    (``block``, e.g. a distributed GeMM program) repeated layer after
-    layer. Copy ``k+1``'s entry activities (those with no intra-block
-    dependencies) depend on copy ``k``'s exit activities (those with no
-    intra-block dependents) — the layer-to-layer dataflow of a stacked
-    model.
-    """
-    if copies < 1:
-        raise ValueError("copies must be >= 1")
-    cols = block.columns
-    n = len(cols.aids)
-    position = {aid: i for i, aid in enumerate(cols.aids)}
-    referenced = set()
-    for deps in cols.deps:
-        referenced.update(deps)
-    sinks = tuple(i for i, aid in enumerate(cols.aids) if aid not in referenced)
-    aids: List[int] = []
-    labels: List[str] = []
-    shared: List[Dict[str, float]] = []
-    deps_out: List[Tuple[int, ...]] = []
-    metas: List[Dict[str, object]] = []
-    for k in range(copies):
-        base = k * n
-        prefix = f"layer{k}/"
-        if k:
-            entry_deps = tuple(base - n + s for s in sinks)
-        else:
-            entry_deps = ()
-        aids.extend(range(base, base + n))
-        labels.extend([prefix + label for label in cols.labels])
-        shared.extend([dict(demands) for demands in cols.shared])
-        deps_out.extend([
-            tuple(base + position[d] for d in deps) if deps else entry_deps
-            for deps in cols.deps
-        ])
-        metas.extend([dict(m) for m in cols.metas])
-    columns = Columns(
-        tuple(aids),
-        tuple(labels),
-        cols.kinds * copies,
-        cols.durations * copies,
-        cols.exclusive * copies,
-        tuple(shared),
-        tuple(deps_out),
-        tuple(metas),
-    )
-    meta = dict(block.meta)
-    meta["copies"] = copies
-    return Program.from_columns(
-        columns, dict(block.shared_capacities), meta
-    )

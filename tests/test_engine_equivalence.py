@@ -174,7 +174,9 @@ def test_randomized_repeated_fragments_bit_identical():
     :func:`repeat_program`, and requires the engine to agree with the
     reference bit-for-bit across the layer-to-layer dependencies.
     """
-    from repro.sim.program import Program, repeat_program
+    from program_helpers import repeat_program
+
+    from repro.sim.program import Program
 
     capacities = {"hbm": 1.0, "nic": 1.0}
     for seed in range(40):

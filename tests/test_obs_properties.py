@@ -158,7 +158,7 @@ def _pass_program():
 
 def _simulate_pass(stacked=False):
     from repro.sim import simulate
-    from repro.sim.program import repeat_program
+    from program_helpers import repeat_program
 
     program = _pass_program()
     if stacked:

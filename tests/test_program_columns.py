@@ -13,12 +13,14 @@ from typing import Dict
 
 import pytest
 
+from program_helpers import repeat_program
+
 from repro.experiments import fig09_weak_scaling
 from repro.hw import get_preset
 from repro.perf.cache import KILL_SWITCH_ENV, _REGISTRY, clear_caches
 from repro.perf.pipeline import _BOUND_SAFETY, _program_lower_bound
 from repro.sim.engine import Activity, Columns
-from repro.sim.program import Program, ProgramBuilder, repeat_program
+from repro.sim.program import Program, ProgramBuilder
 
 TPUV4 = get_preset("tpuv4-sim")
 

@@ -1,19 +1,27 @@
 """Program skeletons against fresh builds.
 
-A build that replays a stored skeleton must produce exactly the
-program a fresh, recording build produces: the same columns with every
-float equal to the bit and of the same type, the same capacities and
-the same metadata. The oracle runs every build of the ten paper
-artifacts and four ablations with caching on, then rebuilds each one
-with caching off. It must also catch a skeleton key that leaves out
-what a builder branches on. Faulted runs of replayed programs, and
+A build that scatters its cost table over a stored skeleton must
+produce exactly the program a store-free build produces by running
+its emission loop: the same columns with every float equal to the bit
+and of the same type, the same capacities and the same metadata. The
+oracle runs every build of the ten paper artifacts and four ablations
+with caching on, then rebuilds each one with caching off. Both sides
+share ``costs()``; ``test_program_images`` pins that half against
+digests taken before the split. The oracle must also catch a skeleton
+key that leaves out what a builder branches on. A hit must run
+neither the emission loop nor the builder, and must reject a cost
+table of the wrong length. Faulted runs of replayed programs, and
 fault plans over activities that share one cost record, are checked
 against fresh programs too.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
+
+from program_helpers import algorithm_classes, image
 
 from repro.algorithms import GeMMConfig, get_algorithm
 from repro.algorithms.base import DistributedGeMM
@@ -35,7 +43,13 @@ from repro.sim.engine import (
     Engine,
     SimulationError,
 )
-from repro.sim.program import Program, ProgramBuilder, Skeleton
+from repro.sim.program import (
+    CostTable,
+    Program,
+    ProgramBuilder,
+    Skeleton,
+    shared_capacities,
+)
 
 ARTIFACTS = (
     "fig4", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
@@ -43,35 +57,6 @@ ARTIFACTS = (
     "ablation-zoo", "ablation-faults", "ablation-unrolling",
     "ablation-logical-mesh",
 )
-
-
-def _typed(value):
-    """``value`` with every float as its hex and every value typed."""
-    kind = type(value)
-    if kind is float:
-        return ("float", value.hex())
-    if kind is dict:
-        return ("dict",) + tuple((key, _typed(v)) for key, v in value.items())
-    if kind is tuple or kind is list:
-        return (kind.__name__,) + tuple(_typed(v) for v in value)
-    return (kind.__name__, value)
-
-
-def _image(program: Program):
-    return (
-        _typed(tuple(program.columns)),
-        _typed(program.shared_capacities),
-        program.meta,
-    )
-
-
-def _algorithm_classes():
-    pending, seen = [DistributedGeMM], {}
-    while pending:
-        for sub in pending.pop().__subclasses__():
-            seen[sub] = None
-            pending.append(sub)
-    return list(seen)
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +67,7 @@ def artifact_builds():
     with pytest.MonkeyPatch.context() as mp:
         mp.delenv(KILL_SWITCH_ENV, raising=False)
         mp.setenv("REPRO_JOBS", "1")
-        for cls in _algorithm_classes():
+        for cls in algorithm_classes():
             build = vars(cls).get("build_program")
             if build is None:
                 continue
@@ -112,7 +97,7 @@ def _replay_mismatches(builds):
         except SimulationError:
             mismatched.append((algorithm.name, cfg))
             continue
-        if _image(again) != _image(program):
+        if image(again) != image(program):
             mismatched.append((algorithm.name, cfg))
     return mismatched
 
@@ -129,7 +114,7 @@ class TestArtifactOracle:
         mismatched = [
             (algorithm.name, cfg)
             for algorithm, build, cfg, hw, program in builds
-            if _image(build(algorithm, cfg, hw)) != _image(program)
+            if image(build(algorithm, cfg, hw)) != image(program)
         ]
         assert mismatched == []
 
@@ -175,7 +160,7 @@ def _replayed_and_fresh(name, cfg, other, hw, monkeypatch):
     fresh = algorithm.build_program(cfg, hw)
     monkeypatch.delenv(KILL_SWITCH_ENV)
     assert fresh.skeleton is None
-    assert _image(replayed) == _image(fresh)
+    assert image(replayed) == image(fresh)
     assert replayed == fresh
     return replayed, fresh
 
@@ -272,56 +257,114 @@ class TestCostRecords:
 
 
 class TestReplayingBuilder:
-    def _skeleton(self, hw):
-        builder = ProgramBuilder(hw, on_record=lambda s: recorded.append(s))
-        recorded = []
-        ag = builder.allgather("ag", 4, 1e6, LINK_H)
-        builder.gemm("g", 256, 256, 256, deps=[ag])
-        program = builder.build(tag="x")
-        assert recorded == [program.skeleton]
-        return program.skeleton
+    """A build that hits a stored skeleton is its cost table scattered
+    over the skeleton: no emission loop, no builder."""
 
-    def test_replay_takes_the_skeleton_columns(self, hw):
-        skeleton = self._skeleton(hw)
-        builder = ProgramBuilder(hw, skeleton=skeleton)
-        ag = builder.allgather("ignored", 4, 2e6, LINK_H)
-        builder.gemm("ignored", 512, 256, 256, deps=[ag])
-        program = builder.build(tag="y")
-        assert program.skeleton is skeleton
-        assert program.columns.labels == ("ag", "g")
-        assert program.columns.deps == ((), (0,))
-        assert program.meta == {"tag": "y"}
+    CFG = GeMMConfig(GeMMShape(2048, 4096, 1024), Mesh2D(4, 4), Dataflow.LS, 2)
+    OTHER = dataclasses.replace(CFG, shape=GeMMShape(4096, 8192, 2048))
 
-    def test_replay_rejects_other_kinds(self, hw):
-        builder = ProgramBuilder(hw, skeleton=self._skeleton(hw))
-        builder.gemm("g", 256, 256, 256)
-        builder.gemm("g", 256, 256, 256)
-        with pytest.raises(SimulationError, match="skeleton"):
-            builder.build()
-        short = ProgramBuilder(hw, skeleton=self._skeleton(hw))
-        short.allgather("ag", 4, 1e6, LINK_H)
-        with pytest.raises(SimulationError, match="skeleton"):
-            short.build()
+    def test_replay_takes_the_skeleton_columns(self, caching, monkeypatch, hw):
+        algorithm = get_algorithm("meshslice")
+        first = algorithm.build_program(self.CFG, hw)
+        skeleton = first.skeleton
 
-    @pytest.mark.parametrize("replay", [False, True])
-    def test_negative_costs_keep_their_messages(self, hw, replay):
-        skeleton = self._skeleton(hw) if replay else None
-        builder = ProgramBuilder(hw, skeleton=skeleton)
+        def refuse(*args, **kwargs):
+            raise AssertionError("a hit ran the emission loop")
+
+        monkeypatch.setattr(type(algorithm), "emit", refuse)
+        monkeypatch.setattr(ProgramBuilder, "__init__", refuse)
+        hit = algorithm.build_program(self.OTHER, hw)
+        assert hit.skeleton is skeleton
+        for name in ("aids", "labels", "kinds", "exclusive", "deps"):
+            assert getattr(hit.columns, name) is getattr(skeleton, name)
+        assert hit.meta == {"algorithm": "meshslice", "config": self.OTHER}
+        assert hit.columns.durations != first.columns.durations
+        assert len(skeleton.cost_index) == len(skeleton.aids)
+        assert skeleton.slots == len(algorithm.costs(self.OTHER, hw).records)
+
+    def test_replay_rejects_a_table_of_another_length(
+        self, caching, monkeypatch, hw
+    ):
+        algorithm = get_algorithm("meshslice")
+        algorithm.build_program(self.CFG, hw)
+        costs = type(algorithm).costs
+        for resize in (
+            lambda table: table.gemm("spare", 8, 8, 8),
+            lambda table: table.records.pop(),
+        ):
+            def resized(self, cfg, hw, resize=resize):
+                table = costs(self, cfg, hw)
+                resize(table)
+                return table
+
+            monkeypatch.setattr(type(algorithm), "costs", resized)
+            with pytest.raises(SimulationError, match="skeleton"):
+                algorithm.build_program(self.OTHER, hw)
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_negative_costs_keep_their_messages(
+        self, caching, monkeypatch, hw, cached
+    ):
+        """A negative record names the first activity charging it: on a
+        hit, on a miss and with caching off."""
+        algorithm = get_algorithm("meshslice")
+        costs = type(algorithm).costs
+        if not cached:
+            monkeypatch.setenv(KILL_SWITCH_ENV, "1")
+        for problem in ("duration", "demand"):
+            def negative(self, cfg, hw, problem=problem):
+                table = costs(self, cfg, hw)
+                slot = table.slots["ag_b"]
+                duration, shared, meta = table.records[slot]
+                if problem == "duration":
+                    duration = -1.0
+                else:
+                    shared = {**shared, "hbm": -1.0}
+                table.records[slot] = (duration, shared, meta)
+                table.invalid.append(slot)
+                return table
+
+            monkeypatch.setattr(type(algorithm), "costs", negative)
+            for cfg in (self.CFG, self.OTHER):
+                with pytest.raises(
+                    ValueError,
+                    match=rf"activity 'ag_b\[0\]' has negative {problem}",
+                ):
+                    algorithm.build_program(cfg, hw)
+            clear_caches(("program_skeleton",))
+
+    def test_the_direct_vocabulary_keeps_its_messages(self, hw):
         negative = CommCost(launch=-1.0, transfer=0.0, sync=0.0,
                             hbm_bytes=0.0, syncs=0)
+        builder = ProgramBuilder(hw)
+        builder.gemm("fine", 256, 256, 256)
+        builder.comm_on("bad", negative, (LINK_H,))
+        builder.comm_on("worse", negative, (LINK_H,))
         with pytest.raises(ValueError, match="'bad' has negative duration"):
-            builder.comm_on("bad", negative, (LINK_H,))
+            builder.build()
+        builder = ProgramBuilder(hw)
+        builder.expected_compute("worse", ComputeCost(-1.0, 0.0, 0.0), 1.0)
         with pytest.raises(ValueError, match="'worse' has negative duration"):
-            builder.expected_compute("worse", ComputeCost(-1.0, 0.0, 0.0), 1.0)
+            builder.build()
+
+    def test_the_table_marks_negative_records(self, hw):
+        table = CostTable(hw)
+        table.gemm("g", 256, 256, 256)
+        table.comm("bad", CommCost(launch=-1.0, transfer=0.0, sync=0.0,
+                                   hbm_bytes=0.0, syncs=0))
+        assert table.slots == {"g": 0, "bad": 1}
+        assert table.invalid == [1]
 
 
 class TestSkeletonStructure:
     def test_engine_reuses_the_skeleton_structure(self, hw):
-        builder = ProgramBuilder(hw, on_record=lambda s: None)
+        builder = ProgramBuilder(hw)
         ag = builder.allgather("ag", 4, 1e6, LINK_H)
         builder.gemm("g", 256, 256, 256, deps=[ag])
-        program = builder.build()
-        skeleton = program.skeleton
+        skeleton = builder.skeleton()
+        program = Program.from_columns(
+            skeleton.columns(builder.table), shared_capacities(hw), {}, skeleton
+        )
         with_skeleton = Engine(
             program.columns, program.shared_capacities, skeleton
         ).run()
@@ -342,6 +385,7 @@ class TestSkeletonStructure:
             skeleton = Skeleton(
                 columns.aids, columns.labels, columns.kinds,
                 columns.exclusive, columns.deps,
+                tuple(range(len(columns.aids))), len(columns.aids),
             )
             for given in (None, skeleton):
                 with pytest.raises(SimulationError, match=message):

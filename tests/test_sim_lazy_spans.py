@@ -13,6 +13,8 @@ import pickle
 
 import pytest
 
+from program_helpers import repeat_program
+
 from repro.algorithms import GeMMConfig, get_algorithm
 from repro.core import GeMMShape
 from repro.experiments.common import grid_map
@@ -21,7 +23,6 @@ from repro.hw import get_preset
 from repro.mesh import Mesh2D
 from repro.sim import simulate
 from repro.sim.engine import Activity, Engine, Span, SpanTable, makespan
-from repro.sim.program import repeat_program
 
 TPUV4 = get_preset("tpuv4-sim")
 CFG = GeMMConfig(shape=GeMMShape(m=4096, n=2048, k=8192), mesh=Mesh2D(4, 4),
