@@ -22,13 +22,18 @@ Everything that does not depend on ``S`` — flowing payloads, local
 kernel dimensions, ABFT encode/verify/recompute costs — is computed
 once per configuration (:class:`_SliceTerms`); the slice-count search
 and the direct estimates then evaluate the same per-``S`` closed form.
+The search is a certified branch-and-bound (:func:`_cheapest`): every
+valid ``S`` gets a memo-free lower bound
+(:meth:`_SliceTerms.lower_bounds`), and only the counts whose bound
+does not exceed the best total so far are estimated. The result is the
+exhaustive scan's, to the bit.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.algorithms.base import (
     GeMMConfig,
@@ -45,7 +50,8 @@ from repro.core.dataflow import sliced_dimension, sliced_extent
 from repro.hw.params import HardwareParams
 from repro.mesh.topology import divisors
 from repro.perf.cache import memoize
-from repro.sim.chip import ComputeCost, checksum_cost, gemm_cost, slice_cost
+from repro.perf.pipeline import _BOUND_SAFETY
+from repro.sim.chip import checksum_cost, gemm_cost, slice_cost
 
 
 @dataclasses.dataclass(frozen=True)
@@ -68,38 +74,36 @@ class CostEstimate:
         return self.flops_per_chip / (self.total * hw.peak_flops)
 
 
+def _op_times(
+    hw: HardwareParams, costs: List[CommCost], comm_transfer: float
+) -> List[float]:
+    """Durations of one slice's per-direction collectives (or epochs).
+
+    ``comm_transfer`` is the wire time summed over both directions.
+    """
+    if not hw.has_shared_nic:
+        return [c.total for c in costs]
+    # Logical-mesh NIC bound (Section 6): while the directions'
+    # transfers overlap they share the NIC, so an op's transfer cannot
+    # beat the work-conserving time of the *combined* wire traffic;
+    # synchronization and launch remain per-op serial terms.
+    nic_floor = comm_transfer * hw.ring_bandwidth / hw.nic_bandwidth
+    return [c.launch + c.sync + max(c.transfer, nic_floor) for c in costs]
+
+
 def _pipelined(
     hw: HardwareParams,
-    ag_costs: List[CommCost],
-    rds_costs: List[CommCost],
-    comm_hbm_bytes: float,
-    comm_transfer: float,
-    gemm_hbm_bytes: float,
+    ag_times: List[float],
+    rds_times: List[float],
+    hbm_iter: float,
     core_iter: float,
 ) -> Tuple[float, float, float]:
     """(prologue, steady, epilogue) of one software-pipelined iteration.
 
-    ``ag_costs``/``rds_costs`` are one slice's per-direction collectives
-    (or one-sided epochs), ``comm_hbm_bytes``/``comm_transfer`` their
-    summed HBM traffic and wire time, and ``core_iter`` the core time
-    of one iteration.
+    ``ag_times``/``rds_times`` are one slice's per-direction op times,
+    ``hbm_iter`` the HBM time of one overlapped iteration and
+    ``core_iter`` its core time.
     """
-    if hw.has_shared_nic:
-        # Logical-mesh NIC bound (Section 6): while the directions'
-        # transfers overlap they share the NIC, so an op's transfer
-        # cannot beat the work-conserving time of the *combined* wire
-        # traffic; synchronization and launch remain per-op serial terms.
-        nic_floor = comm_transfer * hw.ring_bandwidth / hw.nic_bandwidth
-
-        def op_time(cost: CommCost) -> float:
-            return cost.launch + cost.sync + max(cost.transfer, nic_floor)
-
-        ag_times = [op_time(c) for c in ag_costs]
-        rds_times = [op_time(c) for c in rds_costs]
-    else:
-        ag_times = [c.total for c in ag_costs]
-        rds_times = [c.total for c in rds_costs]
-
     if hw.overlap_collectives:
         prologue = max(ag_times, default=0.0)
         # HBM roofline of one overlapped iteration: the NIC's collective
@@ -107,7 +111,6 @@ def _pipelined(
         # steady-state iteration can take no less time than moving all
         # of those bytes. Dominates for memory-bound (inference-decode)
         # GeMMs, where slicing therefore stops paying off (Section 6).
-        hbm_iter = (gemm_hbm_bytes + comm_hbm_bytes) / hw.hbm_bandwidth
         steady = max([core_iter, hbm_iter] + ag_times + rds_times)
         epilogue = core_iter + sum(rds_times)
         return prologue, steady, epilogue
@@ -120,10 +123,11 @@ class _SliceTerms:
     """The slice-count-invariant terms of one MeshSlice configuration.
 
     Built once per configuration (its ``slices`` field is ignored);
-    :meth:`estimate` evaluates the closed form at one ``S``. The direct
-    estimate and the slice-count search both go through it, so they
-    run the same float operations in the same order and agree to the
-    bit.
+    :meth:`estimate` evaluates the closed form at one ``S`` and
+    :meth:`lower_bounds` floors it for the search. The direct estimate
+    and the slice-count search both go through :meth:`estimate`, so
+    they run the same float operations in the same order and agree to
+    the bit.
     """
 
     __slots__ = (
@@ -134,6 +138,9 @@ class _SliceTerms:
 
     #: Communication cost model of the per-slice collectives.
     cost_model = CommCostModel
+    #: Whether each flowing input pays a local slicing copy per slice
+    #: (Algorithm 2).
+    slicing_copies = True
 
     def __init__(self, cfg: GeMMConfig, hw: HardwareParams):
         self.hw = hw
@@ -189,8 +196,8 @@ class _SliceTerms:
         probability = min(1.0, self.sdc_rate * (slices * (1 + self.collectives)))
         return self.encode, self.verify + probability * self.recompute
 
-    def local_gemm(self, slices: int) -> ComputeCost:
-        """Cost of one partial GeMM with the sliced dimension split S ways."""
+    def sliced_dims(self, slices: int) -> Tuple[int, int, int]:
+        """Local kernel dims of one partial GeMM, sliced dim split S ways."""
         m, n, k = self.local_dims
         if self.sliced_dim == "k":
             k = _div(k, slices)
@@ -198,12 +205,17 @@ class _SliceTerms:
             n = _div(n, slices)
         else:
             m = _div(m, slices)
-        return gemm_cost(m, n, k, self.hw)
+        return m, n, k
+
+    def op_cost(self, op: str, ring: int, shard_bytes: float) -> CommCost:
+        """One slice's collective of ``shard_bytes`` shards on ``ring``."""
+        if op == "ag":
+            return self.costs.allgather(ring, shard_bytes)
+        return self.costs.reducescatter(ring, shard_bytes)
 
     def estimate(self, slices: int) -> CostEstimate:
-        """The MeshSlice estimate at ``S = slices``."""
+        """The estimate at ``S = slices``."""
         hw = self.hw
-        costs = self.costs
         chips_slices = self.chips * slices
         ag_costs = []
         rds_costs = []
@@ -212,23 +224,22 @@ class _SliceTerms:
         comm_transfer = 0.0
         for op, payload, ring in self.flows:
             shard_bytes = payload / chips_slices
-            if slices > 1:
+            if slices > 1 and self.slicing_copies:
                 core_extra += slice_cost(shard_bytes, hw).seconds
             if ring <= 1:
                 continue
-            if op == "ag":
-                cost = costs.allgather(ring, shard_bytes)
-                ag_costs.append(cost)
-            else:
-                cost = costs.reducescatter(ring, shard_bytes)
-                rds_costs.append(cost)
+            cost = self.op_cost(op, ring, shard_bytes)
+            (ag_costs if op == "ag" else rds_costs).append(cost)
             comm_hbm_bytes += cost.hbm_bytes
             comm_transfer += cost.transfer
 
-        gemm = self.local_gemm(slices)
+        gemm = gemm_cost(*self.sliced_dims(slices), hw)
         prologue, steady, epilogue = _pipelined(
-            hw, ag_costs, rds_costs, comm_hbm_bytes, comm_transfer,
-            gemm.hbm_bytes, gemm.seconds + core_extra,
+            hw,
+            _op_times(hw, ag_costs, comm_transfer),
+            _op_times(hw, rds_costs, comm_transfer),
+            (gemm.hbm_bytes + comm_hbm_bytes) / hw.hbm_bandwidth,
+            gemm.seconds + core_extra,
         )
         abft_prologue, abft_epilogue = self.abft_overheads(slices)
         return CostEstimate(
@@ -239,13 +250,72 @@ class _SliceTerms:
             flops_per_chip=self.flops_per_chip,
         )
 
+    def lower_bounds(self, counts: Sequence[int]) -> List[float]:
+        """A certified floor of ``estimate(S).total`` for each of ``counts``.
+
+        Asks no memo. A flowing direction's op time is ``fixed + per /
+        S``: the S = 1 op's launch and synchronization plus its transfer
+        split S ways (on ``shared-nic``, at least the NIC's time for the
+        combined traffic). The core time is at least ``t_kernel + 2 m n
+        k_S / effective_flops``, since the chip model only pads FLOPs
+        and adds slicing copies, and an overlapped iteration at least
+        moves the collectives' HBM bytes. These go through
+        :func:`_pipelined` with the exact ABFT terms, and the total is
+        scaled by ``_BOUND_SAFETY`` against the rounding of the
+        regrouped float operations.
+        """
+        hw = self.hw
+        ags, rdss = [], []
+        hbm_per = 0.0
+        for op, payload, ring in self.flows:
+            if ring > 1:
+                unit = self.op_cost(op, ring, payload / self.chips)
+                (ags if op == "ag" else rdss).append(
+                    (unit.launch + unit.sync, unit.transfer)
+                )
+                hbm_per += unit.hbm_bytes
+        if hw.has_shared_nic:
+            nic_per = (
+                sum(per for _fixed, per in ags + rdss)
+                * hw.ring_bandwidth / hw.nic_bandwidth
+            )
+            ags = [(fixed, max(per, nic_per)) for fixed, per in ags]
+            rdss = [(fixed, max(per, nic_per)) for fixed, per in rdss]
+        hbm_per /= hw.hbm_bandwidth
+        t_kernel = hw.t_kernel
+        flop_rate = hw.effective_flops
+        bounds = []
+        for s in counts:
+            m, n, k = self.sliced_dims(s)
+            prologue, steady, epilogue = _pipelined(
+                hw,
+                [fixed + per / s for fixed, per in ags],
+                [fixed + per / s for fixed, per in rdss],
+                hbm_per / s,
+                t_kernel + 2.0 * m * n * k / flop_rate,
+            )
+            abft_prologue, abft_epilogue = self.abft_overheads(s)
+            total = (
+                prologue + abft_prologue + (s - 1) * steady
+                + epilogue + abft_epilogue
+            )
+            bounds.append(total * _BOUND_SAFETY)
+        return bounds
+
 
 class _OneSidedTerms(_SliceTerms):
-    """The slice-count-invariant terms of one one-sided sliced config."""
+    """The slice-count-invariant terms of one one-sided sliced config.
+
+    Each flowing input's per-slice AllGather becomes a get epoch plus
+    an epoch-closing fence, each ReduceScatter an accumulate epoch plus
+    fence. Window addressing replaces MeshSlice's local slicing copies,
+    so the iteration's core time is the partial GeMM alone.
+    """
 
     __slots__ = ("fences",)
 
     cost_model = OneSidedCostModel
+    slicing_copies = False
 
     def __init__(self, cfg: GeMMConfig, hw: HardwareParams):
         if cfg.abft:
@@ -253,63 +323,43 @@ class _OneSidedTerms(_SliceTerms):
                 "one-sided sliced GeMM does not support ABFT configurations"
             )
         super().__init__(cfg, hw)
-        self.fences = tuple(
-            self.costs.fence(ring) if ring > 1 else None
-            for _op, _payload, ring in self.flows
-        )
+        self.fences = {
+            ring: self.costs.fence(ring)
+            for _op, _payload, ring in self.flows if ring > 1
+        }
 
-    def estimate(self, slices: int) -> CostEstimate:
-        """The one-sided sliced estimate at ``S = slices``."""
-        hw = self.hw
-        costs = self.costs
-        chips_slices = self.chips * slices
-        ag_costs = []
-        rds_costs = []
-        comm_hbm_bytes = 0.0
-        comm_transfer = 0.0
-        for (op, payload, ring), fence in zip(self.flows, self.fences):
-            if ring <= 1:
-                continue
-            sub_bytes = payload / chips_slices
-            if op == "ag":
-                cost = costs.epoch(ring, sub_bytes) + fence
-                ag_costs.append(cost)
-            else:
-                cost = costs.accumulate_epoch(ring, sub_bytes) + fence
-                rds_costs.append(cost)
-            comm_hbm_bytes += cost.hbm_bytes
-            comm_transfer += cost.transfer
-
-        # Window addressing replaces MeshSlice's local slicing copies, so
-        # there is no per-slice core extra — the iteration's core time is
-        # the partial GeMM alone.
-        gemm = self.local_gemm(slices)
-        prologue, steady, epilogue = _pipelined(
-            hw, ag_costs, rds_costs, comm_hbm_bytes, comm_transfer,
-            gemm.hbm_bytes, gemm.seconds,
-        )
-        return CostEstimate(
-            prologue=prologue,
-            steady=steady,
-            epilogue=epilogue,
-            slices=slices,
-            flops_per_chip=self.flops_per_chip,
-        )
+    def op_cost(self, op: str, ring: int, shard_bytes: float) -> CommCost:
+        if op == "ag":
+            epoch = self.costs.epoch(ring, shard_bytes)
+        else:
+            epoch = self.costs.accumulate_epoch(ring, shard_bytes)
+        return epoch + self.fences[ring]
 
 
 def _cheapest(
-    terms: _SliceTerms, counts: Iterable[int]
+    terms: _SliceTerms, counts: Sequence[int]
 ) -> Tuple[int, Optional[CostEstimate]]:
-    """The first of ``counts`` with the smallest estimated total."""
-    best: Tuple[int, Optional[CostEstimate]] = (1, None)
-    best_total = 0.0
-    for s in counts:
+    """The smallest of ``counts`` with the smallest estimated total.
+
+    Certified branch-and-bound: the counts are visited in ascending
+    ``(lower bound, S)`` order and estimated only while the bound does
+    not exceed the incumbent's total. A skipped count's total exceeds
+    the final optimum, so it can neither win nor tie; with the tie
+    rule below the result is the exhaustive scan's to the bit.
+    """
+    best_s, best, best_total = 1, None, 0.0
+    for bound, s in sorted(zip(terms.lower_bounds(counts), counts)):
+        if best is not None and bound > best_total:
+            break
         estimate = terms.estimate(s)
         total = estimate.total
-        if best[1] is None or total < best_total:
-            best = (s, estimate)
-            best_total = total
-    return best
+        if (
+            best is None
+            or total < best_total
+            or (total == best_total and s < best_s)
+        ):
+            best_s, best, best_total = s, estimate, total
+    return best_s, best
 
 
 @memoize("meshslice_estimate")
@@ -373,16 +423,11 @@ def best_sliced_slice_count(
 def collective_estimate(cfg: GeMMConfig, hw: HardwareParams) -> CostEstimate:
     """Estimate the Collective 2D GeMM (the S = 1 degenerate case)."""
     terms = _SliceTerms(cfg, hw)
-    costs = terms.costs
     ag_times, rds_times = [], []
     for op, payload, ring in terms.flows:
-        if ring <= 1:
-            continue
-        shard_bytes = payload / terms.chips
-        if op == "ag":
-            ag_times.append(costs.allgather(ring, shard_bytes).total)
-        else:
-            rds_times.append(costs.reducescatter(ring, shard_bytes).total)
+        if ring > 1:
+            total = terms.op_cost(op, ring, payload / terms.chips).total
+            (ag_times if op == "ag" else rds_times).append(total)
     gemm = gemm_cost(*terms.local_dims, hw)
     abft_prologue, abft_epilogue = terms.abft_overheads(1)
     return CostEstimate(
@@ -424,12 +469,12 @@ def _best_slice_count(
 def best_slice_count(
     cfg: GeMMConfig, hw: HardwareParams, max_slices: int = 64
 ) -> Tuple[int, CostEstimate]:
-    """Exhaustively pick the S minimizing the analytical estimate.
+    """Pick the S minimizing the analytical estimate.
 
     Memoized on ``(cfg, hw, max_slices)``: every algorithm that shares
     MeshSlice's autotuned S re-tunes the same base configuration once
-    per mesh candidate. The S-invariant terms are computed once and
-    each valid S is evaluated with the same closed form as
-    :func:`meshslice_estimate`.
+    per mesh candidate. The S-invariant terms are computed once, and
+    each valid S that can still win (see :func:`_cheapest`) is
+    evaluated with the same closed form as :func:`meshslice_estimate`.
     """
     return _best_slice_count(cfg, hw, max_slices)

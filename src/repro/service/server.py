@@ -30,6 +30,7 @@ records, so the byte-determinism contract is untouched.
 
 from __future__ import annotations
 
+import bisect
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -78,6 +79,7 @@ class TunerService:
         self._lock = threading.Lock()
         self._memory: Dict[str, object] = {}
         self._inflight: Dict[str, "Future[object]"] = {}
+        # Kept sorted (bisect.insort) for the nearest-rank percentiles.
         self._latencies: List[float] = []
         # Instance-scoped tallies: the registry counters are cumulative
         # across the whole process, but stats() reports THIS service.
@@ -167,16 +169,13 @@ class TunerService:
             elapsed_ms = (time.perf_counter() - started) * 1e3
             with self._lock:
                 self._inflight.pop(key, None)
-                self._latencies.append(elapsed_ms)
-                ordered = sorted(self._latencies)
+                bisect.insort(self._latencies, elapsed_ms)
+                p50 = _percentile(self._latencies, 0.50)
+                p95 = _percentile(self._latencies, 0.95)
                 depth = len(self._inflight)
             reg.observe("service.latency_ms", elapsed_ms)
-            reg.set_gauge(
-                "service.latency.p50_ms", _percentile(ordered, 0.50)
-            )
-            reg.set_gauge(
-                "service.latency.p95_ms", _percentile(ordered, 0.95)
-            )
+            reg.set_gauge("service.latency.p50_ms", p50)
+            reg.set_gauge("service.latency.p95_ms", p95)
             reg.set_gauge("service.queue.depth", float(depth))
 
     # ------------------------------------------------------------- reporting
@@ -186,7 +185,8 @@ class TunerService:
         to this service instance."""
         with self._lock:
             counts = dict(self._counts)
-            ordered = sorted(self._latencies)
+            p50 = _percentile(self._latencies, 0.50)
+            p95 = _percentile(self._latencies, 0.95)
             depth = float(len(self._inflight))
         looked_up = counts["store_hits"] + counts["store_misses"]
         return {
@@ -198,8 +198,8 @@ class TunerService:
             "store_hit_rate": (
                 counts["store_hits"] / looked_up if looked_up else 0.0
             ),
-            "latency_p50_ms": _percentile(ordered, 0.50),
-            "latency_p95_ms": _percentile(ordered, 0.95),
+            "latency_p50_ms": p50,
+            "latency_p95_ms": p95,
             "queue_depth": depth,
         }
 

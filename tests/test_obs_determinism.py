@@ -8,6 +8,7 @@ subprocesses and comparing the raw bytes they emit. The rendered paper
 artifacts are held to the same promise across hash seeds.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -217,6 +218,39 @@ class TestStoreByteDeterminism:
         parallel = _run(STORE_SCRIPT, tmp_path / "b", 4, hashseed="31337")
         assert serial == parallel
         assert len(serial.splitlines()) == 3  # one record per config
+
+
+#: sha256 of ``meshslice run fig9 --metrics`` (serial, hash seed 0)
+#: with every ``cache.*`` line dropped. Those series count how often
+#: code asks each memo, which moves with pruning, and carry no
+#: computed value; every other exported byte is pinned here.
+FIG9_METRICS_SHA256 = (
+    "b42648ddd6b96bed0fd1c7f9de5793185b8b3af6c39ab210cc59e79c58323ada"
+)
+
+
+class TestMetricsGolden:
+    def test_fig9_metrics_without_cache_series(self, tmp_path):
+        out = tmp_path / "fig9.jsonl"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        env["PYTHONHASHSEED"] = "0"
+        env["REPRO_JOBS"] = "1"
+        env.pop("REPRO_NO_METRICS", None)
+        env.pop("REPRO_NO_CACHE", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "run", "fig9",
+             "--metrics", str(out)],
+            capture_output=True,
+            env=env,
+            timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        kept = [
+            line for line in out.read_bytes().splitlines(keepends=True)
+            if b'"name": "cache.' not in line
+        ]
+        assert hashlib.sha256(b"".join(kept)).hexdigest() == FIG9_METRICS_SHA256
 
 
 class TestJsonlFileDeterminism:

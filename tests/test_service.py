@@ -4,6 +4,7 @@ import json
 import os
 import shutil
 import threading
+import types
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from repro.service import (
     execute,
     zipf_mix,
 )
+from repro.service import server as service_server
 from repro.service.store import RECORD_SCHEMA, encode_record
 
 #: Small enough to tune in milliseconds, large enough to be non-trivial.
@@ -437,6 +439,35 @@ class TestTunerService:
             assert key in stats
         assert stats["queue_depth"] == 0.0
         assert stats["latency_p95_ms"] >= stats["latency_p50_ms"] >= 0.0
+
+    def test_latency_percentiles_of_recorded_latencies(self, monkeypatch):
+        """p50/p95 are the nearest-rank percentiles (rank rounded from
+        ``q * n``) of every recorded latency, fed out of order."""
+        monkeypatch.delenv("REPRO_NO_METRICS", raising=False)
+        seconds = [0.005, 0.001, 0.009, 0.003, 0.007, 0.002, 0.008,
+                   0.004, 0.006, 0.010, 0.030, 0.020]
+        clock = iter(t for elapsed in seconds for t in (0.0, elapsed))
+        monkeypatch.setattr(
+            service_server, "time",
+            types.SimpleNamespace(perf_counter=lambda: next(clock)),
+        )
+        requests = [
+            tiny_request(chips=chips, batch=batch)
+            for chips in (8, 16, 32, 64) for batch in (2, 4, 8)
+        ]
+        with TunerService(None, workers=1) as svc:
+            for request in requests:
+                svc.serve(request)
+            stats = svc.stats()
+        ordered = sorted(elapsed * 1e3 for elapsed in seconds)
+        assert stats["latency_p50_ms"] == ordered[5]
+        assert stats["latency_p95_ms"] == ordered[10]
+        gauges = {
+            record.name: record.value
+            for record in registry().snapshot() if record.type == "gauge"
+        }
+        assert gauges["service.latency.p50_ms"] == ordered[5]
+        assert gauges["service.latency.p95_ms"] == ordered[10]
 
     def test_closed_service_rejects_submissions(self):
         svc = TunerService(None, workers=1)

@@ -25,6 +25,9 @@ from repro.algorithms.base import (
 )
 from repro.autotuner.costmodel import (
     CostEstimate,
+    _cheapest,
+    _OneSidedTerms,
+    _SliceTerms,
     best_slice_count,
     best_sliced_slice_count,
     collective_estimate,
@@ -35,8 +38,11 @@ from repro.autotuner.costmodel import (
 from repro.comm.cost import CommCostModel
 from repro.comm.onesided import OneSidedCostModel
 from repro.core import Dataflow, GeMMShape
-from repro.hw import get_preset, preset_names
+from repro.autotuner.search import tune_model
+from repro.hw import TPUV4, get_preset, preset_names
 from repro.mesh import Mesh2D
+from repro.models import GPT3_175B
+from repro.perf import clear_caches
 from repro.sim.chip import checksum_cost, gemm_cost, slice_cost
 
 
@@ -370,6 +376,82 @@ def test_search_matches_per_s_oracle(hw_index, family):
     # The one-sided family rejects every ABFT config; both families
     # must still have searched plenty of inputs.
     assert checked > CASES_PER_HW
+
+
+@pytest.mark.parametrize(
+    "hw_index", range(len(HARDWARE)), ids=[h.name for h in HARDWARE]
+)
+@pytest.mark.parametrize("family", (0, 1), ids=("meshslice", "sliced"))
+def test_lower_bounds_never_exceed_the_estimate(hw_index, family):
+    """The search skips a count only on its bound, so every valid
+    count's bound must stay at or below its full estimate."""
+    hw = HARDWARE[hw_index]
+    terms_class = (_SliceTerms, _OneSidedTerms)[family]
+    checked = 0
+    configs = list(_configs(hw_index))
+    configs += [
+        dataclasses.replace(cfg, abft=False, sdc_rate=0.0)
+        for cfg in configs if cfg.abft
+    ]
+    for cfg in configs:
+        if family and cfg.abft:
+            continue
+        terms = terms_class(cfg, hw)
+        counts = valid_slice_counts_for(cfg, 64)
+        for s, bound in zip(counts, terms.lower_bounds(counts)):
+            assert bound <= terms.estimate(s).total, (cfg, s)
+            checked += 1
+    assert checked > CASES_PER_HW
+
+
+class _TiedTerms:
+    """Stub terms: S = 2 and S = 4 tie exactly, and S = 4 is visited
+    first because its bound is lower."""
+
+    totals = {1: 3.0, 2: 1.0, 4: 1.0}
+    bounds = {1: 2.0, 2: 0.75, 4: 0.5}
+
+    def __init__(self):
+        self.estimated = []
+
+    def lower_bounds(self, counts):
+        return [self.bounds[s] for s in counts]
+
+    def estimate(self, slices):
+        self.estimated.append(slices)
+        return CostEstimate(
+            prologue=self.totals[slices], steady=0.0, epilogue=0.0,
+            slices=slices, flops_per_chip=1.0,
+        )
+
+
+def test_exact_tie_goes_to_the_smaller_count():
+    terms = _TiedTerms()
+    slices, estimate = _cheapest(terms, [1, 2, 4])
+    assert (slices, estimate.total) == (2, 1.0)
+    # S = 1's bound exceeds the incumbent's total: never estimated.
+    assert terms.estimated == [4, 2]
+
+
+#: Full estimates of one cold GPT-3 tuning run on 1024 chips: 81
+#: searches over 846 valid counts. An exact ceiling, so a bound that
+#: loosens (down to 0, which is still correct) fails here.
+TUNE_ESTIMATE_CEILING = 81
+
+
+def test_search_estimate_ceiling(monkeypatch):
+    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+    estimated = []
+    original = _SliceTerms.estimate
+
+    def counting(self, slices):
+        estimated.append(slices)
+        return original(self, slices)
+
+    monkeypatch.setattr(_SliceTerms, "estimate", counting)
+    clear_caches()
+    tune_model(GPT3_175B, 8, 1024, TPUV4)
+    assert len(estimated) <= TUNE_ESTIMATE_CEILING
 
 
 @pytest.mark.parametrize(
