@@ -7,7 +7,9 @@ from repro.experiments import ablation_25d, render_table
 
 @pytest.mark.repro("Section 7 traffic comparison")
 def test_ablation_25d(benchmark, show):
-    rows = benchmark.pedantic(ablation_25d.run, rounds=1, iterations=1)
+    rows = benchmark.pedantic(
+        ablation_25d.traffic_rows, rounds=1, iterations=1
+    )
     by_method = {r.method: r for r in rows}
 
     two5d = by_method["2.5D GeMM"]

@@ -18,7 +18,9 @@ from repro.experiments import (
 
 @pytest.mark.repro("Section 2.2 (3D cluster composition)")
 def test_ablation_3d(benchmark, show):
-    rows = benchmark.pedantic(ablation_3d.run, rounds=1, iterations=1)
+    rows = benchmark.pedantic(
+        ablation_3d.CAMPAIGN.run, rounds=1, iterations=1
+    )
 
     # The intro's arithmetic: 16x and 64x per-chip DP traffic cuts.
     p_scale_out, p_same_cluster = ablation_3d.paper_style_ratios()
@@ -53,7 +55,10 @@ def test_ablation_3d(benchmark, show):
 @pytest.mark.repro("Section 6 (logical mesh / GPU clusters)")
 def test_ablation_logical_mesh(benchmark, show):
     rows = benchmark.pedantic(
-        ablation_logical_mesh.run, rounds=1, iterations=1
+        ablation_logical_mesh.CAMPAIGN.run,
+        args=(["collective", "wang", "meshslice"],),
+        rounds=1,
+        iterations=1,
     )
     by_alg = {r.algorithm: r for r in rows}
 
@@ -86,7 +91,9 @@ def test_ablation_logical_mesh(benchmark, show):
 
 @pytest.mark.repro("Section 6 (inference)")
 def test_ablation_inference(benchmark, show):
-    rows = benchmark.pedantic(ablation_inference.run, rounds=1, iterations=1)
+    rows = benchmark.pedantic(
+        ablation_inference.CAMPAIGN.run, rounds=1, iterations=1
+    )
 
     # Phase classification: decode memory-bound, prefill not.
     for row in rows:
@@ -120,7 +127,9 @@ def test_ablation_inference(benchmark, show):
 def test_ablation_unrolling(benchmark, show):
     from repro.experiments import ablation_unrolling
 
-    rows = benchmark.pedantic(ablation_unrolling.run, rounds=1, iterations=1)
+    rows = benchmark.pedantic(
+        ablation_unrolling.CAMPAIGN.run, rounds=1, iterations=1
+    )
     # SUMMA benefits greatly from the paper's unrolling; Wang modestly.
     assert ablation_unrolling.unrolling_speedup(rows, "summa") > 0.20
     assert ablation_unrolling.unrolling_speedup(rows, "wang") >= -0.01

@@ -12,7 +12,9 @@ from repro.models import GPT3_175B, MEGATRON_NLG_530B
 
 @pytest.mark.repro("Figure 9")
 def test_fig09_weak_scaling(benchmark, show):
-    rows = benchmark.pedantic(fig09_weak_scaling.run, rounds=1, iterations=1)
+    rows = benchmark.pedantic(
+        fig09_weak_scaling.CAMPAIGN.run, rounds=1, iterations=1
+    )
 
     # MeshSlice is the fastest algorithm at every point it shares with
     # a competitor (Section 5.1.1).

@@ -8,7 +8,9 @@ from repro.models import GPT3_175B
 
 @pytest.mark.repro("Figure 10")
 def test_fig10_comm_breakdown(benchmark, show):
-    rows = benchmark.pedantic(fig10_comm_breakdown.run, rounds=1, iterations=1)
+    rows = benchmark.pedantic(
+        fig10_comm_breakdown.CAMPAIGN.run, rounds=1, iterations=1
+    )
     by_key = {(r.model, r.algorithm): r for r in rows}
 
     gpt3 = lambda alg: by_key[(GPT3_175B.name, alg)]  # noqa: E731

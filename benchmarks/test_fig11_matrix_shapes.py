@@ -7,7 +7,9 @@ from repro.experiments import fig11_matrix_shapes, render_table
 
 @pytest.mark.repro("Figure 11")
 def test_fig11_matrix_shapes(benchmark, show):
-    rows = benchmark.pedantic(fig11_matrix_shapes.run, rounds=1, iterations=1)
+    rows = benchmark.pedantic(
+        fig11_matrix_shapes.CAMPAIGN.run, rounds=1, iterations=1
+    )
 
     # 8 distinct shapes per model, 16 total (Section 5.1.4).
     labels = {(r.model, r.label) for r in rows}

@@ -8,7 +8,9 @@ from repro.models import GPT3_175B
 
 @pytest.mark.repro("Figure 12")
 def test_fig12_strong_scaling(benchmark, show):
-    rows = benchmark.pedantic(fig12_strong_scaling.run, rounds=1, iterations=1)
+    rows = benchmark.pedantic(
+        fig12_strong_scaling.CAMPAIGN.run, rounds=1, iterations=1
+    )
 
     # FSDP is absent by construction (cannot strong-scale).
     assert all(r.algorithm != "fsdp" for r in rows)

@@ -8,7 +8,9 @@ from repro.models import GPT3_175B, MEGATRON_NLG_530B
 
 @pytest.mark.repro("Figure 13")
 def test_fig13_mesh_shapes(benchmark, show):
-    rows = benchmark.pedantic(fig13_mesh_shapes.run, rounds=1, iterations=1)
+    rows = benchmark.pedantic(
+        fig13_mesh_shapes.CAMPAIGN.run, rounds=1, iterations=1
+    )
 
     for model in (GPT3_175B.name, MEGATRON_NLG_530B.name):
         est, sim = fig13_mesh_shapes.optimal_shapes(rows, model)

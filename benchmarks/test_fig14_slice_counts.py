@@ -8,7 +8,9 @@ from repro.models import GPT3_175B, MEGATRON_NLG_530B
 
 @pytest.mark.repro("Figure 14")
 def test_fig14_slice_counts(benchmark, show):
-    rows = benchmark.pedantic(fig14_slice_counts.run, rounds=1, iterations=1)
+    rows = benchmark.pedantic(
+        fig14_slice_counts.CAMPAIGN.run, rounds=1, iterations=1
+    )
 
     for model in (GPT3_175B.name, MEGATRON_NLG_530B.name):
         est, sim = fig14_slice_counts.optimal_slices(rows, model)

@@ -8,7 +8,7 @@ from repro.experiments import fig15_comm_model_accuracy, render_table
 @pytest.mark.repro("Figure 15")
 def test_fig15_comm_model_accuracy(benchmark, show):
     rows = benchmark.pedantic(
-        fig15_comm_model_accuracy.run, rounds=1, iterations=1
+        fig15_comm_model_accuracy.CAMPAIGN.run, rounds=1, iterations=1
     )
 
     # 8 FC layers: 4 per model (Section 5.3.2).

@@ -62,7 +62,7 @@ def test_fig09_grid_wall_time(benchmark):
     def cold_grid():
         clear_caches()
         start = time.perf_counter()
-        rows = fig09_weak_scaling.run()
+        rows = fig09_weak_scaling.CAMPAIGN.run()
         elapsed = time.perf_counter() - start
         return rows, elapsed
 

@@ -8,7 +8,9 @@ from repro.models import GPT3_175B, MEGATRON_NLG_530B
 
 @pytest.mark.repro("Table 2")
 def test_table2_dataflow_opt(benchmark, show):
-    rows = benchmark.pedantic(table2_dataflow_opt.run, rounds=1, iterations=1)
+    rows = benchmark.pedantic(
+        table2_dataflow_opt.CAMPAIGN.run, rounds=1, iterations=1
+    )
     by_model = {r.model: r for r in rows}
 
     gpt3 = by_model[GPT3_175B.name]

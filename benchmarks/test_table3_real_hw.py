@@ -7,7 +7,9 @@ from repro.experiments import render_table, table3_real_hw
 
 @pytest.mark.repro("Table 3")
 def test_table3_real_hw(benchmark, show):
-    rows = benchmark.pedantic(table3_real_hw.run, rounds=1, iterations=1)
+    rows = benchmark.pedantic(
+        table3_real_hw.CAMPAIGN.run, rounds=1, iterations=1
+    )
 
     for row in rows:
         # Without AG/RdS-compute overlap, MeshSlice pays a modest

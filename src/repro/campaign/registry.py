@@ -22,17 +22,14 @@ def campaign_specs() -> Dict[str, CampaignSpec]:
     """Every experiment's spec, keyed by experiment name."""
     from repro.experiments import EXPERIMENTS
 
-    specs: Dict[str, CampaignSpec] = {}
-    for name, module in EXPERIMENTS.items():
-        spec = getattr(module, "CAMPAIGN", None)
-        if isinstance(spec, CampaignSpec):
-            specs[name] = spec
-    return specs
+    return {name: module.CAMPAIGN for name, module in EXPERIMENTS.items()}
 
 
 def campaign_names() -> list:
-    """Sorted names of every experiment that publishes a spec."""
-    return sorted(campaign_specs())
+    """Sorted names of every experiment."""
+    from repro.experiments import EXPERIMENTS
+
+    return sorted(EXPERIMENTS)
 
 
 def get_campaign(name: str) -> CampaignSpec:
@@ -42,9 +39,7 @@ def get_campaign(name: str) -> CampaignSpec:
     """
     from repro.experiments import EXPERIMENTS
 
-    if name in EXPERIMENTS:
-        spec = getattr(EXPERIMENTS[name], "CAMPAIGN", None)
-        if isinstance(spec, CampaignSpec):
-            return spec
-    known = ", ".join(campaign_names())
-    raise KeyError(f"unknown campaign {name!r}; known: {known}")
+    if name not in EXPERIMENTS:
+        known = ", ".join(campaign_names())
+        raise KeyError(f"unknown campaign {name!r}; known: {known}")
+    return EXPERIMENTS[name].CAMPAIGN

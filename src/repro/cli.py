@@ -464,13 +464,14 @@ def normalize_argv(argv: List[str]) -> List[str]:
 
 
 def run_experiment(name: str) -> str:
-    """Run one experiment module's main() and return its report."""
+    """Run one experiment's default grid and return its report."""
     try:
         module = EXPERIMENTS[name]
     except KeyError:
         known = ", ".join(sorted(EXPERIMENTS))
         raise KeyError(f"unknown experiment {name!r}; known: {known}")
-    return module.main()
+    spec = module.CAMPAIGN
+    return spec.render(spec.run())
 
 
 def _cmd_list() -> int:
@@ -707,11 +708,11 @@ def _cmd_recovery(args: argparse.Namespace) -> int:
     if isinstance(resolved, int):
         return resolved
     model, hw, batch = resolved
-    from repro.experiments.ablation_recovery import _point
+    from repro.experiments.ablation_recovery import point
     from repro.experiments.common import GridPointError, render_table
 
     try:
-        row = _point(
+        rows = point(
             (args.chips, model, hw, args.chip_mtbf_hours,
              args.repair_minutes, args.checkpoint_seconds,
              args.restart_seconds)
@@ -719,12 +720,13 @@ def _cmd_recovery(args: argparse.Namespace) -> int:
     except (GridPointError, ValueError) as exc:
         print(exc, file=sys.stderr)
         return 2
-    if row is None:
+    if not rows:
         print(
             f"meshslice recovery: no tunable mesh for {args.chips} chips",
             file=sys.stderr,
         )
         return 2
+    row = rows[0]
     print(
         f"{model.name}: {args.chips} chips ({hw.name}), batch {batch}\n"
         f"cluster MTBF {row.cluster_mtbf_hours:.1f} h "
@@ -916,15 +918,15 @@ def _cmd_sdc(args: argparse.Namespace) -> int:
     except (KeyError, ValueError) as exc:
         print(exc, file=sys.stderr)
         return 2
-    rows = ablation_sdc.run(
+    grid = ablation_sdc.points(
         rates=rates or ablation_sdc.RATES,
         meshes=meshes,
         trials=args.trials,
         seed=args.seed if args.seed else ablation_sdc.DEFAULT_SEED,
         algorithm=args.algorithm,
         hw=hw,
-        jobs=args.jobs,
     )
+    rows = ablation_sdc.CAMPAIGN.run(grid, jobs=args.jobs)
     from repro.experiments.common import render_table
 
     print(
@@ -1206,7 +1208,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if bad:
         return bad
     if args.jobs is not None:
-        # The experiment main()s read the worker count from the
+        # Experiment grids read the worker count from the
         # environment, so one flag reaches every grid they run.
         import os
 

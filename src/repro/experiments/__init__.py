@@ -1,7 +1,10 @@
 """Reproductions of the paper's evaluation (Section 5 + Section 7).
 
-One module per figure/table; each exposes ``run()`` returning typed
-rows and ``main()`` rendering a text table with paper reference points.
+One module per figure/table; each publishes its grid as a
+:class:`~repro.campaign.spec.CampaignSpec` named ``CAMPAIGN``:
+``points()`` builds the grid, ``point`` computes one coordinate's
+typed rows and ``render`` turns rows into a text table with paper
+reference points, so ``CAMPAIGN.render(CAMPAIGN.run())`` is the report.
 Nothing here is imported until it is used: :data:`EXPERIMENTS` imports
 an experiment module when it is looked up, and the shared helpers of
 :mod:`repro.experiments.common` load on first access (PEP 562).
@@ -29,7 +32,7 @@ class _Registry(Mapping):
         return len(self._modules)
 
 
-#: Experiment registry for the CLI: name -> module (must expose main()).
+#: Experiment registry for the CLI: name -> module (must publish CAMPAIGN).
 EXPERIMENTS = _Registry({
     "fig4": "repro.experiments.fig04_timelines",
     "fig9": "repro.experiments.fig09_weak_scaling",

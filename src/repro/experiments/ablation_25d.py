@@ -105,10 +105,10 @@ def best_meshslice_topology(
     return best
 
 
-def run(
+def traffic_rows(
     shape: GeMMShape = EXAMPLE_SHAPE, chips: int = 1024, copies: int = 4
 ) -> List[TrafficRow]:
-    """Produce the Section 7 comparison rows."""
+    """The Section 7 per-chip traffic comparison rows."""
     import math
 
     base = math.isqrt(chips // copies)
@@ -158,10 +158,15 @@ def run_timed(
     return t25.makespan, tdp.makespan
 
 
-def _campaign_point(kind: str) -> list:
-    """One campaign point: the traffic rows or the timed comparison."""
+def points() -> List[str]:
+    """The two grid points: the traffic rows and the timed comparison."""
+    return ["traffic", "timed"]
+
+
+def point(kind: str) -> list:
+    """One grid point: the traffic rows or the timed comparison."""
     if kind == "traffic":
-        return list(run())
+        return traffic_rows()
     if kind == "timed":
         t25, tdp = run_timed()
         return [TimedRow(t25_s=t25, tdp_s=tdp)]
@@ -190,22 +195,10 @@ def render(rows: Sequence) -> str:
     return out
 
 
-def main() -> str:
-    return render(_campaign_point("traffic") + _campaign_point("timed"))
-
-
-def _campaign_points() -> list:
-    return ["traffic", "timed"]
-
-
 CAMPAIGN = CampaignSpec(
     name="ablation-2.5d",
-    points=_campaign_points,
-    point=_campaign_point,
+    points=points,
+    point=point,
     render=render,
     flatten=True,
 )
-
-
-if __name__ == "__main__":
-    print(main())

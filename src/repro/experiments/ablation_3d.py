@@ -23,7 +23,6 @@ from typing import List
 
 from repro.campaign.spec import CampaignSpec
 from repro.experiments.common import render_table
-from repro.hw.params import HardwareParams
 from repro.hw.presets import TPUV4
 from repro.mesh.topology import Mesh2D
 from repro.models.config import LLMConfig
@@ -67,17 +66,22 @@ def same_cluster_config(model: LLMConfig = GPT3_175B) -> Parallel3DConfig:
     )
 
 
-def run(
-    model: LLMConfig = GPT3_175B, hw: HardwareParams = TPUV4
-) -> List[ThreeDRow]:
-    """Produce the Section 2.2 comparison rows."""
+def points() -> List[str]:
+    """The single grid point: all three configuration rows."""
+    return ["rows"]
+
+
+def point(kind: str) -> List[ThreeDRow]:
+    """The Section 2.2 comparison rows for GPT-3 on TPUv4."""
+    if kind != "rows":
+        raise ValueError(f"unknown ablation-3d point {kind!r}")
     rows = []
     for label, cfg in (
-        ("baseline 8-way 1D TP", baseline_config(model)),
-        ("scale-out 128-way 2D TP", scale_out_config(model)),
-        ("same-cluster 128-way 2D TP", same_cluster_config(model)),
+        ("baseline 8-way 1D TP", baseline_config()),
+        ("scale-out 128-way 2D TP", scale_out_config()),
+        ("same-cluster 128-way 2D TP", same_cluster_config()),
     ):
-        step = estimate_step(cfg, hw)
+        step = estimate_step(cfg, TPUV4)
         rows.append(
             ThreeDRow(
                 label=label,
@@ -132,13 +136,6 @@ def paper_style_ratios(model: LLMConfig = GPT3_175B) -> tuple:
     )
 
 
-def _campaign_point(kind: str) -> List[ThreeDRow]:
-    """The single campaign point: all three configuration rows."""
-    if kind != "rows":
-        raise ValueError(f"unknown ablation-3d point {kind!r}")
-    return run()
-
-
 def render(rows: List[ThreeDRow]) -> str:
     table = render_table(
         ["configuration", "layout", "chips", "DP traffic/chip (GB)",
@@ -161,22 +158,10 @@ def render(rows: List[ThreeDRow]) -> str:
     )
 
 
-def main(hw: HardwareParams = TPUV4) -> str:
-    return render(run(hw=hw))
-
-
-def _campaign_points() -> list:
-    return ["rows"]
-
-
 CAMPAIGN = CampaignSpec(
     name="ablation-3d",
-    points=_campaign_points,
-    point=_campaign_point,
+    points=points,
+    point=point,
     render=render,
     flatten=True,
 )
-
-
-if __name__ == "__main__":
-    print(main())

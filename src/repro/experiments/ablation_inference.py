@@ -46,13 +46,28 @@ class InferenceRow:
     latency_ms: Optional[float]
 
 
-def _phase_rows(point) -> List[InferenceRow]:
-    """All rows of one serving phase (one durable campaign point).
+def points(
+    model: LLMConfig = GPT3_175B,
+    chips: int = 64,
+    batch: int = 32,
+    prompt_len: int = 1024,
+    algorithms: Sequence[str] = ("collective", "wang", "meshslice"),
+    hw: HardwareParams = TPUV4,
+) -> List[tuple]:
+    """One grid point per serving phase."""
+    return [
+        (model, chips, batch, prompt_len, phase, tuple(algorithms), hw)
+        for phase in ("prefill", "decode")
+    ]
 
-    Whole-phase granularity keeps the row order of :func:`run` intact:
-    layers x algorithms within a phase stay contiguous in the store.
+
+def point(coords) -> List[InferenceRow]:
+    """Per-layer latency rows of one serving phase.
+
+    Whole-phase granularity keeps layers x algorithms within a phase
+    contiguous in the report and the store.
     """
-    model, chips, batch, prompt_len, phase, algorithms, hw = point
+    model, chips, batch, prompt_len, phase, algorithms, hw = coords
     rows: List[InferenceRow] = []
     workload = InferenceWorkload(
         model=model, batch=batch, prompt_len=prompt_len, phase=phase
@@ -77,25 +92,6 @@ def _phase_rows(point) -> List[InferenceRow]:
                     latency_ms=latency * 1e3,
                 )
             )
-    return rows
-
-
-def run(
-    model: LLMConfig = GPT3_175B,
-    chips: int = 64,
-    batch: int = 32,
-    prompt_len: int = 1024,
-    algorithms: Sequence[str] = ("collective", "wang", "meshslice"),
-    hw: HardwareParams = TPUV4,
-) -> List[InferenceRow]:
-    """Per-phase, per-layer inference latency rows."""
-    rows: List[InferenceRow] = []
-    for phase in ("prefill", "decode"):
-        rows.extend(
-            _phase_rows(
-                (model, chips, batch, prompt_len, phase, tuple(algorithms), hw)
-            )
-        )
     return rows
 
 
@@ -149,26 +145,10 @@ def render(rows: Sequence[InferenceRow]) -> str:
     )
 
 
-def main(chips: int = 64) -> str:
-    return render(run(chips=chips))
-
-
-def _campaign_points() -> List[tuple]:
-    return [
-        (GPT3_175B, 64, 32, 1024, phase,
-         ("collective", "wang", "meshslice"), TPUV4)
-        for phase in ("prefill", "decode")
-    ]
-
-
 CAMPAIGN = CampaignSpec(
     name="ablation-inference",
-    points=_campaign_points,
-    point=_phase_rows,
+    points=points,
+    point=point,
     render=render,
     flatten=True,
 )
-
-
-if __name__ == "__main__":
-    print(main())

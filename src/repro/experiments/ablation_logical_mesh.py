@@ -53,31 +53,26 @@ class LogicalMeshRow:
         return 1.0 - self.logical_utilization / self.torus_utilization
 
 
-def run(
+def compare(
+    algorithm: str,
     model: LLMConfig = GPT3_175B,
     chips: int = 64,
-    algorithms: Sequence[str] = ("collective", "wang", "meshslice"),
     torus_hw: HardwareParams = TPUV4,
     logical_hw: HardwareParams = GPU_LOGICAL_MESH,
-) -> List[LogicalMeshRow]:
-    """Compare each algorithm on the torus vs the logical mesh."""
+) -> LogicalMeshRow:
+    """One algorithm on the torus vs the logical mesh."""
     batch = weak_scaling_batch(chips)
-    rows = []
-    for algorithm in algorithms:
-        torus = best_block_run(algorithm, model, batch, chips, torus_hw)
-        logical = best_block_run(algorithm, model, batch, chips, logical_hw)
-        rows.append(
-            LogicalMeshRow(
-                algorithm=algorithm,
-                torus_utilization=(
-                    torus.utilization(torus_hw) if torus else None
-                ),
-                logical_utilization=(
-                    logical.utilization(logical_hw) if logical else None
-                ),
-            )
-        )
-    return rows
+    torus = best_block_run(algorithm, model, batch, chips, torus_hw)
+    logical = best_block_run(algorithm, model, batch, chips, logical_hw)
+    return LogicalMeshRow(
+        algorithm=algorithm,
+        torus_utilization=(
+            torus.utilization(torus_hw) if torus else None
+        ),
+        logical_utilization=(
+            logical.utilization(logical_hw) if logical else None
+        ),
+    )
 
 
 def cost_model_agreement(
@@ -111,13 +106,20 @@ class AgreementRow:
     simulated: Tuple[int, int]
 
 
-def _campaign_point(kind: str) -> list:
-    """One campaign point: a single algorithm's comparison row, or the
+def points(
+    algorithms: Sequence[str] = ("collective", "wang", "meshslice"),
+) -> List[str]:
+    """One grid point per algorithm, plus the cost-model agreement."""
+    return [*algorithms, "agreement"]
+
+
+def point(kind: str) -> list:
+    """One grid point: a single algorithm's comparison row, or the
     expensive full-grid cost-model agreement check."""
     if kind == "agreement":
         est, sim = cost_model_agreement()
         return [AgreementRow(estimated=est, simulated=sim)]
-    return list(run(algorithms=(kind,)))
+    return [compare(kind)]
 
 
 def render(rows: Sequence) -> str:
@@ -142,24 +144,10 @@ def render(rows: Sequence) -> str:
     )
 
 
-def main(chips: int = 64) -> str:
-    rows = run(chips=chips)
-    est, sim = cost_model_agreement(chips=chips)
-    return render([*rows, AgreementRow(estimated=est, simulated=sim)])
-
-
-def _campaign_points() -> list:
-    return ["collective", "wang", "meshslice", "agreement"]
-
-
 CAMPAIGN = CampaignSpec(
     name="ablation-logical-mesh",
-    points=_campaign_points,
-    point=_campaign_point,
+    points=points,
+    point=point,
     render=render,
     flatten=True,
 )
-
-
-if __name__ == "__main__":
-    print(main())

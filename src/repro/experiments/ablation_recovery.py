@@ -25,13 +25,12 @@ hits.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.campaign.spec import CampaignSpec
 from repro.experiments.common import (
     best_block_run,
     end_to_end_step_seconds,
-    grid_map,
     render_table,
     weak_scaling_batch,
 )
@@ -113,16 +112,14 @@ def _degraded_step_seconds(
     )
 
 
-def _point(
-    args: Tuple[int, LLMConfig, HardwareParams, float, float, float, float],
-) -> Optional[RecoveryRow]:
-    """One cluster size, shaped for :func:`grid_map` (picklable)."""
+def point(coords) -> List[RecoveryRow]:
+    """One cluster size's row (none if no mesh can be tuned)."""
     (chips, model, hw, chip_mtbf_hours, repair_minutes,
-     checkpoint_seconds, restart_seconds) = args
+     checkpoint_seconds, restart_seconds) = coords
     batch = weak_scaling_batch(chips)
     clean = best_block_run(ALGORITHM, model, batch, chips, hw)
     if clean is None:
-        return None
+        return []
     step = end_to_end_step_seconds(model, batch, chips, hw, clean.seconds)
     # Any single dead chip yields the same shrunk candidates, so (0, 0)
     # is fully general (pinned by tests/test_recovery.py).
@@ -139,7 +136,7 @@ def _point(
     degrade = degrade_goodput(
         step, degraded_step, reliability, checkpoint_seconds, restart_seconds
     )
-    return RecoveryRow(
+    return [RecoveryRow(
         chips=chips,
         mesh=clean.mesh.shape,
         degraded_mesh=retune.mesh.shape,
@@ -150,10 +147,10 @@ def _point(
         checkpoint_interval_s=restart.checkpoint_interval,
         restart_goodput=restart.goodput,
         degrade_goodput=degrade.goodput,
-    )
+    )]
 
 
-def run(
+def points(
     model: LLMConfig = GPT3_175B,
     sizes: Sequence[int] = CLUSTER_SIZES,
     hw: HardwareParams = TPUV4,
@@ -161,16 +158,13 @@ def run(
     repair_minutes: float = DEFAULT_REPAIR_MINUTES,
     checkpoint_seconds: float = DEFAULT_CHECKPOINT_SECONDS,
     restart_seconds: float = DEFAULT_RESTART_SECONDS,
-    jobs: Optional[int] = None,
-) -> List[RecoveryRow]:
-    """Goodput of both recovery policies at every cluster size."""
-    points = [
+) -> List[tuple]:
+    """One grid point per cluster size."""
+    return [
         (chips, model, hw, chip_mtbf_hours, repair_minutes,
          checkpoint_seconds, restart_seconds)
         for chips in sizes
     ]
-    rows = grid_map(_point, points, jobs=jobs)
-    return [row for row in rows if row is not None]
 
 
 def render(rows: Sequence[RecoveryRow]) -> str:
@@ -204,33 +198,10 @@ def render(rows: Sequence[RecoveryRow]) -> str:
     return "\n".join(lines)
 
 
-def main(hw: HardwareParams = TPUV4) -> str:
-    return render(run(hw=hw))
-
-
-def _campaign_point(args) -> List[RecoveryRow]:
-    """One durable campaign point; unsupported points store as []."""
-    row = _point(args)
-    return [] if row is None else [row]
-
-
-def _campaign_points() -> List[tuple]:
-    return [
-        (chips, GPT3_175B, TPUV4, DEFAULT_CHIP_MTBF_HOURS,
-         DEFAULT_REPAIR_MINUTES, DEFAULT_CHECKPOINT_SECONDS,
-         DEFAULT_RESTART_SECONDS)
-        for chips in CLUSTER_SIZES
-    ]
-
-
 CAMPAIGN = CampaignSpec(
     name="ablation-recovery",
-    points=_campaign_points,
-    point=_campaign_point,
+    points=points,
+    point=point,
     render=render,
     flatten=True,
 )
-
-
-if __name__ == "__main__":
-    print(main())

@@ -21,7 +21,6 @@ from repro.campaign.spec import CampaignSpec
 from repro.core.dataflow import Dataflow
 from repro.core.gemm import GeMMShape
 from repro.experiments.common import render_table, tuned_slices
-from repro.hw.params import HardwareParams
 from repro.hw.presets import TPUV4
 from repro.mesh.topology import Mesh2D
 from repro.sim.cluster import simulate
@@ -60,35 +59,35 @@ def natural_iterations(algorithm: str, mesh: Mesh2D, shape: GeMMShape) -> int:
     raise ValueError(f"no natural iteration count for {algorithm!r}")
 
 
-def run(
-    shape: GeMMShape = DEFAULT_SHAPE,
-    mesh: Mesh2D = DEFAULT_MESH,
-    algorithms: Sequence[str] = ("summa", "wang"),
-    hw: HardwareParams = TPUV4,
-) -> List[UnrollingRow]:
-    """Each baseline with fine-grain vs unrolled iteration counts."""
+def points(algorithms: Sequence[str] = ("summa", "wang")) -> List[str]:
+    """One grid point per baseline algorithm."""
+    return list(algorithms)
+
+
+def point(algorithm: str) -> List[UnrollingRow]:
+    """One baseline with fine-grain vs unrolled iteration counts."""
     rows: List[UnrollingRow] = []
-    base = GeMMConfig(shape, mesh, Dataflow.OS, slices=1)
-    unrolled = tuned_slices(base, hw)
-    for algorithm in algorithms:
-        alg = get_algorithm(algorithm)
-        for variant, iterations in (
-            ("natural", natural_iterations(algorithm, mesh, shape)),
-            ("unrolled (paper)", unrolled),
-        ):
-            cfg = dataclasses.replace(base, slices=iterations)
-            if not alg.supports(cfg):
-                continue
-            result = simulate(alg.build_program(cfg, hw), hw)
-            rows.append(
-                UnrollingRow(
-                    algorithm=algorithm,
-                    iterations=iterations,
-                    variant=variant,
-                    utilization=result.flop_utilization(),
-                    makespan_ms=result.makespan * 1e3,
-                )
+    base = GeMMConfig(DEFAULT_SHAPE, DEFAULT_MESH, Dataflow.OS, slices=1)
+    unrolled = tuned_slices(base, TPUV4)
+    alg = get_algorithm(algorithm)
+    natural = natural_iterations(algorithm, DEFAULT_MESH, DEFAULT_SHAPE)
+    for variant, iterations in (
+        ("natural", natural),
+        ("unrolled (paper)", unrolled),
+    ):
+        cfg = dataclasses.replace(base, slices=iterations)
+        if not alg.supports(cfg):
+            continue
+        result = simulate(alg.build_program(cfg, TPUV4), TPUV4)
+        rows.append(
+            UnrollingRow(
+                algorithm=algorithm,
+                iterations=iterations,
+                variant=variant,
+                utilization=result.flop_utilization(),
+                makespan_ms=result.makespan * 1e3,
             )
+        )
     return rows
 
 
@@ -126,27 +125,10 @@ def render(rows: Sequence[UnrollingRow]) -> str:
     return "\n".join(lines)
 
 
-def main(hw: HardwareParams = TPUV4) -> str:
-    return render(run(hw=hw))
-
-
-def _campaign_point(algorithm: str) -> List[UnrollingRow]:
-    """One baseline algorithm's fine-vs-unrolled pair (one point)."""
-    return run(algorithms=(algorithm,))
-
-
-def _campaign_points() -> List[str]:
-    return ["summa", "wang"]
-
-
 CAMPAIGN = CampaignSpec(
     name="ablation-unrolling",
-    points=_campaign_points,
-    point=_campaign_point,
+    points=points,
+    point=point,
     render=render,
     flatten=True,
 )
-
-
-if __name__ == "__main__":
-    print(main())

@@ -28,7 +28,6 @@ from repro.core.dataflow import Dataflow
 from repro.core.gemm import GeMMShape
 from repro.experiments.common import (
     candidate_meshes,
-    grid_map,
     render_table,
     tuned_slices,
 )
@@ -92,9 +91,19 @@ def _best_for_point(
     return best
 
 
-def _point_rows(point) -> List[ZooRow]:
-    """All rows of one (GeMM, chips) grid point (grid_map worker)."""
-    label, shape, chips, algorithms, hw = point
+def points(
+    points: Sequence[Tuple[str, Tuple[int, int, int], int]] = ZOO_POINTS,
+    algorithms: Optional[Sequence[str]] = None,
+    hw: HardwareParams = TPUV4,
+) -> List[tuple]:
+    """One grid point per (GeMM, chips); every algorithm by default."""
+    names = tuple(algorithms) if algorithms is not None else algorithm_names()
+    return [(label, shape, chips, names, hw) for label, shape, chips in points]
+
+
+def point(coords) -> List[ZooRow]:
+    """All rows of one (GeMM, chips) grid point."""
+    label, shape, chips, algorithms, hw = coords
     rows: List[ZooRow] = []
     for algorithm in algorithms:
         best = _best_for_point(algorithm, shape, chips, hw)
@@ -103,19 +112,6 @@ def _point_rows(point) -> List[ZooRow]:
         else:
             rows.append(ZooRow(label, shape, chips, algorithm, *best))
     return rows
-
-
-def run(
-    points: Sequence[Tuple[str, Tuple[int, int, int], int]] = ZOO_POINTS,
-    algorithms: Optional[Sequence[str]] = None,
-    hw: HardwareParams = TPUV4,
-    jobs: Optional[int] = None,
-) -> List[ZooRow]:
-    """Produce every zoo-comparison row (grid points run in parallel)."""
-    names = tuple(algorithms) if algorithms is not None else algorithm_names()
-    grid = [(label, shape, chips, names, hw) for label, shape, chips in points]
-    return [row for rows in grid_map(_point_rows, grid, jobs=jobs)
-            for row in rows]
 
 
 def render(rows: Sequence[ZooRow]) -> str:
@@ -143,25 +139,10 @@ def render(rows: Sequence[ZooRow]) -> str:
     return "\n".join(lines)
 
 
-def main(hw: HardwareParams = TPUV4) -> str:
-    return render(run(hw=hw))
-
-
-def _campaign_points() -> List[tuple]:
-    return [
-        (label, shape, chips, algorithm_names(), TPUV4)
-        for label, shape, chips in ZOO_POINTS
-    ]
-
-
 CAMPAIGN = CampaignSpec(
     name="ablation-zoo",
-    points=_campaign_points,
-    point=_point_rows,
+    points=points,
+    point=point,
     render=render,
     flatten=True,
 )
-
-
-if __name__ == "__main__":
-    print(main())

@@ -11,7 +11,7 @@ one direction, and MeshSlice overlapping both.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from repro.algorithms import GeMMConfig, get_algorithm
 from repro.campaign.spec import CampaignSpec
@@ -40,33 +40,29 @@ class TimelineRow:
     result: SimResult
 
 
-def run(
+def simulate_timeline(
+    algorithm: str,
     shape: GeMMShape = DEFAULT_SHAPE,
     mesh: Mesh2D = DEFAULT_MESH,
-    algorithms: Sequence[str] = ALGORITHMS,
     hw: HardwareParams = TPUV4,
-) -> List[TimelineRow]:
-    """Simulate the same GeMM with every algorithm on one mesh."""
-    rows: List[TimelineRow] = []
-    for name in algorithms:
-        alg = get_algorithm(name)
-        base = GeMMConfig(shape, mesh, Dataflow.OS, slices=1)
-        slices = 1
-        if name not in ("collective", "cannon"):
-            slices = tuned_slices(base, hw)
-        cfg = dataclasses.replace(base, slices=slices)
-        if not alg.supports(cfg):
-            continue
-        result = simulate(alg.build_program(cfg, hw), hw)
-        rows.append(
-            TimelineRow(
-                algorithm=name,
-                makespan_ms=result.makespan * 1e3,
-                utilization=result.flop_utilization(),
-                result=result,
-            )
-        )
-    return rows
+) -> Optional[TimelineRow]:
+    """Simulate the GeMM with one algorithm (``None`` if it cannot run
+    it)."""
+    alg = get_algorithm(algorithm)
+    base = GeMMConfig(shape, mesh, Dataflow.OS, slices=1)
+    slices = 1
+    if algorithm not in ("collective", "cannon"):
+        slices = tuned_slices(base, hw)
+    cfg = dataclasses.replace(base, slices=slices)
+    if not alg.supports(cfg):
+        return None
+    result = simulate(alg.build_program(cfg, hw), hw)
+    return TimelineRow(
+        algorithm=algorithm,
+        makespan_ms=result.makespan * 1e3,
+        utilization=result.flop_utilization(),
+        result=result,
+    )
 
 
 def ordering(rows: Sequence) -> List[str]:
@@ -84,18 +80,24 @@ class CampaignTimelineRow:
     timeline: str
 
 
-def _campaign_row(row: TimelineRow) -> CampaignTimelineRow:
-    return CampaignTimelineRow(
-        algorithm=row.algorithm,
-        makespan_ms=row.makespan_ms,
-        utilization=row.utilization,
-        timeline=ascii_timeline(row.result.spans, width=76),
-    )
+def points(algorithms: Sequence[str] = ALGORITHMS) -> List[str]:
+    """One grid point per algorithm."""
+    return list(algorithms)
 
 
-def _campaign_point(algorithm: str) -> List[CampaignTimelineRow]:
+def point(algorithm: str) -> List[CampaignTimelineRow]:
     """One algorithm's timeline (empty if it cannot run the GeMM)."""
-    return [_campaign_row(r) for r in run(algorithms=(algorithm,))]
+    row = simulate_timeline(algorithm)
+    if row is None:
+        return []
+    return [
+        CampaignTimelineRow(
+            algorithm=row.algorithm,
+            makespan_ms=row.makespan_ms,
+            utilization=row.utilization,
+            timeline=ascii_timeline(row.result.spans, width=76),
+        )
+    ]
 
 
 def render(rows: Sequence[CampaignTimelineRow]) -> str:
@@ -112,22 +114,10 @@ def render(rows: Sequence[CampaignTimelineRow]) -> str:
     return "\n".join(lines)
 
 
-def main(hw: HardwareParams = TPUV4) -> str:
-    return render([_campaign_row(r) for r in run(hw=hw)])
-
-
-def _campaign_points() -> List[str]:
-    return list(ALGORITHMS)
-
-
 CAMPAIGN = CampaignSpec(
     name="fig4",
-    points=_campaign_points,
-    point=_campaign_point,
+    points=points,
+    point=point,
     render=render,
     flatten=True,
 )
-
-
-if __name__ == "__main__":
-    print(main())

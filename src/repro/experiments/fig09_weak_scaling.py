@@ -24,7 +24,6 @@ from repro.experiments.common import (
     CLUSTER_SIZES,
     best_block_run,
     end_to_end_step_seconds,
-    grid_map,
     render_table,
     weak_scaling_batch,
 )
@@ -47,14 +46,27 @@ class WeakScalingRow:
     end_to_end_s: Optional[float]
 
 
-def _point_rows(point) -> List[WeakScalingRow]:
-    """All Figure 9 rows of one independent (model, chips) grid point.
+def points(
+    models: Sequence[LLMConfig] = (GPT3_175B, MEGATRON_NLG_530B),
+    sizes: Sequence[int] = CLUSTER_SIZES,
+    algorithms: Sequence[str] = ALL_ALGORITHMS,
+    hw: HardwareParams = TPUV4,
+) -> List[tuple]:
+    """The independent (model, cluster size) grid points of Figure 9."""
+    return [
+        (model, chips, tuple(algorithms), hw)
+        for model in models
+        for chips in sizes
+    ]
 
-    Module-level so the point can run in a ``grid_map`` worker process.
+
+def point(coords) -> List[WeakScalingRow]:
+    """All Figure 9 rows of one (model, chips) grid point.
+
     The Phase-1 plans are derived once here and shared by all seven
     algorithms' mesh searches.
     """
-    model, chips, algorithms, hw = point
+    model, chips, algorithms, hw = coords
     batch = weak_scaling_batch(chips)
     plans = plan_model(model, model.tokens(batch), optimize_dataflow=True)
     rows: List[WeakScalingRow] = []
@@ -82,27 +94,6 @@ def _point_rows(point) -> List[WeakScalingRow]:
             )
         )
     return rows
-
-
-def run(
-    models: Sequence[LLMConfig] = (GPT3_175B, MEGATRON_NLG_530B),
-    sizes: Sequence[int] = CLUSTER_SIZES,
-    algorithms: Sequence[str] = ALL_ALGORITHMS,
-    hw: HardwareParams = TPUV4,
-    jobs: Optional[int] = None,
-) -> List[WeakScalingRow]:
-    """Produce every Figure 9 data point.
-
-    The (model, cluster size) grid points are independent and run in
-    worker processes when ``jobs`` (or ``REPRO_JOBS``) allows.
-    """
-    points = [
-        (model, chips, tuple(algorithms), hw)
-        for model in models
-        for chips in sizes
-    ]
-    return [row for rows in grid_map(_point_rows, points, jobs=jobs)
-            for row in rows]
 
 
 def speedup_over(
@@ -154,27 +145,10 @@ def render(rows: Sequence[WeakScalingRow]) -> str:
     return "\n".join(lines)
 
 
-def main(hw: HardwareParams = TPUV4, sizes: Sequence[int] = CLUSTER_SIZES) -> str:
-    """Render the Figure 9 table plus headline speedups."""
-    return render(run(sizes=sizes, hw=hw))
-
-
-def _campaign_points() -> List[tuple]:
-    return [
-        (model, chips, tuple(ALL_ALGORITHMS), TPUV4)
-        for model in (GPT3_175B, MEGATRON_NLG_530B)
-        for chips in CLUSTER_SIZES
-    ]
-
-
 CAMPAIGN = CampaignSpec(
     name="fig9",
-    points=_campaign_points,
-    point=_point_rows,
+    points=points,
+    point=point,
     render=render,
     flatten=True,
 )
-
-
-if __name__ == "__main__":
-    print(main())

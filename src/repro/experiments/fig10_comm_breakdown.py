@@ -48,13 +48,19 @@ class BreakdownRow:
         return self.launch + self.transfer + self.sync
 
 
-def _point_rows(point) -> List[BreakdownRow]:
-    """All Figure 10 bars of one (model, chips) grid point.
+def points(
+    models: Sequence[LLMConfig] = (GPT3_175B, MEGATRON_NLG_530B),
+    chips: int = 256,
+    algorithms: Sequence[str] = ALL_ALGORITHMS,
+    hw: HardwareParams = TPUV4,
+) -> List[tuple]:
+    """One Figure 10 grid point per model."""
+    return [(model, chips, tuple(algorithms), hw) for model in models]
 
-    Module-level so the campaign runner can run it as one durable,
-    picklable unit of work.
-    """
-    model, chips, algorithms, hw = point
+
+def point(coords) -> List[BreakdownRow]:
+    """All Figure 10 bars of one (model, chips) grid point."""
+    model, chips, algorithms, hw = coords
     batch = weak_scaling_batch(chips)
     rows: List[BreakdownRow] = []
     for algorithm in algorithms:
@@ -80,19 +86,6 @@ def _point_rows(point) -> List[BreakdownRow]:
     return rows
 
 
-def run(
-    models: Sequence[LLMConfig] = (GPT3_175B, MEGATRON_NLG_530B),
-    chips: int = 256,
-    algorithms: Sequence[str] = ALL_ALGORITHMS,
-    hw: HardwareParams = TPUV4,
-) -> List[BreakdownRow]:
-    """Produce the Figure 10 bars."""
-    rows: List[BreakdownRow] = []
-    for model in models:
-        rows.extend(_point_rows((model, chips, tuple(algorithms), hw)))
-    return rows
-
-
 def render(rows: Sequence[BreakdownRow]) -> str:
     return render_table(
         ["model", "algorithm", "launch", "transfer", "sync", "total (rel. to compute)"],
@@ -100,25 +93,10 @@ def render(rows: Sequence[BreakdownRow]) -> str:
     )
 
 
-def main(hw: HardwareParams = TPUV4, chips: int = 256) -> str:
-    return render(run(chips=chips, hw=hw))
-
-
-def _campaign_points() -> List[tuple]:
-    return [
-        (model, 256, tuple(ALL_ALGORITHMS), TPUV4)
-        for model in (GPT3_175B, MEGATRON_NLG_530B)
-    ]
-
-
 CAMPAIGN = CampaignSpec(
     name="fig10",
-    points=_campaign_points,
-    point=_point_rows,
+    points=points,
+    point=point,
     render=render,
     flatten=True,
 )
-
-
-if __name__ == "__main__":
-    print(main())

@@ -18,7 +18,6 @@ from repro.autotuner.dataflow import PassPlan, plan_model
 from repro.campaign.spec import CampaignSpec
 from repro.experiments.common import (
     candidate_meshes,
-    grid_map,
     render_table,
     tuned_slices,
 )
@@ -56,12 +55,27 @@ def distinct_pass_plans(
     return list(seen.values())
 
 
-def _point_rows(point) -> List[ShapeRow]:
-    """All Figure 11 bars of one (model, GeMM shape) grid point.
+def points(
+    models: Sequence[LLMConfig] = (GPT3_175B, MEGATRON_NLG_530B),
+    chips: int = 256,
+    batch_size: int = 128,
+    algorithms: Sequence[str] = TWO_D_ALGORITHMS,
+    hw: HardwareParams = TPUV4,
+) -> List[tuple]:
+    """The independent (model, GeMM shape) grid points of Figure 11."""
+    grid = []
+    for model in models:
+        tokens = model.tokens(batch_size)
+        for label, pass_plan in distinct_pass_plans(model, tokens):
+            grid.append(
+                (model.name, label, pass_plan, tuple(algorithms), chips, hw)
+            )
+    return grid
 
-    Module-level so it can run in a ``grid_map`` worker process.
-    """
-    model_name, label, pass_plan, algorithms, chips, hw = point
+
+def point(coords) -> List[ShapeRow]:
+    """All Figure 11 bars of one (model, GeMM shape) grid point."""
+    model_name, label, pass_plan, algorithms, chips, hw = coords
     rows: List[ShapeRow] = []
     for algorithm in algorithms:
         best = _best_for_shape(algorithm, pass_plan, chips, hw)
@@ -77,30 +91,6 @@ def _point_rows(point) -> List[ShapeRow]:
                          algorithm, util, str(mesh))
             )
     return rows
-
-
-def run(
-    models: Sequence[LLMConfig] = (GPT3_175B, MEGATRON_NLG_530B),
-    chips: int = 256,
-    batch_size: int = 128,
-    algorithms: Sequence[str] = TWO_D_ALGORITHMS,
-    hw: HardwareParams = TPUV4,
-    jobs: Optional[int] = None,
-) -> List[ShapeRow]:
-    """Produce every Figure 11 bar.
-
-    The (model, GeMM shape) grid points are independent and run in
-    worker processes when ``jobs`` (or ``REPRO_JOBS``) allows.
-    """
-    points = []
-    for model in models:
-        tokens = model.tokens(batch_size)
-        for label, pass_plan in distinct_pass_plans(model, tokens):
-            points.append(
-                (model.name, label, pass_plan, tuple(algorithms), chips, hw)
-            )
-    return [row for rows in grid_map(_point_rows, points, jobs=jobs)
-            for row in rows]
 
 
 def _best_for_shape(
@@ -177,30 +167,10 @@ def render(rows: Sequence[ShapeRow]) -> str:
     return "\n".join(lines)
 
 
-def main(hw: HardwareParams = TPUV4, chips: int = 256) -> str:
-    return render(run(chips=chips, hw=hw))
-
-
-def _campaign_points() -> List[tuple]:
-    points = []
-    for model in (GPT3_175B, MEGATRON_NLG_530B):
-        tokens = model.tokens(128)
-        for label, pass_plan in distinct_pass_plans(model, tokens):
-            points.append(
-                (model.name, label, pass_plan,
-                 tuple(TWO_D_ALGORITHMS), 256, TPUV4)
-            )
-    return points
-
-
 CAMPAIGN = CampaignSpec(
     name="fig11",
-    points=_campaign_points,
-    point=_point_rows,
+    points=points,
+    point=point,
     render=render,
     flatten=True,
 )
-
-
-if __name__ == "__main__":
-    print(main())

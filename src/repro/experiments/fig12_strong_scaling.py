@@ -19,7 +19,6 @@ from repro.campaign.spec import CampaignSpec
 from repro.experiments.common import (
     CLUSTER_SIZES,
     best_block_run,
-    grid_map,
     render_table,
 )
 from repro.hw.params import HardwareParams
@@ -42,13 +41,27 @@ class StrongScalingRow:
     utilization: Optional[float]
 
 
-def _point_rows(point) -> List[StrongScalingRow]:
+def points(
+    models: Sequence[LLMConfig] = (GPT3_175B, MEGATRON_NLG_530B),
+    sizes: Sequence[int] = CLUSTER_SIZES,
+    batch_size: int = 32,
+    algorithms: Sequence[str] = STRONG_SCALING_ALGORITHMS,
+    hw: HardwareParams = TPUV4,
+) -> List[tuple]:
+    """The independent (model, chips) grid points of Figure 12."""
+    return [
+        (model, chips, batch_size, tuple(algorithms), hw)
+        for model in models
+        for chips in sizes
+    ]
+
+
+def point(coords) -> List[StrongScalingRow]:
     """All Figure 12 rows of one (model, chips) grid point.
 
-    Module-level so it can run in a ``grid_map`` worker process; the
-    Phase-1 plans are shared by every algorithm's mesh search.
+    The Phase-1 plans are shared by every algorithm's mesh search.
     """
-    model, chips, batch_size, algorithms, hw = point
+    model, chips, batch_size, algorithms, hw = coords
     plans = plan_model(model, model.tokens(batch_size), optimize_dataflow=True)
     rows: List[StrongScalingRow] = []
     for algorithm in algorithms:
@@ -69,28 +82,6 @@ def _point_rows(point) -> List[StrongScalingRow]:
     return rows
 
 
-def run(
-    models: Sequence[LLMConfig] = (GPT3_175B, MEGATRON_NLG_530B),
-    sizes: Sequence[int] = CLUSTER_SIZES,
-    batch_size: int = 32,
-    algorithms: Sequence[str] = STRONG_SCALING_ALGORITHMS,
-    hw: HardwareParams = TPUV4,
-    jobs: Optional[int] = None,
-) -> List[StrongScalingRow]:
-    """Produce every Figure 12 data point.
-
-    Grid points are independent (model, chips) pairs and run in worker
-    processes when ``jobs`` (or ``REPRO_JOBS``) allows.
-    """
-    points = [
-        (model, chips, batch_size, tuple(algorithms), hw)
-        for model in models
-        for chips in sizes
-    ]
-    return [row for rows in grid_map(_point_rows, points, jobs=jobs)
-            for row in rows]
-
-
 def render(rows: Sequence[StrongScalingRow]) -> str:
     return render_table(
         ["model", "chips", "algorithm", "mesh", "FLOP util"],
@@ -98,26 +89,10 @@ def render(rows: Sequence[StrongScalingRow]) -> str:
     )
 
 
-def main(hw: HardwareParams = TPUV4, sizes: Sequence[int] = CLUSTER_SIZES) -> str:
-    return render(run(sizes=sizes, hw=hw))
-
-
-def _campaign_points() -> List[tuple]:
-    return [
-        (model, chips, 32, tuple(STRONG_SCALING_ALGORITHMS), TPUV4)
-        for model in (GPT3_175B, MEGATRON_NLG_530B)
-        for chips in CLUSTER_SIZES
-    ]
-
-
 CAMPAIGN = CampaignSpec(
     name="fig12",
-    points=_campaign_points,
-    point=_point_rows,
+    points=points,
+    point=point,
     render=render,
     flatten=True,
 )
-
-
-if __name__ == "__main__":
-    print(main())

@@ -17,7 +17,6 @@ from repro.autotuner.dataflow import plan_model
 from repro.autotuner.search import tune_mesh
 from repro.campaign.spec import CampaignSpec
 from repro.experiments.common import (
-    grid_map,
     render_table,
     run_block,
     weak_scaling_batch,
@@ -38,14 +37,28 @@ class MeshShapeRow:
     simulated_utilization: float
 
 
-def _point_row(point) -> MeshShapeRow:
+def points(
+    models: Sequence[LLMConfig] = (GPT3_175B, MEGATRON_NLG_530B),
+    chips: int = 256,
+    hw: HardwareParams = TPUV4,
+    meshes: Optional[Sequence[Mesh2D]] = None,
+) -> List[tuple]:
+    """The independent (model, mesh shape) grid points of Figure 13."""
+    candidates = list(meshes or mesh_shapes(chips, min_dim=2))
+    return [
+        (model, chips, mesh, hw)
+        for model in models
+        for mesh in candidates
+    ]
+
+
+def point(coords) -> MeshShapeRow:
     """One Figure 13 (model, mesh) data point.
 
-    Module-level so it can run in a ``grid_map`` worker process. The
-    plans are re-derived per point, but ``plan_model`` is memoized so
-    points sharing a worker pay once.
+    The plans are re-derived per point, but ``plan_model`` is memoized
+    so points sharing a process pay once.
     """
-    model, chips, mesh, hw = point
+    model, chips, mesh, hw = coords
     batch = weak_scaling_batch(chips)
     tokens = model.tokens(batch)
     plans = plan_model(model, tokens, optimize_dataflow=True)
@@ -59,27 +72,6 @@ def _point_row(point) -> MeshShapeRow:
         estimated_utilization=estimated_util,
         simulated_utilization=block.utilization(hw),
     )
-
-
-def run(
-    models: Sequence[LLMConfig] = (GPT3_175B, MEGATRON_NLG_530B),
-    chips: int = 256,
-    hw: HardwareParams = TPUV4,
-    meshes: Optional[Sequence[Mesh2D]] = None,
-    jobs: Optional[int] = None,
-) -> List[MeshShapeRow]:
-    """Produce the Figure 13 series.
-
-    The (model, mesh shape) grid points are independent and run in
-    worker processes when ``jobs`` (or ``REPRO_JOBS``) allows.
-    """
-    candidates = list(meshes or mesh_shapes(chips, min_dim=2))
-    points = [
-        (model, chips, mesh, hw)
-        for model in models
-        for mesh in candidates
-    ]
-    return grid_map(_point_row, points, jobs=jobs)
 
 
 def optimal_shapes(
@@ -114,25 +106,9 @@ def render(rows: Sequence[MeshShapeRow]) -> str:
     return "\n".join(lines)
 
 
-def main(hw: HardwareParams = TPUV4, chips: int = 256) -> str:
-    return render(run(chips=chips, hw=hw))
-
-
-def _campaign_points() -> List[tuple]:
-    return [
-        (model, 256, mesh, TPUV4)
-        for model in (GPT3_175B, MEGATRON_NLG_530B)
-        for mesh in mesh_shapes(256, min_dim=2)
-    ]
-
-
 CAMPAIGN = CampaignSpec(
     name="fig13",
-    points=_campaign_points,
-    point=_point_row,
+    points=points,
+    point=point,
     render=render,
 )
-
-
-if __name__ == "__main__":
-    print(main())

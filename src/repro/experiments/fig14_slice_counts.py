@@ -38,14 +38,28 @@ class SliceCountRow:
     simulated_utilization: Optional[float]
 
 
-def _point_row(point) -> SliceCountRow:
+def points(
+    models: Sequence[LLMConfig] = (GPT3_175B, MEGATRON_NLG_530B),
+    chips: int = 256,
+    mesh: Mesh2D = Mesh2D(32, 8),
+    slice_counts: Sequence[int] = SLICE_COUNTS,
+    hw: HardwareParams = TPUV4,
+) -> List[tuple]:
+    """One Figure 14 grid point per (model, slice count)."""
+    return [
+        (model, chips, mesh, slices, hw)
+        for model in models
+        for slices in slice_counts
+    ]
+
+
+def point(coords) -> SliceCountRow:
     """One Figure 14 (model, slice count) data point.
 
-    Module-level so the campaign runner can run it as one durable,
-    picklable unit of work; ``plan_model`` is memoized so points
-    sharing a process derive the plans once.
+    ``plan_model`` is memoized, so points sharing a process derive the
+    plans once.
     """
-    model, chips, mesh, slices, hw = point
+    model, chips, mesh, slices, hw = coords
     alg = get_algorithm("meshslice")
     tokens = model.tokens(weak_scaling_batch(chips))
     plans = plan_model(model, tokens, optimize_dataflow=True)
@@ -74,21 +88,6 @@ def _point_row(point) -> SliceCountRow:
         simulated_utilization=flops_per_chip
         / (sim_seconds * hw.peak_flops),
     )
-
-
-def run(
-    models: Sequence[LLMConfig] = (GPT3_175B, MEGATRON_NLG_530B),
-    chips: int = 256,
-    mesh: Mesh2D = Mesh2D(32, 8),
-    slice_counts: Sequence[int] = SLICE_COUNTS,
-    hw: HardwareParams = TPUV4,
-) -> List[SliceCountRow]:
-    """Produce the Figure 14 series."""
-    return [
-        _point_row((model, chips, mesh, slices, hw))
-        for model in models
-        for slices in slice_counts
-    ]
 
 
 def optimal_slices(rows: Sequence[SliceCountRow], model: str) -> Tuple[int, int]:
@@ -122,25 +121,9 @@ def render(rows: Sequence[SliceCountRow]) -> str:
     return "\n".join(lines)
 
 
-def main(hw: HardwareParams = TPUV4) -> str:
-    return render(run(hw=hw))
-
-
-def _campaign_points() -> List[tuple]:
-    return [
-        (model, 256, Mesh2D(32, 8), slices, TPUV4)
-        for model in (GPT3_175B, MEGATRON_NLG_530B)
-        for slices in SLICE_COUNTS
-    ]
-
-
 CAMPAIGN = CampaignSpec(
     name="fig14",
-    points=_campaign_points,
-    point=_point_row,
+    points=points,
+    point=point,
     render=render,
 )
-
-
-if __name__ == "__main__":
-    print(main())

@@ -117,14 +117,29 @@ def _measured_comm_seconds(cfg: GeMMConfig, hw: HardwareParams) -> float:
     return total
 
 
-def _point_row(point) -> CommAccuracyRow:
+def points(
+    models: Sequence[LLMConfig] = (GPT3_175B, MEGATRON_NLG_530B),
+    batch_size: int = 8,
+    hw: HardwareParams = TPUV4_CLOUD_4X4,
+) -> List[tuple]:
+    """One Figure 15 grid point per FC layer."""
+    grid = []
+    for model in models:
+        plans = plan_model(
+            model, model.tokens(batch_size), optimize_dataflow=True
+        )
+        for plan in plans:
+            grid.append((model, batch_size, plan.layer.name, hw))
+    return grid
+
+
+def point(coords) -> CommAccuracyRow:
     """One Figure 15 bar: a single FC layer's fwd+bwd comm accuracy.
 
-    Module-level so the campaign runner can run it as one durable,
-    picklable unit of work; ``plan_model`` is memoized so points
-    sharing a process derive the plans once.
+    ``plan_model`` is memoized, so points sharing a process derive the
+    plans once.
     """
-    model, batch_size, layer_name, hw = point
+    model, batch_size, layer_name, hw = coords
     mesh = Mesh2D(4, 4)
     tokens = model.tokens(batch_size)
     plans = plan_model(model, tokens, optimize_dataflow=True)
@@ -150,23 +165,6 @@ def _point_row(point) -> CommAccuracyRow:
     )
 
 
-def run(
-    models: Sequence[LLMConfig] = (GPT3_175B, MEGATRON_NLG_530B),
-    batch_size: int = 8,
-    hw: HardwareParams = TPUV4_CLOUD_4X4,
-) -> List[CommAccuracyRow]:
-    """Produce the Figure 15 bars (one per FC layer, fwd+bwd total)."""
-    rows: List[CommAccuracyRow] = []
-    for model in models:
-        tokens = model.tokens(batch_size)
-        plans = plan_model(model, tokens, optimize_dataflow=True)
-        for plan in plans:
-            rows.append(
-                _point_row((model, batch_size, plan.layer.name, hw))
-            )
-    return rows
-
-
 def average_error(rows: Sequence[CommAccuracyRow]) -> float:
     if not rows:
         raise ValueError("no rows")
@@ -190,26 +188,9 @@ def render(rows: Sequence[CommAccuracyRow]) -> str:
     )
 
 
-def main(hw: HardwareParams = TPUV4_CLOUD_4X4) -> str:
-    return render(run(hw=hw))
-
-
-def _campaign_points() -> List[tuple]:
-    points = []
-    for model in (GPT3_175B, MEGATRON_NLG_530B):
-        plans = plan_model(model, model.tokens(8), optimize_dataflow=True)
-        for plan in plans:
-            points.append((model, 8, plan.layer.name, TPUV4_CLOUD_4X4))
-    return points
-
-
 CAMPAIGN = CampaignSpec(
     name="fig15",
-    points=_campaign_points,
-    point=_point_row,
+    points=points,
+    point=point,
     render=render,
 )
-
-
-if __name__ == "__main__":
-    print(main())

@@ -43,13 +43,18 @@ class DataflowRow:
         return self.not_optimized and (self.optimized / self.not_optimized - 1.0)
 
 
-def _point_row(point) -> DataflowRow:
-    """One Table 2 row: one model, both dataflow settings.
+def points(
+    models: Sequence[LLMConfig] = (GPT3_175B, MEGATRON_NLG_530B),
+    chips: int = 256,
+    hw: HardwareParams = TPUV4,
+) -> List[tuple]:
+    """One Table 2 grid point per model."""
+    return [(model, chips, hw) for model in models]
 
-    Module-level so the campaign runner can run it as one durable,
-    picklable unit of work.
-    """
-    model, chips, hw = point
+
+def point(coords) -> DataflowRow:
+    """One Table 2 row: one model, both dataflow settings."""
+    model, chips, hw = coords
     batch = weak_scaling_batch(chips)
     default = best_block_run(
         "meshslice", model, batch, chips, hw, optimize_dataflow=False
@@ -62,15 +67,6 @@ def _point_row(point) -> DataflowRow:
         not_optimized=default.utilization(hw),
         optimized=optimized.utilization(hw),
     )
-
-
-def run(
-    models: Sequence[LLMConfig] = (GPT3_175B, MEGATRON_NLG_530B),
-    chips: int = 256,
-    hw: HardwareParams = TPUV4,
-) -> List[DataflowRow]:
-    """Produce the Table 2 rows."""
-    return [_point_row((model, chips, hw)) for model in models]
 
 
 def render(rows: Sequence[DataflowRow]) -> str:
@@ -91,21 +87,9 @@ def render(rows: Sequence[DataflowRow]) -> str:
     )
 
 
-def main(hw: HardwareParams = TPUV4, chips: int = 256) -> str:
-    return render(run(chips=chips, hw=hw))
-
-
-def _campaign_points() -> List[tuple]:
-    return [(model, 256, TPUV4) for model in (GPT3_175B, MEGATRON_NLG_530B)]
-
-
 CAMPAIGN = CampaignSpec(
     name="table2",
-    points=_campaign_points,
-    point=_point_row,
+    points=points,
+    point=point,
     render=render,
 )
-
-
-if __name__ == "__main__":
-    print(main())

@@ -57,13 +57,19 @@ class RealHWRow:
         return self.collective / self.meshslice - 1.0
 
 
-def _point_row(point) -> RealHWRow:
-    """One Table 3 row: one model across all four columns.
+def points(
+    models: Sequence[LLMConfig] = (GPT3_175B, MEGATRON_NLG_530B),
+    batch_size: int = 8,
+    hw: HardwareParams = TPUV4_CLOUD_4X4,
+    overlap_hw: HardwareParams = TPUV4_CLOUD_4X4_OVERLAP,
+) -> List[tuple]:
+    """One Table 3 grid point per model, on the fixed 4x4 cloud mesh."""
+    return [(model, batch_size, hw, overlap_hw) for model in models]
 
-    Module-level so the campaign runner can run it as one durable,
-    picklable unit of work.
-    """
-    model, batch_size, hw, overlap_hw = point
+
+def point(coords) -> RealHWRow:
+    """One Table 3 row: one model across all four columns."""
+    model, batch_size, hw, overlap_hw = coords
     mesh = Mesh2D(4, 4)
     tokens = model.tokens(batch_size)
     plans = plan_model(model, tokens, optimize_dataflow=True)
@@ -83,18 +89,6 @@ def _point_row(point) -> RealHWRow:
         meshslice=utils["meshslice"],
         meshslice_overlap=overlap.utilization(overlap_hw),
     )
-
-
-def run(
-    models: Sequence[LLMConfig] = (GPT3_175B, MEGATRON_NLG_530B),
-    batch_size: int = 8,
-    hw: HardwareParams = TPUV4_CLOUD_4X4,
-    overlap_hw: HardwareParams = TPUV4_CLOUD_4X4_OVERLAP,
-) -> List[RealHWRow]:
-    """Produce the Table 3 rows on the fixed 4x4 cloud mesh."""
-    return [
-        _point_row((model, batch_size, hw, overlap_hw)) for model in models
-    ]
 
 
 def render(rows: Sequence[RealHWRow]) -> str:
@@ -117,24 +111,9 @@ def render(rows: Sequence[RealHWRow]) -> str:
     )
 
 
-def main(hw: HardwareParams = TPUV4_CLOUD_4X4) -> str:
-    return render(run(hw=hw))
-
-
-def _campaign_points() -> List[tuple]:
-    return [
-        (model, 8, TPUV4_CLOUD_4X4, TPUV4_CLOUD_4X4_OVERLAP)
-        for model in (GPT3_175B, MEGATRON_NLG_530B)
-    ]
-
-
 CAMPAIGN = CampaignSpec(
     name="table3",
-    points=_campaign_points,
-    point=_point_row,
+    points=points,
+    point=point,
     render=render,
 )
-
-
-if __name__ == "__main__":
-    print(main())

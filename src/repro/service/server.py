@@ -31,6 +31,7 @@ records, so the byte-determinism contract is untouched.
 from __future__ import annotations
 
 import bisect
+import math
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -44,10 +45,11 @@ __all__ = ["TunerService"]
 
 
 def _percentile(ordered: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile of an already-sorted sample."""
+    """Nearest-rank percentile of an already-sorted sample: the
+    ``ceil(q * n)``-th smallest value."""
     if not ordered:
         return 0.0
-    rank = min(len(ordered) - 1, max(0, int(q * len(ordered) + 0.5) - 1))
+    rank = min(len(ordered) - 1, max(0, math.ceil(q * len(ordered)) - 1))
     return ordered[rank]
 
 

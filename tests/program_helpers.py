@@ -126,7 +126,7 @@ def artifact_images(
     in sorted order, so it depends neither on build order nor on how
     many builds the caches saved.
     """
-    from repro.experiments import EXPERIMENTS
+    from repro.cli import run_experiment
     from repro.perf.cache import clear_caches
 
     seen: Dict[str, Set[str]] = {}
@@ -148,7 +148,7 @@ def artifact_images(
         clear_caches()
         try:
             with redirect_stdout(io.StringIO()):
-                EXPERIMENTS[name].main()
+                run_experiment(name)
         finally:
             clear_caches()
         images[name] = {

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.experiments.ablation_unrolling import (
+    CAMPAIGN,
     natural_iterations,
-    run,
+    points,
     unrolling_speedup,
 )
 from repro.mesh import Mesh2D
@@ -12,11 +13,11 @@ from repro.mesh import Mesh2D
 
 class TestUnrolling:
     def test_summa_gains_substantially(self):
-        rows = run()
+        rows = CAMPAIGN.run(points())
         assert unrolling_speedup(rows, "summa") > 0.20
 
     def test_wang_gains_modestly(self):
-        rows = run()
+        rows = CAMPAIGN.run(points())
         speedup = unrolling_speedup(rows, "wang")
         assert -0.01 <= speedup < 0.20
 
@@ -28,13 +29,11 @@ class TestUnrolling:
             natural_iterations("cannon", mesh, None)
 
     def test_rows_cover_both_variants(self):
-        rows = run()
+        rows = CAMPAIGN.run(points())
         variants = {(r.algorithm, r.variant) for r in rows}
         assert ("summa", "natural") in variants
         assert ("summa", "unrolled (paper)") in variants
 
     def test_main_renders(self):
-        from repro.experiments import ablation_unrolling
-
-        report = ablation_unrolling.main()
+        report = CAMPAIGN.render(CAMPAIGN.run(points()))
         assert "unrolling speeds summa" in report

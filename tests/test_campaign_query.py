@@ -84,15 +84,19 @@ class TestStatus:
 
 
 class TestRowsAndReport:
-    def test_report_matches_direct_main(self, tmp_path):
-        from repro.experiments import ablation_25d
+    @pytest.mark.parametrize(
+        "name", ["ablation-2.5d", "fig13", "ablation-faults"]
+    )
+    def test_report_matches_direct_main(self, tmp_path, name):
+        """The store's report equals ``meshslice run``'s, byte for byte."""
+        from repro.cli import run_experiment
 
-        spec = get_campaign("ablation-2.5d")
+        spec = get_campaign(name)
         store = CampaignStore(str(tmp_path))
         summary = CampaignRunner(store, spec.name, spec.point,
                                  jobs=1).run(spec.points())
         assert summary.complete and summary.failed == 0
-        assert report(store, spec.name, spec) == ablation_25d.main()
+        assert report(store, spec.name, spec) == run_experiment(name)
 
     def test_failed_records_contribute_no_rows(self, tmp_path):
         store = CampaignStore(str(tmp_path))

@@ -63,10 +63,10 @@ for policy in POLICIES:
 GRID_SCRIPT = """
 import sys
 from repro.campaign.codec import canonical_json
-from repro.experiments.ablation_elastic import run
+from repro.experiments.ablation_elastic import CAMPAIGN, points
 
-rows = run(
-    mtbf_hours=(500.0,), spare_counts=(0, 2), duration_days=5.0,
+rows = CAMPAIGN.run(
+    points(mtbf_hours=(500.0,), spare_counts=(0, 2), duration_days=5.0),
     jobs=int(sys.argv[1]),
 )
 sys.stdout.write(canonical_json(rows) + "\\n")
@@ -80,17 +80,13 @@ sys.stdout.write(canonical_json(rows) + "\\n")
 CAMPAIGN_SCRIPT = """
 import sys
 from repro.campaign import CampaignRunner, CampaignStore
-from repro.experiments.ablation_elastic import _campaign_point, _grid_points
-from repro.hw.presets import TPUV4
-from repro.models import GPT3_175B
+from repro.experiments.ablation_elastic import point, points
 
 root, jobs = sys.argv[1], int(sys.argv[2])
-points = _grid_points(
-    GPT3_175B, TPUV4, (500.0,), (0, 2), 60.0, 60.0, 180.0, 5.0, 0
-)
+grid = points(mtbf_hours=(500.0,), spare_counts=(0, 2), duration_days=5.0)
 summary = CampaignRunner(
-    CampaignStore(root), "elastic-determinism", _campaign_point, jobs=jobs
-).run(points)
+    CampaignStore(root), "elastic-determinism", point, jobs=jobs
+).run(grid)
 sys.stdout.write(f"complete={summary.complete} ran={summary.ran}\\n")
 """
 

@@ -29,27 +29,27 @@ from repro.models import GPT3_175B
 
 class TestFig9:
     def test_rows_and_ordering(self):
-        rows = fig09_weak_scaling.run(
+        rows = fig09_weak_scaling.CAMPAIGN.run(fig09_weak_scaling.points(
             models=(GPT3_175B,),
             sizes=(16,),
             algorithms=("meshslice", "collective", "wang"),
-        )
+        ))
         assert len(rows) == 3
         by_alg = {r.algorithm: r for r in rows}
         assert by_alg["meshslice"].utilization > by_alg["wang"].utilization
         assert by_alg["wang"].utilization > by_alg["collective"].utilization
 
     def test_cannon_none_on_nonsquare(self):
-        rows = fig09_weak_scaling.run(
+        rows = fig09_weak_scaling.CAMPAIGN.run(fig09_weak_scaling.points(
             models=(GPT3_175B,), sizes=(32,), algorithms=("cannon",)
-        )
+        ))
         assert rows[0].utilization is None
 
     def test_speedup_helper(self):
-        rows = fig09_weak_scaling.run(
+        rows = fig09_weak_scaling.CAMPAIGN.run(fig09_weak_scaling.points(
             models=(GPT3_175B,), sizes=(16,),
             algorithms=("meshslice", "wang"),
-        )
+        ))
         fc, e2e = fig09_weak_scaling.speedup_over(rows, GPT3_175B.name, 16)
         assert fc > 0
         assert 0 < e2e < fc  # non-FC time dilutes the speedup
@@ -57,10 +57,10 @@ class TestFig9:
 
 class TestFig10:
     def test_breakdown_structure(self):
-        rows = fig10_comm_breakdown.run(
+        rows = fig10_comm_breakdown.CAMPAIGN.run(fig10_comm_breakdown.points(
             models=(GPT3_175B,), chips=16,
             algorithms=("collective", "summa", "meshslice"),
-        )
+        ))
         by_alg = {r.algorithm: r for r in rows}
         for row in rows:
             assert row.launch >= 0 and row.transfer > 0 and row.sync >= 0
@@ -68,10 +68,10 @@ class TestFig10:
         assert by_alg["summa"].sync > by_alg["collective"].sync
 
     def test_collective_has_least_total(self):
-        rows = fig10_comm_breakdown.run(
+        rows = fig10_comm_breakdown.CAMPAIGN.run(fig10_comm_breakdown.points(
             models=(GPT3_175B,), chips=16,
             algorithms=("collective", "meshslice", "1dtp"),
-        )
+        ))
         by_alg = {r.algorithm: r for r in rows}
         assert by_alg["collective"].total < by_alg["1dtp"].total
         assert by_alg["collective"].total <= by_alg["meshslice"].total
@@ -79,10 +79,10 @@ class TestFig10:
 
 class TestFig11:
     def test_distinct_shapes_and_winner(self):
-        rows = fig11_matrix_shapes.run(
+        rows = fig11_matrix_shapes.CAMPAIGN.run(fig11_matrix_shapes.points(
             models=(GPT3_175B,), chips=16, batch_size=8,
             algorithms=("meshslice", "collective"),
-        )
+        ))
         labels = {r.label for r in rows}
         assert len(labels) == 8
         speedup = fig11_matrix_shapes.average_speedup(
@@ -93,10 +93,10 @@ class TestFig11:
 
 class TestFig12:
     def test_no_fsdp_and_declining_utilization(self):
-        rows = fig12_strong_scaling.run(
+        rows = fig12_strong_scaling.CAMPAIGN.run(fig12_strong_scaling.points(
             models=(GPT3_175B,), sizes=(16, 64), batch_size=32,
             algorithms=("meshslice",),
-        )
+        ))
         assert all(r.algorithm != "fsdp" for r in rows)
         by_chips = {r.chips: r.utilization for r in rows}
         assert by_chips[64] < by_chips[16]
@@ -104,7 +104,9 @@ class TestFig12:
 
 class TestTable2:
     def test_optimization_helps_gpt3(self):
-        rows = table2_dataflow_opt.run(models=(GPT3_175B,), chips=64)
+        rows = table2_dataflow_opt.CAMPAIGN.run(
+            table2_dataflow_opt.points(models=(GPT3_175B,), chips=64)
+        )
         row = rows[0]
         assert row.optimized >= row.not_optimized
         assert row.speedup >= 0
@@ -113,41 +115,43 @@ class TestTable2:
 class TestFig13:
     def test_cost_model_ranks_like_simulator(self):
         meshes = [Mesh2D(2, 8), Mesh2D(4, 4), Mesh2D(8, 2)]
-        rows = fig13_mesh_shapes.run(
+        rows = fig13_mesh_shapes.CAMPAIGN.run(fig13_mesh_shapes.points(
             models=(GPT3_175B,), chips=16, meshes=meshes
-        )
+        ))
         est, sim = fig13_mesh_shapes.optimal_shapes(rows, GPT3_175B.name)
         assert est == sim
 
     def test_raises_on_unknown_model(self):
-        rows = fig13_mesh_shapes.run(
+        rows = fig13_mesh_shapes.CAMPAIGN.run(fig13_mesh_shapes.points(
             models=(GPT3_175B,), chips=16, meshes=[Mesh2D(4, 4)]
-        )
+        ))
         with pytest.raises(ValueError):
             fig13_mesh_shapes.optimal_shapes(rows, "nope")
 
 
 class TestFig14:
     def test_optimum_agreement_small(self):
-        rows = fig14_slice_counts.run(
+        rows = fig14_slice_counts.CAMPAIGN.run(fig14_slice_counts.points(
             models=(GPT3_175B,), chips=16, mesh=Mesh2D(4, 4),
             slice_counts=(1, 2, 4, 8, 16),
-        )
+        ))
         est, sim = fig14_slice_counts.optimal_slices(rows, GPT3_175B.name)
         assert est in (1, 2, 4, 8, 16)
         assert sim in (1, 2, 4, 8, 16)
 
     def test_infeasible_slice_count_reported_as_none(self):
-        rows = fig14_slice_counts.run(
+        rows = fig14_slice_counts.CAMPAIGN.run(fig14_slice_counts.points(
             models=(GPT3_175B,), chips=16, mesh=Mesh2D(4, 4),
             slice_counts=(7,),
-        )
+        ))
         assert rows[0].estimated_utilization is None
 
 
 class TestTable3:
     def test_structure_and_claims(self):
-        rows = table3_real_hw.run(models=(GPT3_175B,), batch_size=8)
+        rows = table3_real_hw.CAMPAIGN.run(
+            table3_real_hw.points(models=(GPT3_175B,), batch_size=8)
+        )
         row = rows[0]
         # Without AG/RdS overlap MeshSlice trails Collective slightly...
         assert row.meshslice < row.collective
@@ -158,21 +162,25 @@ class TestTable3:
 
 class TestFig15:
     def test_small_average_error(self):
-        rows = fig15_comm_model_accuracy.run(models=(GPT3_175B,), batch_size=8)
+        rows = fig15_comm_model_accuracy.CAMPAIGN.run(
+            fig15_comm_model_accuracy.points(models=(GPT3_175B,), batch_size=8)
+        )
         assert len(rows) == 4
         error = fig15_comm_model_accuracy.average_error(rows)
         assert 0.0 < error < 0.15
 
     def test_measured_at_least_estimated(self):
         """Skew can only delay ring steps, never accelerate them."""
-        rows = fig15_comm_model_accuracy.run(models=(GPT3_175B,), batch_size=8)
+        rows = fig15_comm_model_accuracy.CAMPAIGN.run(
+            fig15_comm_model_accuracy.points(models=(GPT3_175B,), batch_size=8)
+        )
         for row in rows:
             assert row.measured_ms >= row.estimated_ms
 
 
 class TestAblation25D:
     def test_paper_numbers(self):
-        rows = ablation_25d.run()
+        rows = ablation_25d.CAMPAIGN.run(["traffic"])
         by_method = {r.method: r for r in rows}
         two5d = by_method["2.5D GeMM"]
         ms = by_method["MeshSlice+DP"]
@@ -184,7 +192,7 @@ class TestAblation25D:
 
     def test_rejects_nonsquare_base(self):
         with pytest.raises(ValueError, match="square"):
-            ablation_25d.run(chips=512, copies=4)
+            ablation_25d.traffic_rows(chips=512, copies=4)
 
     def test_traffic_models_validate_inputs(self):
         with pytest.raises(ValueError):
@@ -197,14 +205,14 @@ class TestAblation25D:
 
 class TestAblationFaults:
     def _rows(self, severities=(1.5,), counts=(2,)):
-        return ablation_faults.run(
+        grid = ablation_faults.points(
             chips=16,
             algorithms=("meshslice", "collective"),
             severities=severities,
             counts=counts,
             ensemble=2,
-            jobs=1,
         )
+        return ablation_faults.CAMPAIGN.run(grid, jobs=1)
 
     def test_covers_grid(self):
         rows = self._rows(severities=(1.25, 2.0), counts=(1, 4))
@@ -237,9 +245,10 @@ class TestAblationFaults:
 
 class TestAblationSdc:
     def _rows(self, rates=(0.05,), meshes=((2, 2),), **kwargs):
-        return ablation_sdc.run(
-            rates=rates, meshes=meshes, trials=3, seed=11, jobs=1, **kwargs
+        grid = ablation_sdc.points(
+            rates=rates, meshes=meshes, trials=3, seed=11, **kwargs
         )
+        return ablation_sdc.CAMPAIGN.run(grid, jobs=1)
 
     def test_covers_grid(self):
         rows = self._rows(rates=(0.01, 0.05), meshes=((2, 2), (2, 4)))
@@ -276,7 +285,7 @@ class TestAblationSdc:
 
 
 class TestMains:
-    """Every experiment's main() renders a non-empty report."""
+    """Every experiment's grid renders a non-empty report."""
 
     @pytest.mark.parametrize(
         "module,kwargs",
@@ -293,7 +302,8 @@ class TestMains:
         ],
     )
     def test_main_renders(self, module, kwargs):
-        report = module.main(**kwargs)
+        spec = module.CAMPAIGN
+        report = spec.render(spec.run(module.points(**kwargs)))
         assert isinstance(report, str)
         assert len(report.splitlines()) > 2
 
@@ -302,9 +312,10 @@ class TestAblationZoo:
     """The algorithm-zoo comparison at a single reduced grid point."""
 
     def _rows(self, **kwargs):
-        return ablation_zoo.run(
-            points=(("tiny", (512, 512, 512), 4),), jobs=1, **kwargs
+        grid = ablation_zoo.points(
+            points=(("tiny", (512, 512, 512), 4),), **kwargs
         )
+        return ablation_zoo.CAMPAIGN.run(grid, jobs=1)
 
     def test_registered(self):
         from repro.experiments import EXPERIMENTS
@@ -320,8 +331,9 @@ class TestAblationZoo:
             assert row.utilization is None or 0.0 < row.utilization < 1.0
 
     def test_prime_chip_count_served_only_by_curve_and_1d(self):
-        rows = ablation_zoo.run(
-            points=(("prime", (448, 448, 448), 7),), jobs=1
+        rows = ablation_zoo.CAMPAIGN.run(
+            ablation_zoo.points(points=(("prime", (448, 448, 448), 7),)),
+            jobs=1,
         )
         served = {r.algorithm for r in rows if r.utilization is not None}
         assert served == {"1dtp", "fsdp", "sfc"}
@@ -337,7 +349,9 @@ class TestAblationZoo:
 
 class TestAblationRecovery:
     def _rows(self, sizes=(16,)):
-        return ablation_recovery.run(sizes=sizes, jobs=1)
+        return ablation_recovery.CAMPAIGN.run(
+            ablation_recovery.points(sizes=sizes), jobs=1
+        )
 
     def test_registered(self):
         from repro.experiments import EXPERIMENTS
@@ -384,7 +398,8 @@ class TestAblationRecovery:
         assert gaps == sorted(gaps)
 
     def test_main_renders(self):
-        report = ablation_recovery.main()
+        spec = ablation_recovery.CAMPAIGN
+        report = spec.render(spec.run())
         assert "best" in report
         assert "degrade" in report
         assert len(report.splitlines()) > 4

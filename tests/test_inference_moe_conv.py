@@ -67,18 +67,22 @@ class TestInference:
 
 class TestInferenceAblation:
     def test_decode_prefers_coarse_slicing(self):
-        from repro.experiments.ablation_inference import mean_tuned_slices, run
+        from repro.experiments.ablation_inference import (
+            CAMPAIGN,
+            mean_tuned_slices,
+            points,
+        )
 
-        rows = run(chips=16, batch=8, prompt_len=256)
+        rows = CAMPAIGN.run(points(chips=16, batch=8, prompt_len=256))
         assert mean_tuned_slices(rows, "decode") < mean_tuned_slices(
             rows, "prefill"
         )
 
     def test_meshslice_matches_collective_in_decode(self):
-        from repro.experiments.ablation_inference import run
+        from repro.experiments.ablation_inference import CAMPAIGN, points
 
-        rows = run(chips=16, batch=8, prompt_len=256,
-                   algorithms=("collective", "meshslice"))
+        rows = CAMPAIGN.run(points(chips=16, batch=8, prompt_len=256,
+                                   algorithms=("collective", "meshslice")))
         by_key = {(r.phase, r.layer, r.algorithm): r.latency_ms for r in rows}
         for layer in ("qkv", "attn_out", "ffn_in", "ffn_out"):
             ms = by_key[("decode", layer, "meshslice")]

@@ -8,19 +8,19 @@ reproduce the paper's orderings and scaling behaviour.
 import pytest
 
 from repro.experiments import best_block_run, weak_scaling_batch
-from repro.experiments.fig09_weak_scaling import run as fig9_run, speedup_over
+from repro.experiments.fig09_weak_scaling import CAMPAIGN, points, speedup_over
 from repro.hw import TPUV4
 from repro.models import GPT3_175B, MEGATRON_NLG_530B
 
 
 @pytest.fixture(scope="module")
 def fig9_rows_256():
-    return fig9_run(
+    return CAMPAIGN.run(points(
         models=(GPT3_175B, MEGATRON_NLG_530B),
         sizes=(256,),
         algorithms=("cannon", "summa", "collective", "wang", "meshslice",
                     "1dtp", "fsdp"),
-    )
+    ))
 
 
 class TestHeadlineClaims:

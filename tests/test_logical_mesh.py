@@ -105,9 +105,12 @@ class TestMeshSliceOnLogicalMesh:
 
 class TestAblationExperiment:
     def test_everyone_degrades_and_meshslice_still_wins(self):
-        from repro.experiments.ablation_logical_mesh import run
+        from repro.experiments.ablation_logical_mesh import compare
 
-        rows = run(chips=16)
+        rows = [
+            compare(algorithm, chips=16)
+            for algorithm in ("collective", "wang", "meshslice")
+        ]
         by_alg = {r.algorithm: r for r in rows}
         for row in rows:
             assert row.degradation is not None

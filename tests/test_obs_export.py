@@ -93,6 +93,7 @@ class TestValidateRecord:
 
 
 class TestCollectAndDump:
+    @pytest.mark.usefixtures("metrics_on")
     def test_registry_records_validate(self):
         GLOBAL_REGISTRY.inc("sim.runs", 2.0)
         GLOBAL_REGISTRY.observe("engine.queue_wait_seconds", 1e-4)
@@ -151,6 +152,7 @@ class TestCollectAndDump:
 
 
 class TestSummaryTable:
+    @pytest.mark.usefixtures("metrics_on")
     def test_renders_all_types(self):
         GLOBAL_REGISTRY.inc("sim.runs", 3.0, labels={"kind": "x"})
         GLOBAL_REGISTRY.set_gauge("level", 0.5)

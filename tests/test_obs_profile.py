@@ -59,6 +59,7 @@ class TestProfileBlock:
 
 
 class TestPublicApi:
+    @pytest.mark.usefixtures("metrics_on")
     def test_simulate_attaches_metrics(self, hw):
         from repro import simulate
         from repro.obs.derive import RunMetrics
@@ -133,6 +134,7 @@ class TestCli:
         assert "run.overlap_fraction" in names
         assert any(n.startswith("cache.") for n in names)
 
+    @pytest.mark.usefixtures("metrics_on")
     def test_tune_writes_metrics_file(self, tmp_path, capsys):
         from repro.cli import main
         from repro.obs.export import read_jsonl

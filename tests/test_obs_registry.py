@@ -294,6 +294,7 @@ class TestWaitHooks:
     def test_no_sink_outside_capture(self):
         assert wait_sink() is None
 
+    @pytest.mark.usefixtures("metrics_on")
     def test_capture_collects(self):
         with capture_waits() as waits:
             sink = wait_sink()
@@ -302,6 +303,7 @@ class TestWaitHooks:
         assert waits == [("compute", 0.5)]
         assert wait_sink() is None
 
+    @pytest.mark.usefixtures("metrics_on")
     def test_nested_captures_use_innermost(self):
         with capture_waits() as outer:
             with capture_waits() as inner:

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.experiments.ablation_3d import (
+    CAMPAIGN,
     baseline_config,
     paper_style_ratios,
-    run as run_ablation,
     same_cluster_config,
     scale_out_config,
     traffic_ratios,
@@ -107,7 +107,7 @@ class TestSection22Ablation:
         assert same_cluster == pytest.approx(64.0)
 
     def test_ring_accounting_scale_out_is_16x(self):
-        rows = run_ablation()
+        rows = CAMPAIGN.run()
         scale_out, same_cluster = traffic_ratios(rows)
         assert scale_out == pytest.approx(16.0, rel=0.01)
         # The exact ring accounting gives a smaller same-cluster ratio
@@ -119,7 +119,7 @@ class TestSection22Ablation:
         assert scale_out_config().chips == 16 * baseline_config().chips
 
     def test_same_cluster_cuts_bubbles(self):
-        rows = run_ablation()
+        rows = CAMPAIGN.run()
         by_label = {r.label: r for r in rows}
         assert (
             by_label["same-cluster 128-way 2D TP"].bubble_fraction
@@ -127,7 +127,7 @@ class TestSection22Ablation:
         )
 
     def test_same_cluster_utilization_competitive(self):
-        rows = run_ablation()
+        rows = CAMPAIGN.run()
         by_label = {r.label: r for r in rows}
         base = by_label["baseline 8-way 1D TP"].utilization
         wide = by_label["same-cluster 128-way 2D TP"].utilization

@@ -238,7 +238,7 @@ def test_fig9_cache_counts_pinned(hw, monkeypatch):
     from repro.experiments import fig09_weak_scaling
 
     monkeypatch.setenv("REPRO_JOBS", "1")
-    fig09_weak_scaling.run()
+    fig09_weak_scaling.CAMPAIGN.run(fig09_weak_scaling.points())
     stats = cache_stats()
     skeletons = stats["program_skeleton"]
     passes = stats["simulated_pass"]
@@ -255,8 +255,8 @@ def test_session_hit_rate_regression(hw):
     canonicalization). A drop below 0.5 means a cache-key regression.
 
     Precondition: the whole session runs in this one process
-    (``jobs=1``; fig. 10 has no grid), since the guarded keys are a
-    property of one process's caches. A worker pool starts fresh
+    (``jobs=1``), since the guarded keys are a property of one
+    process's caches. A worker pool starts fresh
     caches per grid, so pooled, the same session reads about 0.31
     even with every worker's counts shipped home.
     """
@@ -266,10 +266,10 @@ def test_session_hit_rate_regression(hw):
         fig12_strong_scaling,
     )
 
-    fig09_weak_scaling.run(jobs=1)
-    fig10_comm_breakdown.run()
-    fig12_strong_scaling.run(jobs=1)
-    fig09_weak_scaling.run(jobs=1)
+    fig09_weak_scaling.CAMPAIGN.run(fig09_weak_scaling.points(), jobs=1)
+    fig10_comm_breakdown.CAMPAIGN.run(fig10_comm_breakdown.points(), jobs=1)
+    fig12_strong_scaling.CAMPAIGN.run(fig12_strong_scaling.points(), jobs=1)
+    fig09_weak_scaling.CAMPAIGN.run(fig09_weak_scaling.points(), jobs=1)
     stats = cache_stats("simulated_pass")["simulated_pass"]
     assert stats.calls >= 2000
     assert stats.hit_rate >= 0.5, stats

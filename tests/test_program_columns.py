@@ -194,7 +194,9 @@ def fig9_programs():
         mp.delenv(KILL_SWITCH_ENV, raising=False)
         clear_caches()
         try:
-            fig09_weak_scaling.run(jobs=1)
+            fig09_weak_scaling.CAMPAIGN.run(
+                fig09_weak_scaling.points(), jobs=1
+            )
             store = _REGISTRY["built_program"].store
             yield list(store.values())
         finally:

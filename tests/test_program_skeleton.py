@@ -28,7 +28,7 @@ from repro.algorithms.base import DistributedGeMM
 from repro.comm.cost import CommCost
 from repro.core.dataflow import Dataflow
 from repro.core.gemm import GeMMShape
-from repro.experiments import EXPERIMENTS
+from repro.cli import run_experiment
 from repro.faults.hard import HardFault
 from repro.faults.plan import FaultPlan
 from repro.mesh import Mesh2D
@@ -81,7 +81,7 @@ def artifact_builds():
         clear_caches()
         try:
             for name in ARTIFACTS:
-                EXPERIMENTS[name].main()
+                run_experiment(name)
             stats = cache_stats("program_skeleton")["program_skeleton"]
         finally:
             clear_caches()

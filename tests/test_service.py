@@ -194,6 +194,7 @@ class TestPlanStore:
         with open(path_a, "rb") as fa, open(path_b, "rb") as fb:
             assert fa.read() == fb.read()
 
+    @pytest.mark.usefixtures("metrics_on")
     def test_corrupt_record_is_a_miss(self, tmp_path):
         store = PlanStore(str(tmp_path))
         request = tiny_request()
@@ -228,6 +229,7 @@ class TestPlanStore:
         assert "engine" not in new["request"]["fields"]
         assert store.load(request) == served
 
+    @pytest.mark.usefixtures("metrics_on")
     def test_schema2_record_is_corrupt(self, tmp_path):
         """The previous layout, even at the current key's path, is a
         counted miss."""
@@ -242,6 +244,7 @@ class TestPlanStore:
         assert store.load(request) is None
         assert registry().counter_value("service.store.corrupt") == before + 1
 
+    @pytest.mark.usefixtures("metrics_on")
     @pytest.mark.parametrize("mode, edit", [
         ("tune", lambda record: record["result"].update(
             __dataclass__="repro.nope:Gone")),
@@ -292,6 +295,7 @@ class TestPlanStoreEviction:
             requests.append(req)
         return requests
 
+    @pytest.mark.usefixtures("metrics_on")
     def test_max_records_evicts_lru(self, tmp_path):
         requests = self._seed(str(tmp_path), (4, 8, 16))
         before = registry().counter_value("service.store.evicted")
@@ -390,6 +394,7 @@ class TestTunerService:
                     key, canonical, request.run()
                 )
 
+    @pytest.mark.usefixtures("metrics_on")
     def test_concurrent_identical_requests_coalesce(self, tmp_path):
         """Two threads, same canonical config: one search, one write."""
         request = tiny_request(chips=64)
@@ -441,8 +446,8 @@ class TestTunerService:
         assert stats["latency_p95_ms"] >= stats["latency_p50_ms"] >= 0.0
 
     def test_latency_percentiles_of_recorded_latencies(self, monkeypatch):
-        """p50/p95 are the nearest-rank percentiles (rank rounded from
-        ``q * n``) of every recorded latency, fed out of order."""
+        """p50/p95 are the nearest-rank percentiles (rank ``ceil(q * n)``)
+        of every recorded latency, fed out of order."""
         monkeypatch.delenv("REPRO_NO_METRICS", raising=False)
         seconds = [0.005, 0.001, 0.009, 0.003, 0.007, 0.002, 0.008,
                    0.004, 0.006, 0.010, 0.030, 0.020]
@@ -461,13 +466,22 @@ class TestTunerService:
             stats = svc.stats()
         ordered = sorted(elapsed * 1e3 for elapsed in seconds)
         assert stats["latency_p50_ms"] == ordered[5]
-        assert stats["latency_p95_ms"] == ordered[10]
+        assert stats["latency_p95_ms"] == ordered[11]
         gauges = {
             record.name: record.value
             for record in registry().snapshot() if record.type == "gauge"
         }
         assert gauges["service.latency.p50_ms"] == ordered[5]
-        assert gauges["service.latency.p95_ms"] == ordered[10]
+        assert gauges["service.latency.p95_ms"] == ordered[11]
+
+    @pytest.mark.parametrize(
+        "n,p50_rank,p95_rank",
+        [(1, 0, 0), (20, 9, 18), (100, 49, 94)],
+    )
+    def test_percentile_is_nearest_rank(self, n, p50_rank, p95_rank):
+        ordered = [float(i) for i in range(n)]
+        assert service_server._percentile(ordered, 0.50) == p50_rank
+        assert service_server._percentile(ordered, 0.95) == p95_rank
 
     def test_closed_service_rejects_submissions(self):
         svc = TunerService(None, workers=1)
