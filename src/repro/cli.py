@@ -25,6 +25,14 @@ Deployment planning and introspection::
 ``profile`` dumps everything the observability layer collected during
 the command (see ``docs/observability.md`` for the schema).
 
+Every flag is declared once in :data:`SUBCOMMANDS` (or, when several
+subcommands take it, in :data:`SHARED`) together with its default,
+help and single-flag check; one loop runs the checks of the parsed
+subcommand before its handler, so a bad value exits 2 with one line
+``meshslice <cmd>: invalid <flag> <value> (<requirement>)``. Handlers
+keep only the checks that involve two flags. ``recovery`` and ``sdc``
+compute their points through their experiments' campaign specs.
+
 Bare experiment names keep working as aliases of ``run`` —
 ``meshslice fig9 --jobs 8`` and ``meshslice all`` behave exactly as
 they did before the subcommand interface existed.
@@ -33,421 +41,132 @@ they did before the subcommand interface existed.
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 import time
 from typing import List, Optional
 
 from repro.experiments import EXPERIMENTS
 
-#: The real subcommands; anything else in command position is treated
-#: as an experiment name and routed through ``run`` (legacy alias).
-COMMANDS = (
-    "run", "list", "tune", "faults", "recovery", "elastic", "sdc",
-    "profile", "serve", "campaign", "models", "presets",
+
+def _require(ok, requirement: str):
+    """A flag check: ``requirement`` when ``ok(value)`` fails, else None."""
+    return lambda value: None if ok(value) else requirement
+
+
+def _known(module: str, names: str):
+    """A flag check that the value is a name ``module.names()`` lists."""
+    def check(value):
+        known = getattr(importlib.import_module(module), names)()
+        return None if value in known else "known: " + ", ".join(known)
+    return check
+
+
+def _shape(spec: str):
+    """Parse an ``RxC`` mesh shape; None when malformed."""
+    parts = spec.lower().split("x")
+    if len(parts) == 2 and all(p.isdigit() and int(p) > 0 for p in parts):
+        return int(parts[0]), int(parts[1])
+    return None
+
+
+AT_LEAST_ONE = _require(lambda v: v >= 1, "must be >= 1")
+NON_NEGATIVE = _require(lambda v: v >= 0, "must be non-negative")
+POSITIVE = _require(lambda v: v > 0, "must be positive")
+FRACTION = _require(lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]")
+MESH_SHAPE = _require(lambda v: _shape(v) is not None, "expected RxC")
+
+
+class _Given(argparse.Action):
+    """Store a flag's value and note its dest in ``args.given``.
+
+    Lets a handler pass on only the flags the user set, so the
+    defaults of what it calls stay the ones in force.
+    """
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = {*getattr(namespace, "given", ()), self.dest}
+
+
+def _flag(option: str, *fields, **keywords):
+    """A flag of one subcommand, or its overrides of a :data:`SHARED` one.
+
+    ``fields`` are, in order, the ``type``, ``default``, ``check`` and
+    ``help``; other ``add_argument`` keywords pass through.
+    """
+    fields = dict(zip(("type", "default", "check", "help"), fields))
+    return option, {**fields, **keywords}
+
+
+#: Flags several subcommands take, each declared once with its default,
+#: help and check. A subcommand may override the help (and, for
+#: ``faults --seed``, drop the check: its fault ensembles accept any
+#: integer seed).
+SHARED = dict((
+    _flag("model", None, None, _known("repro.models", "model_names"),
+          "model name (see 'models')", nargs="?"),
+    _flag("--chips", int, 256, AT_LEAST_ONE, "cluster size"),
+    _flag("--batch", int, None, AT_LEAST_ONE,
+          "global batch (default: chips / 2)"),
+    _flag("--hw", None, "tpuv4-sim", _known("repro.hw", "preset_names"),
+          "hardware preset name (see 'presets')"),
+    _flag("--algorithm", None, "meshslice",
+          _known("repro.algorithms", "algorithm_names"),
+          "distributed GeMM algorithm to simulate"),
+    _flag("--chip-mtbf-hours", float, 2000.0, POSITIVE,
+          "per-chip mean time between failures, hours"),
+    _flag("--repair-minutes", float, 60.0, NON_NEGATIVE,
+          "chip repair/replacement time, minutes"),
+    _flag("--checkpoint-seconds", float, 60.0, POSITIVE,
+          "checkpoint write cost, seconds"),
+    _flag("--restart-seconds", float, 180.0, NON_NEGATIVE,
+          "restart (reload + reschedule) cost, seconds"),
+    _flag("--seed", int, 0, NON_NEGATIVE, "base seed of the random draws",
+          action=_Given),
+    _flag("--jobs", int, None, AT_LEAST_ONE,
+          "worker processes for the grid "
+          "(default: REPRO_JOBS env var, then the CPU count)"),
+    _flag("--metrics", None, None, None,
+          "write collected metrics to a JSONL file after the command "
+          "(schema: docs/observability.md)", metavar="PATH"),
+))
+
+CLUSTER = ("model", "--chips", "--batch", "--hw")
+RELIABILITY = (
+    "--chip-mtbf-hours", "--repair-minutes", "--checkpoint-seconds",
+    "--restart-seconds",
 )
 
 
-def _add_cluster_arguments(parser: argparse.ArgumentParser) -> None:
-    """Model/cluster selection shared by ``tune`` and ``faults``."""
-    parser.add_argument(
-        "model", nargs="?", default=None,
-        help="model name (see 'models')",
-    )
-    parser.add_argument(
-        "--chips", type=int, default=256, help="cluster size",
-    )
-    parser.add_argument(
-        "--batch", type=int, default=None,
-        help="global batch (default: chips / 2)",
-    )
-    parser.add_argument(
-        "--hw", default="tpuv4-sim",
-        help="hardware preset name (see 'presets')",
-    )
+def _fail(message: object) -> int:
+    """Print a one-line diagnostic to stderr; the exit code 2."""
+    print(message, file=sys.stderr)
+    return 2
 
 
-def _add_metrics_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--metrics", metavar="PATH", default=None,
-        help=(
-            "write collected metrics to a JSONL file after the command "
-            "(schema: docs/observability.md)"
-        ),
-    )
+def _bad_flag(command: str, flag: str, value: object, requirement: str) -> int:
+    """One-line exit-2 diagnostic naming the offending flag."""
+    return _fail(f"meshslice {command}: invalid {flag} {value} ({requirement})")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="meshslice",
-        description="MeshSlice (ISCA 2025) reproduction toolkit",
-    )
-    sub = parser.add_subparsers(dest="command", metavar="command")
+def _validate(args: argparse.Namespace) -> int:
+    """Run the parsed subcommand's flag checks; 0 if all pass.
 
-    run = sub.add_parser(
-        "run",
-        help="run experiments by name ('all' for every one)",
-        description="Run one or more experiment reproductions.",
-    )
-    run.add_argument(
-        "experiments", nargs="+", metavar="experiment",
-        help="experiment names from 'list', or 'all'",
-    )
-    run.add_argument(
-        "--jobs", type=int, default=None,
-        help=(
-            "worker processes for experiment grids "
-            "(default: REPRO_JOBS env var, then the CPU count)"
-        ),
-    )
-    _add_metrics_argument(run)
-
-    sub.add_parser("list", help="enumerate the available experiments")
-
-    tune = sub.add_parser(
-        "tune",
-        help="autotune mesh shape and slice counts for a model",
-        description="Run the two-phase autotuner (Section 3.2).",
-    )
-    _add_cluster_arguments(tune)
-    _add_metrics_argument(tune)
-
-    faults = sub.add_parser(
-        "faults",
-        help="fault-aware robust tuning over a straggler/link ensemble",
-        description=(
-            "Choose the mesh shape minimizing a tail quantile of the "
-            "simulated block time over a seeded ensemble of fault plans "
-            "(stragglers, degraded links, jitter, outages)."
-        ),
-    )
-    _add_cluster_arguments(faults)
-    faults.add_argument(
-        "--algorithm", default="meshslice",
-        help="distributed GeMM algorithm to simulate (default: meshslice)",
-    )
-    faults.add_argument(
-        "--stragglers", type=int, default=1,
-        help="straggling chips per fault plan (default: 1)",
-    )
-    faults.add_argument(
-        "--straggler-slowdown", type=float, default=1.5,
-        help="worst-case straggler compute slowdown factor (default: 1.5)",
-    )
-    faults.add_argument(
-        "--degraded-links", type=int, default=0,
-        help="degraded mesh links per fault plan (default: 0)",
-    )
-    faults.add_argument(
-        "--link-slowdown", type=float, default=2.0,
-        help="worst-case link bandwidth degradation factor (default: 2.0)",
-    )
-    faults.add_argument(
-        "--jitter", type=float, default=0.0,
-        help="max extra collective launch latency, seconds (default: 0)",
-    )
-    faults.add_argument(
-        "--outage-rate", type=float, default=0.0,
-        help="per-transfer transient outage probability (default: 0)",
-    )
-    faults.add_argument(
-        "--ensemble", type=int, default=16,
-        help="number of sampled fault plans (default: 16)",
-    )
-    faults.add_argument(
-        "--quantile", type=float, default=0.95,
-        help="tail quantile to minimize (default: 0.95)",
-    )
-    faults.add_argument(
-        "--seed", type=int, default=0,
-        help="base seed of the fault ensemble (default: 0)",
-    )
-    _add_metrics_argument(faults)
-
-    recovery = sub.add_parser(
-        "recovery",
-        help="goodput of recovery policies (restart vs degraded mesh)",
-        description=(
-            "Compare end-to-end goodput of checkpoint-restart against "
-            "degraded-mesh continuation: tune the model, re-tune it on "
-            "the torus surviving one dead chip, and combine both step "
-            "times with the Young/Daly checkpoint model."
-        ),
-    )
-    _add_cluster_arguments(recovery)
-    recovery.add_argument(
-        "--chip-mtbf-hours", type=float, default=2000.0,
-        help="per-chip mean time between failures, hours (default: 2000)",
-    )
-    recovery.add_argument(
-        "--repair-minutes", type=float, default=60.0,
-        help="chip repair/replacement time, minutes (default: 60)",
-    )
-    recovery.add_argument(
-        "--checkpoint-seconds", type=float, default=60.0,
-        help="checkpoint write cost, seconds (default: 60)",
-    )
-    recovery.add_argument(
-        "--restart-seconds", type=float, default=180.0,
-        help="restart (reload + reschedule) cost, seconds (default: 180)",
-    )
-    recovery.add_argument(
-        "--policy", choices=("restart", "degrade", "both"), default="both",
-        help="recovery policy to evaluate (default: both)",
-    )
-    _add_metrics_argument(recovery)
-
-    elastic = sub.add_parser(
-        "elastic",
-        help="seeded multi-failure lifetime simulation of elastic policies",
-        description=(
-            "Simulate a multi-day training run under chip failures: "
-            "tune the model on the full torus, then replay a seeded "
-            "failure/repair history under restart, degrade, "
-            "replace-from-spares, or reshape policies — charging "
-            "checkpoint rollback and the simulated reshard-migration "
-            "program for every reconfiguration — and compare the "
-            "simulated goodput against the closed-form policy math."
-        ),
-    )
-    elastic.add_argument(
-        "model", nargs="?", default=None,
-        help="model name (see 'models')",
-    )
-    elastic.add_argument(
-        "--mesh", default="4x4", metavar="RxC",
-        help="full torus shape, e.g. 4x4 (default: 4x4)",
-    )
-    elastic.add_argument(
-        "--batch", type=int, default=None,
-        help="global batch (default: chips / 2)",
-    )
-    elastic.add_argument(
-        "--hw", default="tpuv4-sim",
-        help="hardware preset name (see 'presets')",
-    )
-    elastic.add_argument(
-        "--policy",
-        choices=("restart", "degrade", "replace", "reshape", "all"),
-        default="all",
-        help="elastic policy to simulate (default: all)",
-    )
-    elastic.add_argument(
-        "--spares", type=int, default=0,
-        help="spare chips in the replacement pool (default: 0)",
-    )
-    elastic.add_argument(
-        "--duration-days", type=float, default=30.0,
-        help="simulated horizon in days (default: 30)",
-    )
-    elastic.add_argument(
-        "--seed", type=int, default=0,
-        help="seed of the failure-arrival process (default: 0)",
-    )
-    elastic.add_argument(
-        "--chip-mtbf-hours", type=float, default=2000.0,
-        help="per-chip mean time between failures, hours (default: 2000)",
-    )
-    elastic.add_argument(
-        "--repair-minutes", type=float, default=60.0,
-        help="chip repair/replacement time, minutes (default: 60)",
-    )
-    elastic.add_argument(
-        "--checkpoint-seconds", type=float, default=60.0,
-        help="checkpoint write cost, seconds (default: 60)",
-    )
-    elastic.add_argument(
-        "--restart-seconds", type=float, default=180.0,
-        help="restart (reload + reschedule) cost, seconds (default: 180)",
-    )
-    elastic.add_argument(
-        "--plane", choices=("onesided", "collective"), default="onesided",
-        help="comm plane of the reshard migrations (default: onesided)",
-    )
-    elastic.add_argument(
-        "--events", metavar="PATH", default=None,
-        help=(
-            "write the structured JSONL event log (requires a single "
-            "--policy, not 'all')"
-        ),
-    )
-    _add_metrics_argument(elastic)
-
-    sdc = sub.add_parser(
-        "sdc",
-        help="silent-data-corruption sweep: ABFT protection vs escapes",
-        description=(
-            "Inject seeded bit flips into the functional 2D GeMM with "
-            "and without ABFT checksums, and report escape counts, "
-            "correction statistics, and the simulated protection "
-            "overhead per (rate, mesh) grid point."
-        ),
-    )
-    sdc.add_argument(
-        "--rate", type=float, action="append", default=None,
-        metavar="R",
-        help="SDC rate(s) to sweep; repeatable (default: 1e-3 1e-2 0.05)",
-    )
-    sdc.add_argument(
-        "--mesh", action="append", default=None, metavar="RxC",
-        help="mesh shape(s) to sweep, e.g. 4x4; repeatable "
-             "(default: 2x2 4x4)",
-    )
-    sdc.add_argument(
-        "--algorithm", default="meshslice",
-        choices=("meshslice", "summa", "collective"),
-        help="distributed GeMM algorithm to protect (default: meshslice)",
-    )
-    sdc.add_argument(
-        "--trials", type=int, default=8,
-        help="functional trials per grid point (default: 8)",
-    )
-    sdc.add_argument(
-        "--seed", type=int, default=0,
-        help="base seed of the injection ensemble (default: 0)",
-    )
-    sdc.add_argument(
-        "--hw", default="tpuv4-sim",
-        help="hardware preset name (see 'presets')",
-    )
-    sdc.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes for the sweep grid",
-    )
-    _add_metrics_argument(sdc)
-
-    profile = sub.add_parser(
-        "profile",
-        help="profile one deployment point: where does the time go?",
-        description=(
-            "Simulate one transformer block at the algorithm's optimal "
-            "mesh shape and report per-resource utilization, the "
-            "compute/communication overlap fraction, the communication "
-            "breakdown, queue waits, and memoization hit rates."
-        ),
-    )
-    _add_cluster_arguments(profile)
-    profile.add_argument(
-        "--algorithm", default="meshslice",
-        help="distributed GeMM algorithm to profile (default: meshslice)",
-    )
-    _add_metrics_argument(profile)
-
-    serve = sub.add_parser(
-        "serve",
-        help="serve tuning requests from a persistent plan store",
-        description=(
-            "Run the tuning service: JSONL TuneRequest queries (one "
-            "object per line; see docs/service.md) are answered through "
-            "the in-memory cache, the on-disk plan store, and finally a "
-            "tuning search. Queries come from stdin by default, "
-            "or from a file with --replay (one-shot mode)."
-        ),
-    )
-    serve.add_argument(
-        "--store", metavar="DIR", default=None,
-        help="plan-store directory (created if missing; default: "
-             "in-memory only, nothing persists)",
-    )
-    serve.add_argument(
-        "--workers", type=int, default=4,
-        help="thread-pool width for distinct concurrent requests "
-             "(default: 4)",
-    )
-    serve.add_argument(
-        "--replay", metavar="FILE", default=None,
-        help="one-shot mode: replay a JSONL query file and exit",
-    )
-    serve.add_argument(
-        "--repeat", type=int, default=1,
-        help="replay the query mix this many times (default: 1)",
-    )
-    serve.add_argument(
-        "--store-max-records", type=int, default=None, metavar="N",
-        help="bound the plan store to N records, evicting the "
-             "least-recently-used (default: unbounded)",
-    )
-    serve.add_argument(
-        "--store-max-bytes", type=int, default=None, metavar="B",
-        help="bound the plan store to B bytes of records, evicting the "
-             "least-recently-used (default: unbounded)",
-    )
-    _add_metrics_argument(serve)
-
-    campaign = sub.add_parser(
-        "campaign",
-        help="durable, resumable experiment sweeps (crash-tolerant)",
-        description=(
-            "Run an experiment's grid as a campaign: every grid point "
-            "appends a durable record to an append-only JSONL store, so "
-            "a killed sweep resumes where it stopped, transient "
-            "failures retry with backoff, and permanent failures are "
-            "recorded instead of aborting the grid (docs/campaign.md)."
-        ),
-    )
-    campaign_sub = campaign.add_subparsers(
-        dest="campaign_command", metavar="action"
-    )
-    for action, blurb in (
-        ("run", "run a campaign (skips points already in the store)"),
-        ("resume", "continue an interrupted campaign (store must exist)"),
-    ):
-        action_parser = campaign_sub.add_parser(
-            action, help=blurb, description=blurb,
-        )
-        action_parser.add_argument(
-            "experiment", help="experiment name from 'list'",
-        )
-        action_parser.add_argument(
-            "--store", metavar="DIR", required=True,
-            help="campaign-store directory (created if missing)",
-        )
-        action_parser.add_argument(
-            "--jobs", type=int, default=None,
-            help="worker processes for the grid "
-                 "(default: REPRO_JOBS env var, then the CPU count)",
-        )
-        action_parser.add_argument(
-            "--retries", type=int, default=2,
-            help="retry attempts per failing point (default: 2)",
-        )
-        action_parser.add_argument(
-            "--backoff", type=float, default=0.05,
-            help="base retry backoff, seconds; doubles per attempt "
-                 "(default: 0.05)",
-        )
-        action_parser.add_argument(
-            "--retry-failed", action="store_true",
-            help="re-run points whose stored record is 'failed' "
-                 "(appends superseding records)",
-        )
-        _add_metrics_argument(action_parser)
-    status_parser = campaign_sub.add_parser(
-        "status",
-        help="summarize stored campaigns (ok/failed counts, versions)",
-    )
-    status_parser.add_argument(
-        "experiment", nargs="?", default=None,
-        help="experiment name (default: every campaign in the store)",
-    )
-    status_parser.add_argument(
-        "--store", metavar="DIR", required=True,
-        help="campaign-store directory",
-    )
-    report_parser = campaign_sub.add_parser(
-        "report",
-        help="render the experiment's table from its stored records",
-    )
-    report_parser.add_argument(
-        "experiment", help="experiment name from 'list'",
-    )
-    report_parser.add_argument(
-        "--store", metavar="DIR", required=True,
-        help="campaign-store directory",
-    )
-
-    sub.add_parser("models", help="list the model zoo")
-    sub.add_parser("presets", help="list the hardware presets")
-    return parser
+    A repeatable flag is checked value by value, and an unset optional
+    one (None) not at all; a missing model prints a usage line.
+    """
+    for prog, action, check in getattr(args, "checks", ()):
+        value = getattr(args, action.dest)
+        for item in value if isinstance(value, list) else [value]:
+            requirement = None if item is None else check(item)
+            if requirement is not None:
+                flag = (action.option_strings or [action.dest])[0]
+                return _bad_flag(prog, flag, item, requirement)
+    if getattr(args, "model", "") is None:
+        return _fail(f"usage: meshslice {args.command} <model> [options] "
+                     f"(see meshslice {args.command} --help)")
+    return 0
 
 
 def normalize_argv(argv: List[str]) -> List[str]:
@@ -474,97 +193,58 @@ def run_experiment(name: str) -> str:
     return spec.render(spec.run())
 
 
-def _cmd_list() -> int:
+def _cmd_list(args: argparse.Namespace) -> int:
     for name in sorted(EXPERIMENTS):
         doc = (EXPERIMENTS[name].__doc__ or "").strip().splitlines()[0]
         print(f"{name:22s} {doc}")
     return 0
 
 
-def _cmd_models() -> int:
+def _cmd_models(args: argparse.Namespace) -> int:
     from repro.experiments.common import render_table
     from repro.models import get_model, model_names
 
-    rows = []
-    for name in model_names():
-        model = get_model(name)
-        rows.append(
-            (
-                name,
-                model.num_layers,
-                model.hidden,
-                model.ffn_dim,
-                f"{model.approx_params / 1e9:.0f}B (FC)",
-            )
-        )
+    rows = [
+        (name, m.num_layers, m.hidden, m.ffn_dim,
+         f"{m.approx_params / 1e9:.0f}B (FC)")
+        for name, m in ((name, get_model(name)) for name in model_names())
+    ]
     print(render_table(["model", "layers", "hidden", "ffn", "params"], rows))
     return 0
 
 
-def _cmd_presets() -> int:
+def _cmd_presets(args: argparse.Namespace) -> int:
     from repro.experiments.common import render_table
     from repro.hw import get_preset, preset_names
 
-    rows = []
-    for name in preset_names():
-        hw = get_preset(name)
-        rows.append(
-            (
-                name,
-                f"{hw.peak_flops / 1e12:.0f} TF",
-                f"{hw.link_bandwidth / 1e9:.0f} GB/s x{hw.links_per_direction}",
-                hw.network,
-                "yes" if hw.overlap_collectives else "no",
-            )
-        )
-    print(
-        render_table(
-            ["preset", "peak", "link bw", "network", "AG/RdS overlap"], rows
-        )
-    )
+    rows = [
+        (name, f"{hw.peak_flops / 1e12:.0f} TF",
+         f"{hw.link_bandwidth / 1e9:.0f} GB/s x{hw.links_per_direction}",
+         hw.network, "yes" if hw.overlap_collectives else "no")
+        for name, hw in ((name, get_preset(name)) for name in preset_names())
+    ]
+    print(render_table(
+        ["preset", "peak", "link bw", "network", "AG/RdS overlap"], rows
+    ))
     return 0
 
 
-def _resolve_cluster(args: argparse.Namespace):
-    """Shared model/hw/batch resolution of ``tune`` and ``faults``.
+def _cluster(args: argparse.Namespace, chips: int):
+    """The model, hardware preset and batch the checked flags name.
 
-    Returns ``(model, hw, batch)`` or an exit code on bad input.
+    Without ``--batch`` (``recovery`` has none) the batch is the
+    weak-scaling one, ``chips / 2``.
     """
-    if args.model is None:
-        print(
-            f"usage: meshslice {args.command} <model> "
-            "[--chips N] [--batch B] [--hw P]",
-            file=sys.stderr,
-        )
-        return 2
     from repro.hw import get_preset
     from repro.models import get_model
 
-    try:
-        model = get_model(args.model)
-        hw = get_preset(args.hw)
-    except KeyError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    batch = args.batch if args.batch is not None else max(1, args.chips // 2)
-    return model, hw, batch
+    batch = getattr(args, "batch", None) or max(1, chips // 2)
+    return get_model(args.model), get_preset(args.hw), batch
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
-    bad = _check_flags(
-        "tune",
-        [
-            ("--chips", args.chips, args.chips >= 1, "must be >= 1"),
-            ("--batch", args.batch,
-             args.batch is None or args.batch >= 1, "must be >= 1"),
-        ],
-    )
-    if bad:
-        return bad
-    resolved = _resolve_cluster(args)
-    if isinstance(resolved, int):
-        return resolved
-    model, hw, batch = resolved
+    """Run the two-phase autotuner (Section 3.2)."""
+    model, hw, batch = _cluster(args, args.chips)
     from repro.experiments.common import render_table
     from repro.service import TuneRequest
 
@@ -576,87 +256,38 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         f"chosen mesh: {result.mesh}; estimated FC block "
         f"{result.block_seconds * 1e3:.2f} ms\n"
     )
-    print(
-        render_table(
-            ["layer", "pass", "dataflow", "S"],
-            [
-                (t.layer_name, t.plan.pass_name, t.plan.dataflow.name, t.slices)
-                for t in result.passes
-            ],
-        )
-    )
-    return 0
-
-
-def _bad_flag(command: str, flag: str, value: object, requirement: str) -> int:
-    """One-line exit-2 diagnostic naming the offending flag."""
-    print(
-        f"meshslice {command}: invalid {flag} {value} ({requirement})",
-        file=sys.stderr,
-    )
-    return 2
-
-
-def _check_flags(command: str, checks) -> int:
-    """Validate ``(flag, value, ok, requirement)`` tuples; 0 if all pass."""
-    for flag, value, ok, requirement in checks:
-        if not ok:
-            return _bad_flag(command, flag, value, requirement)
+    print(render_table(
+        ["layer", "pass", "dataflow", "S"],
+        [(t.layer_name, t.plan.pass_name, t.plan.dataflow.name, t.slices)
+         for t in result.passes],
+    ))
     return 0
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
-    bad = _check_flags(
-        "faults",
-        [
-            ("--stragglers", args.stragglers,
-             args.stragglers >= 0, "must be non-negative"),
-            ("--straggler-slowdown", args.straggler_slowdown,
-             args.straggler_slowdown >= 1.0, "must be >= 1"),
-            ("--degraded-links", args.degraded_links,
-             args.degraded_links >= 0, "must be non-negative"),
-            ("--link-slowdown", args.link_slowdown,
-             args.link_slowdown >= 1.0, "must be >= 1"),
-            ("--jitter", args.jitter,
-             args.jitter >= 0.0, "must be non-negative"),
-            ("--outage-rate", args.outage_rate,
-             0.0 <= args.outage_rate <= 1.0, "must be in [0, 1]"),
-            ("--ensemble", args.ensemble,
-             args.ensemble >= 1, "must be >= 1"),
-            ("--quantile", args.quantile,
-             0.0 < args.quantile <= 1.0, "must be in (0, 1]"),
-        ],
-    )
-    if bad:
-        return bad
-    resolved = _resolve_cluster(args)
-    if isinstance(resolved, int):
-        return resolved
-    model, hw, batch = resolved
+    """Choose the mesh shape minimizing a tail quantile of the simulated
+    block time over a seeded ensemble of fault plans (stragglers,
+    degraded links, jitter, outages).
+    """
+    model, hw, batch = _cluster(args, args.chips)
     from repro.experiments.common import render_table
     from repro.faults import FaultSpec
     from repro.service import TuneRequest
 
     try:
         spec = FaultSpec(
-            stragglers=args.stragglers,
-            straggler_slowdown=args.straggler_slowdown,
-            degraded_links=args.degraded_links,
-            link_slowdown=args.link_slowdown,
-            launch_jitter=args.jitter,
-            outage_rate=args.outage_rate,
+            stragglers=args.stragglers, straggler_slowdown=args.straggler_slowdown,
+            degraded_links=args.degraded_links, link_slowdown=args.link_slowdown,
+            launch_jitter=args.jitter, outage_rate=args.outage_rate,
             seed=args.seed,
         )
         result = TuneRequest(
-            model=model, batch=batch, chips=args.chips, hw=hw,
-            mode="robust", spec=spec,
-            ensemble=args.ensemble,
-            quantile=args.quantile,
+            model=model, batch=batch, chips=args.chips, hw=hw, mode="robust",
+            spec=spec, ensemble=args.ensemble, quantile=args.quantile,
             algorithm=args.algorithm,
         ).run()
     except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+        return _fail(exc)
     pct = f"p{args.quantile * 100:g}"
     print(
         f"{model.name}: {args.chips} chips ({hw.name}), batch {batch}, "
@@ -672,60 +303,44 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         f"{result.nominal_seconds * 1e3:.2f} ms, "
         f"inflation {result.inflation:.3f}x)\n"
     )
-    print(
-        render_table(
-            ["mesh", f"{pct} block (ms)"],
-            [
-                (f"{rows}x{cols}", seconds * 1e3)
-                for (rows, cols), seconds in sorted(
-                    result.per_mesh_robust.items()
-                )
-            ],
-        )
-    )
+    print(render_table(
+        ["mesh", f"{pct} block (ms)"],
+        [(f"{rows}x{cols}", seconds * 1e3)
+         for (rows, cols), seconds in sorted(result.per_mesh_robust.items())],
+    ))
     return 0
 
 
+#: Cross-flag requirement of ``recovery`` and ``elastic``.
+_SURVIVES_A_DEAD_CHIP = "need at least a 2x2 mesh to survive a dead chip"
+
+
 def _cmd_recovery(args: argparse.Namespace) -> int:
-    bad = _check_flags(
-        "recovery",
-        [
-            ("--chip-mtbf-hours", args.chip_mtbf_hours,
-             args.chip_mtbf_hours > 0.0, "must be positive"),
-            ("--repair-minutes", args.repair_minutes,
-             args.repair_minutes >= 0.0, "must be non-negative"),
-            ("--checkpoint-seconds", args.checkpoint_seconds,
-             args.checkpoint_seconds > 0.0, "must be positive"),
-            ("--restart-seconds", args.restart_seconds,
-             args.restart_seconds >= 0.0, "must be non-negative"),
-            ("--chips", args.chips, args.chips >= 4,
-             "need at least a 2x2 mesh to survive a dead chip"),
-        ],
-    )
-    if bad:
-        return bad
-    resolved = _resolve_cluster(args)
-    if isinstance(resolved, int):
-        return resolved
-    model, hw, batch = resolved
-    from repro.experiments.ablation_recovery import point
+    """Compare end-to-end goodput of checkpoint-restart against
+    degraded-mesh continuation: tune the model at its weak-scaling batch
+    (chips / 2), re-tune it on the torus surviving one dead chip, and
+    combine both step times with the Young/Daly checkpoint model.
+    """
+    if args.chips < 4:
+        return _bad_flag(
+            "recovery", "--chips", args.chips, _SURVIVES_A_DEAD_CHIP
+        )
+    model, hw, batch = _cluster(args, args.chips)
+    from repro.experiments import ablation_recovery
     from repro.experiments.common import GridPointError, render_table
 
     try:
-        rows = point(
-            (args.chips, model, hw, args.chip_mtbf_hours,
-             args.repair_minutes, args.checkpoint_seconds,
-             args.restart_seconds)
-        )
+        rows = ablation_recovery.CAMPAIGN.run(ablation_recovery.points(
+            model=model, sizes=(args.chips,), hw=hw,
+            chip_mtbf_hours=args.chip_mtbf_hours,
+            repair_minutes=args.repair_minutes,
+            checkpoint_seconds=args.checkpoint_seconds,
+            restart_seconds=args.restart_seconds,
+        ), jobs=1)
     except (GridPointError, ValueError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
+        return _fail(exc)
     if not rows:
-        print(
-            f"meshslice recovery: no tunable mesh for {args.chips} chips",
-            file=sys.stderr,
-        )
-        return 2
+        return _fail(f"meshslice recovery: no tunable mesh for {args.chips} chips")
     row = rows[0]
     print(
         f"{model.name}: {args.chips} chips ({hw.name}), batch {batch}\n"
@@ -739,20 +354,17 @@ def _cmd_recovery(args: argparse.Namespace) -> int:
         f"({row.degraded_slowdown:.2f}x)\n"
         f"Young/Daly checkpoint interval: {row.checkpoint_interval_s:.0f} s\n"
     )
-    estimates = []
-    if args.policy in ("restart", "both"):
-        estimates.append(("restart", row.restart_goodput))
-    if args.policy in ("degrade", "both"):
-        estimates.append(("degrade", row.degrade_goodput))
-    print(
-        render_table(
-            ["policy", "goodput", "effective step (ms)"],
-            [
-                (name, f"{goodput * 100:.2f}%", row.step_ms / goodput)
-                for name, goodput in estimates
-            ],
-        )
-    )
+    estimates = [
+        (name, goodput)
+        for name, goodput in (("restart", row.restart_goodput),
+                              ("degrade", row.degrade_goodput))
+        if args.policy in (name, "both")
+    ]
+    print(render_table(
+        ["policy", "goodput", "effective step (ms)"],
+        [(name, f"{goodput * 100:.2f}%", row.step_ms / goodput)
+         for name, goodput in estimates],
+    ))
     if len(estimates) == 2:
         gap = (row.degrade_goodput - row.restart_goodput) * 100
         print(f"\nbest policy: {row.best_policy} ({gap:+.2f} points)")
@@ -760,69 +372,36 @@ def _cmd_recovery(args: argparse.Namespace) -> int:
 
 
 def _cmd_elastic(args: argparse.Namespace) -> int:
-    bad = _check_flags(
-        "elastic",
-        [
-            ("--spares", args.spares, args.spares >= 0,
-             "must be non-negative"),
-            ("--duration-days", args.duration_days,
-             args.duration_days > 0.0, "must be positive"),
-            ("--seed", args.seed, args.seed >= 0, "must be non-negative"),
-            ("--chip-mtbf-hours", args.chip_mtbf_hours,
-             args.chip_mtbf_hours > 0.0, "must be positive"),
-            ("--repair-minutes", args.repair_minutes,
-             args.repair_minutes >= 0.0, "must be non-negative"),
-            ("--checkpoint-seconds", args.checkpoint_seconds,
-             args.checkpoint_seconds > 0.0, "must be positive"),
-            ("--restart-seconds", args.restart_seconds,
-             args.restart_seconds >= 0.0, "must be non-negative"),
-            ("--events", args.events,
-             args.events is None or args.policy != "all",
-             "needs a single --policy, not 'all'"),
-        ],
-    )
-    if bad:
-        return bad
-    if args.model is None:
-        print(
-            "usage: meshslice elastic <model> [--mesh RxC] [--batch B] "
-            "[--hw P] [--policy NAME]",
-            file=sys.stderr,
+    """Simulate a multi-day training run under chip failures: tune the
+    model on the full torus, then replay a seeded failure/repair history
+    under restart, degrade, replace-from-spares, or reshape policies —
+    charging checkpoint rollback and the simulated reshard-migration
+    program for every reconfiguration — and compare the simulated
+    goodput against the closed-form policy math.
+    """
+    if args.events is not None and args.policy == "all":
+        return _bad_flag(
+            "elastic", "--events", args.events,
+            "needs a single --policy, not 'all'",
         )
-        return 2
-    from repro.hw import get_preset
-    from repro.models import get_model
-
-    try:
-        model = get_model(args.model)
-        hw = get_preset(args.hw)
-        (shape,) = _parse_mesh_shapes([args.mesh])
-    except (KeyError, ValueError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    shape = _shape(args.mesh)
+    if shape[0] * shape[1] < 4:
+        return _bad_flag("elastic", "--mesh", args.mesh, _SURVIVES_A_DEAD_CHIP)
+    model, hw, batch = _cluster(args, shape[0] * shape[1])
     from repro.experiments.common import render_table
     from repro.mesh import Mesh2D
     from repro.recovery import (
-        POLICIES,
-        ClusterReliability,
-        LifetimeSpec,
-        TunedElasticPlanner,
+        POLICIES, ClusterReliability, LifetimeSpec, TunedElasticPlanner,
         simulate_lifetime,
     )
 
-    mesh = Mesh2D(*shape)
-    batch = args.batch if args.batch is not None else max(1, mesh.size // 2)
-    if mesh.size < 4:
-        return _bad_flag(
-            "elastic", "--mesh", args.mesh,
-            "need at least a 2x2 mesh to survive a dead chip",
-        )
-    planner = TunedElasticPlanner(model, batch, hw, mesh, plane=args.plane)
+    planner = TunedElasticPlanner(
+        model, batch, hw, Mesh2D(*shape), plane=args.plane
+    )
     try:
         full_mesh, step = planner.full()
     except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+        return _fail(exc)
     reliability = ClusterReliability(
         chip_mtbf=args.chip_mtbf_hours * 3600.0,
         chips=full_mesh.size,
@@ -843,16 +422,10 @@ def _cmd_elastic(args: argparse.Namespace) -> int:
     results = {}
     for policy in policies:
         result = simulate_lifetime(
-            planner,
-            reliability,
-            LifetimeSpec(
-                policy=policy,
-                duration_days=args.duration_days,
-                spares=args.spares,
-                seed=args.seed,
-            ),
-            args.checkpoint_seconds,
-            args.restart_seconds,
+            planner, reliability,
+            LifetimeSpec(policy=policy, duration_days=args.duration_days,
+                         spares=args.spares, seed=args.seed),
+            args.checkpoint_seconds, args.restart_seconds,
         )
         results[policy] = result
         rows.append(
@@ -861,13 +434,11 @@ def _cmd_elastic(args: argparse.Namespace) -> int:
              result.exhaustions, result.min_running,
              f"{result.idle_seconds / 3600.0:.1f}")
         )
-    print(
-        render_table(
-            ["policy", "goodput", "failures", "transitions", "spares used",
-             "exhausted", "min chips", "idle (h)"],
-            rows,
-        )
-    )
+    print(render_table(
+        ["policy", "goodput", "failures", "transitions", "spares used",
+         "exhausted", "min chips", "idle (h)"],
+        rows,
+    ))
     if len(results) > 1:
         best = max(results, key=lambda name: results[name].goodput)
         print(f"\nbest policy: {best}")
@@ -879,72 +450,30 @@ def _cmd_elastic(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_mesh_shapes(specs) -> List:
-    """Parse repeatable ``RxC`` mesh flags into shape tuples."""
-    shapes = []
-    for spec in specs:
-        parts = spec.lower().split("x")
-        if len(parts) != 2 or not all(p.isdigit() and int(p) > 0 for p in parts):
-            raise ValueError(f"invalid mesh shape {spec!r} (expected RxC)")
-        shapes.append((int(parts[0]), int(parts[1])))
-    return shapes
-
-
 def _cmd_sdc(args: argparse.Namespace) -> int:
-    rates = tuple(args.rate) if args.rate else None
-    bad = _check_flags(
-        "sdc",
-        [
-            ("--trials", args.trials, args.trials >= 1, "must be >= 1"),
-            ("--rate", rates,
-             rates is None or all(0.0 <= r <= 1.0 for r in rates),
-             "every rate must be in [0, 1]"),
-            ("--jobs", args.jobs,
-             args.jobs is None or args.jobs >= 1, "must be >= 1"),
-            ("--seed", args.seed, args.seed >= 0, "must be non-negative"),
-        ],
-    )
-    if bad:
-        return bad
+    """Inject seeded bit flips into the functional 2D GeMM with and without
+    ABFT checksums, and report escape counts, correction statistics, and
+    the simulated protection overhead per (rate, mesh) grid point.
+    """
     from repro.experiments import ablation_sdc
     from repro.hw import get_preset
 
-    try:
-        hw = get_preset(args.hw)
-        meshes = (
-            _parse_mesh_shapes(args.mesh) if args.mesh
-            else list(ablation_sdc.MESHES)
-        )
-    except (KeyError, ValueError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    grid = ablation_sdc.points(
-        rates=rates or ablation_sdc.RATES,
-        meshes=meshes,
-        trials=args.trials,
-        seed=args.seed if args.seed else ablation_sdc.DEFAULT_SEED,
-        algorithm=args.algorithm,
-        hw=hw,
+    hw = get_preset(args.hw)
+    # Only what the user set: the grid's defaults are points()'s own.
+    given = {dest: getattr(args, dest) for dest in getattr(args, "given", ())}
+    if args.rate:
+        given["rates"] = tuple(args.rate)
+    if args.mesh:
+        given["meshes"] = [_shape(spec) for spec in args.mesh]
+    rows = ablation_sdc.CAMPAIGN.run(
+        ablation_sdc.points(hw=hw, **given), jobs=args.jobs
     )
-    rows = ablation_sdc.CAMPAIGN.run(grid, jobs=args.jobs)
-    from repro.experiments.common import render_table
-
     print(
         f"{args.algorithm} under silent data corruption ({hw.name}, "
-        f"{args.trials} trials/point, seed "
-        f"{args.seed if args.seed else ablation_sdc.DEFAULT_SEED})\n"
+        f"{rows[0].trials} trials/point, seed "
+        f"{given.get('seed', ablation_sdc.DEFAULT_SEED)})\n"
     )
-    print(
-        render_table(
-            ["rate", "mesh", "flips", "escapes (bare)", "escapes (abft)",
-             "corrected", "recomputed", "abft overhead"],
-            [(f"{r.rate:g}", f"{r.mesh[0]}x{r.mesh[1]}", r.flips,
-              f"{r.unprotected_escapes}/{r.trials}",
-              f"{r.protected_escapes}/{r.trials}",
-              r.corrected, r.recomputed, f"{r.overhead_pct:.1f}%")
-             for r in rows],
-        )
-    )
+    print(ablation_sdc.table(rows))
     return 0
 
 
@@ -955,32 +484,18 @@ _RUN_METRICS: List[object] = []
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    bad = _check_flags(
-        "profile",
-        [
-            ("--chips", args.chips, args.chips >= 1, "must be >= 1"),
-            ("--batch", args.batch,
-             args.batch is None or args.batch >= 1, "must be >= 1"),
-        ],
-    )
-    if bad:
-        return bad
-    resolved = _resolve_cluster(args)
-    if isinstance(resolved, int):
-        return resolved
-    model, hw, batch = resolved
+    """Simulate one transformer block at the algorithm's optimal mesh shape
+    and report per-resource utilization, the compute/communication
+    overlap fraction, the communication breakdown, queue waits, and
+    memoization hit rates.
+    """
+    model, hw, batch = _cluster(args, args.chips)
     from repro.obs.profile import profile_block
 
-    report = profile_block(
-        model, batch, args.chips, hw, algorithm=args.algorithm
-    )
+    report = profile_block(model, batch, args.chips, hw, algorithm=args.algorithm)
     if report is None:
-        print(
-            f"meshslice profile: {args.algorithm} cannot run on "
-            f"{args.chips} chips",
-            file=sys.stderr,
-        )
-        return 2
+        return _fail(f"meshslice profile: {args.algorithm} cannot run on "
+                     f"{args.chips} chips")
     _RUN_METRICS.append(report.metrics)
     print(report.render())
     return 0
@@ -991,10 +506,7 @@ def _describe_result(result) -> str:
     from repro.autotuner.search import RobustTuningResult, TuningResult
 
     if isinstance(result, TuningResult):
-        return (
-            f"mesh {result.mesh}; block "
-            f"{result.block_seconds * 1e3:.3f} ms"
-        )
+        return f"mesh {result.mesh}; block {result.block_seconds * 1e3:.3f} ms"
     if isinstance(result, RobustTuningResult):
         return (
             f"mesh {result.mesh}; p{result.quantile * 100:g} block "
@@ -1009,31 +521,17 @@ def _describe_result(result) -> str:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    bad = _check_flags(
-        "serve",
-        [
-            ("--workers", args.workers, args.workers >= 1, "must be >= 1"),
-            ("--repeat", args.repeat, args.repeat >= 1, "must be >= 1"),
-            ("--store-max-records", args.store_max_records,
-             args.store_max_records is None or args.store_max_records >= 1,
-             "must be >= 1"),
-            ("--store-max-bytes", args.store_max_bytes,
-             args.store_max_bytes is None or args.store_max_bytes >= 1,
-             "must be >= 1"),
-        ],
-    )
-    if bad:
-        return bad
+    """Run the tuning service: JSONL TuneRequest queries (one object per
+    line; see docs/service.md) are answered through the in-memory cache,
+    the on-disk plan store, and finally a tuning search. Queries come
+    from stdin by default, or from a file with --replay (one-shot mode).
+    """
     bounded = (
         args.store_max_records is not None or args.store_max_bytes is not None
     )
     if bounded and args.store is None:
-        print(
-            "meshslice serve: --store-max-records/--store-max-bytes "
-            "require --store",
-            file=sys.stderr,
-        )
-        return 2
+        return _fail("meshslice serve: --store-max-records/--store-max-bytes "
+                     "require --store")
     import json
 
     from repro.service import TuneRequest, TunerService
@@ -1043,8 +541,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             with open(args.replay) as handle:
                 lines = handle.readlines()
         except OSError as exc:
-            print(f"meshslice serve: {exc}", file=sys.stderr)
-            return 2
+            return _fail(f"meshslice serve: {exc}")
     else:
         lines = sys.stdin.readlines()
     requests = []
@@ -1056,23 +553,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             requests.append(TuneRequest.from_dict(json.loads(line)))
         except (KeyError, TypeError, ValueError) as exc:
             source = args.replay or "<stdin>"
-            print(
-                f"meshslice serve: {source}:{lineno}: bad query: {exc}",
-                file=sys.stderr,
-            )
-            return 2
+            return _fail(f"meshslice serve: {source}:{lineno}: bad query: {exc}")
     if not requests:
-        print("meshslice serve: no queries", file=sys.stderr)
-        return 2
+        return _fail("meshslice serve: no queries")
     store = args.store
     if bounded:
         from repro.service import PlanStore
 
-        store = PlanStore(
-            args.store,
-            max_records=args.store_max_records,
-            max_bytes=args.store_max_bytes,
-        )
+        store = PlanStore(args.store, max_records=args.store_max_records,
+                          max_bytes=args.store_max_bytes)
     with TunerService(store, workers=args.workers) as service:
         for _ in range(args.repeat):
             results = service.serve_many(requests)
@@ -1096,66 +585,41 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
+    """Run an experiment's grid as a campaign: every grid point appends a
+    durable record to an append-only JSONL store, so a killed sweep
+    resumes where it stopped, transient failures retry with backoff, and
+    permanent failures are recorded instead of aborting the grid
+    (docs/campaign.md).
+    """
     import os
 
     action = getattr(args, "campaign_command", None)
     if action is None:
-        print(
-            "usage: meshslice campaign {run,resume,status,report} ...",
-            file=sys.stderr,
-        )
-        return 2
-    if action in ("run", "resume"):
-        bad = _check_flags(
-            f"campaign {action}",
-            [
-                ("--jobs", args.jobs,
-                 args.jobs is None or args.jobs >= 1, "must be >= 1"),
-                ("--retries", args.retries,
-                 args.retries >= 0, "must be non-negative"),
-                ("--backoff", args.backoff,
-                 args.backoff >= 0.0, "must be non-negative"),
-            ],
-        )
-        if bad:
-            return bad
+        return _fail("usage: meshslice campaign {run,resume,status,report} ...")
     from repro.campaign import (
-        CampaignRunner,
-        CampaignStore,
-        get_campaign,
-        report,
-        status,
+        CampaignRunner, CampaignStore, get_campaign, report, status,
     )
 
     try:
         store = CampaignStore(args.store)
     except (OSError, ValueError) as exc:
-        print(f"meshslice campaign: {exc}", file=sys.stderr)
-        return 2
+        return _fail(f"meshslice campaign: {exc}")
     name = getattr(args, "experiment", None)
     spec = None
     if name is not None:
         try:
             spec = get_campaign(name)
         except KeyError as exc:
-            print(f"meshslice campaign: {exc.args[0]}", file=sys.stderr)
-            return 2
+            return _fail(f"meshslice campaign: {exc.args[0]}")
     if action in ("resume", "status", "report"):
         wanted = [name] if name is not None else store.campaigns()
         if not wanted:
-            print(
-                f"meshslice campaign {action}: no campaigns in "
-                f"{args.store}",
-                file=sys.stderr,
+            return _fail(
+                f"meshslice campaign {action}: no campaigns in {args.store}"
             )
-            return 2
         if name is not None and not os.path.exists(store.path_for(name)):
-            print(
-                f"meshslice campaign {action}: no store file for "
-                f"{name!r} in {args.store}",
-                file=sys.stderr,
-            )
-            return 2
+            return _fail(f"meshslice campaign {action}: no store file for "
+                         f"{name!r} in {args.store}")
     if action in ("run", "resume"):
         runner = CampaignRunner(
             store, name, spec.point,
@@ -1181,10 +645,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             return 1
         return 0
     if action == "status":
-        blocks = []
-        for campaign_name in wanted:
-            blocks.append(status(store, campaign_name).render())
-        print("\n\n".join(blocks))
+        print("\n\n".join(status(store, each).render() for each in wanted))
         return 0
     print(report(store, name, spec))
     return 0
@@ -1198,15 +659,7 @@ def _write_metrics(path: str) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    bad = _check_flags(
-        "run",
-        [
-            ("--jobs", args.jobs,
-             args.jobs is None or args.jobs >= 1, "must be >= 1"),
-        ],
-    )
-    if bad:
-        return bad
+    """Run one or more experiment reproductions."""
     if args.jobs is not None:
         # Experiment grids read the worker count from the
         # environment, so one flag reaches every grid they run.
@@ -1215,23 +668,233 @@ def _cmd_run(args: argparse.Namespace) -> int:
         from repro.experiments.common import JOBS_ENV
 
         os.environ[JOBS_ENV] = str(args.jobs)
-    names: List[str] = []
-    for name in args.experiments:
-        if name == "all":
-            names.extend(sorted(EXPERIMENTS))
-        else:
-            names.append(name)
+    names = [
+        each for name in args.experiments
+        for each in (sorted(EXPERIMENTS) if name == "all" else [name])
+    ]
     for name in names:
         start = time.time()
         try:
             report = run_experiment(name)
         except KeyError as exc:
-            print(exc, file=sys.stderr)
-            return 2
+            return _fail(exc)
         print(f"=== {name} " + "=" * max(0, 70 - len(name)))
         print(report)
         print(f"--- {name} done in {time.time() - start:.1f}s\n")
     return 0
+
+
+_SWEEP = (
+    _flag("experiment", help="experiment name from 'list'"),
+    _flag("--store", metavar="DIR", required=True,
+          help="campaign-store directory (created if missing)"),
+    "--jobs",
+    _flag("--retries", int, 2, NON_NEGATIVE, "retry attempts per failing point"),
+    _flag("--backoff", float, 0.05, NON_NEGATIVE,
+          "base retry backoff, seconds; doubles per attempt"),
+    _flag("--retry-failed", action="store_true",
+          help="re-run points whose stored record is 'failed' "
+               "(appends superseding records)"),
+    "--metrics",
+)
+_STORE = _flag("--store", metavar="DIR", required=True,
+               help="campaign-store directory")
+
+#: Every subcommand: name -> (handler, help, flags); the handler's
+#: docstring is its description. A flag is a :data:`SHARED` option or a
+#: :func:`_flag`; a ``{dest: table}`` in place of the flags nests
+#: subcommands (whose handler is their parent's).
+SUBCOMMANDS = {
+    "run": (_cmd_run, "run experiments by name ('all' for every one)", (
+        _flag("experiments", nargs="+", metavar="experiment",
+              help="experiment names from 'list', or 'all'"),
+        "--jobs", "--metrics",
+    )),
+    "list": (_cmd_list, "enumerate the available experiments", ()),
+    "tune": (
+        _cmd_tune, "autotune mesh shape and slice counts for a model",
+        (*CLUSTER, "--metrics"),
+    ),
+    "faults": (
+        _cmd_faults, "fault-aware robust tuning over a straggler/link ensemble", (
+            *CLUSTER, "--algorithm",
+            _flag("--stragglers", int, 1, NON_NEGATIVE,
+                  "straggling chips per fault plan"),
+            _flag("--straggler-slowdown", float, 1.5, AT_LEAST_ONE,
+                  "worst-case straggler compute slowdown factor"),
+            _flag("--degraded-links", int, 0, NON_NEGATIVE,
+                  "degraded mesh links per fault plan"),
+            _flag("--link-slowdown", float, 2.0, AT_LEAST_ONE,
+                  "worst-case link bandwidth degradation factor"),
+            _flag("--jitter", float, 0.0, NON_NEGATIVE,
+                  "max extra collective launch latency, seconds"),
+            _flag("--outage-rate", float, 0.0, FRACTION,
+                  "per-transfer transient outage probability"),
+            _flag("--ensemble", int, 16, AT_LEAST_ONE,
+                  "number of sampled fault plans"),
+            _flag("--quantile", float, 0.95,
+                  _require(lambda v: 0.0 < v <= 1.0, "must be in (0, 1]"),
+                  "tail quantile to minimize"),
+            _flag("--seed", check=None, help="base seed of the fault ensemble"),
+            "--metrics",
+        ),
+    ),
+    "recovery": (
+        _cmd_recovery, "goodput of recovery policies (restart vs degraded mesh)", (
+            "model", "--chips", "--hw", *RELIABILITY,
+            _flag("--policy", default="both",
+                  choices=("restart", "degrade", "both"),
+                  help="recovery policy to evaluate"),
+            "--metrics",
+        ),
+    ),
+    "elastic": (
+        _cmd_elastic,
+        "seeded multi-failure lifetime simulation of elastic policies", (
+            "model",
+            _flag("--mesh", None, "4x4", MESH_SHAPE,
+                  "full torus shape, e.g. 4x4", metavar="RxC"),
+            "--batch", "--hw",
+            _flag("--policy", default="all",
+                  choices=("restart", "degrade", "replace", "reshape", "all"),
+                  help="elastic policy to simulate"),
+            _flag("--spares", int, 0, NON_NEGATIVE,
+                  "spare chips in the replacement pool"),
+            _flag("--duration-days", float, 30.0, POSITIVE,
+                  "simulated horizon in days"),
+            _flag("--seed", help="seed of the failure-arrival process"),
+            *RELIABILITY,
+            _flag("--plane", default="onesided",
+                  choices=("onesided", "collective"),
+                  help="comm plane of the reshard migrations"),
+            _flag("--events", metavar="PATH",
+                  help="write the structured JSONL event log (requires a "
+                       "single --policy, not 'all')"),
+            "--metrics",
+        ),
+    ),
+    "sdc": (
+        _cmd_sdc, "silent-data-corruption sweep: ABFT protection vs escapes", (
+            _flag("--rate", float, None, FRACTION,
+                  "SDC rate(s) to sweep; repeatable (default: 1e-3 1e-2 0.05)",
+                  action="append", metavar="R"),
+            _flag("--mesh", None, None, MESH_SHAPE,
+                  "mesh shape(s) to sweep, e.g. 4x4; repeatable "
+                  "(default: 2x2 4x4)",
+                  action="append", metavar="RxC"),
+            _flag("--algorithm", check=None, action=_Given,
+                  choices=("meshslice", "summa", "collective"),
+                  help="distributed GeMM algorithm to protect"),
+            _flag("--trials", int, 8, AT_LEAST_ONE,
+                  "functional trials per grid point", action=_Given),
+            _flag("--seed",
+                  help="base seed of the injection ensemble (default: 2025)"),
+            "--hw", "--jobs", "--metrics",
+        ),
+    ),
+    "profile": (
+        _cmd_profile, "profile one deployment point: where does the time go?", (
+            *CLUSTER,
+            _flag("--algorithm", help="distributed GeMM algorithm to profile"),
+            "--metrics",
+        ),
+    ),
+    "serve": (
+        _cmd_serve, "serve tuning requests from a persistent plan store", (
+            _flag("--store", metavar="DIR",
+                  help="plan-store directory (created if missing; default: "
+                       "in-memory only, nothing persists)"),
+            _flag("--workers", int, 4, AT_LEAST_ONE,
+                  "thread-pool width for distinct concurrent requests"),
+            _flag("--replay", metavar="FILE",
+                  help="one-shot mode: replay a JSONL query file and exit"),
+            _flag("--repeat", int, 1, AT_LEAST_ONE,
+                  "replay the query mix this many times"),
+            _flag("--store-max-records", int, None, AT_LEAST_ONE,
+                  "bound the plan store to N records, evicting the "
+                  "least-recently-used (default: unbounded)", metavar="N"),
+            _flag("--store-max-bytes", int, None, AT_LEAST_ONE,
+                  "bound the plan store to B bytes of records, evicting the "
+                  "least-recently-used (default: unbounded)", metavar="B"),
+            "--metrics",
+        ),
+    ),
+    "campaign": (
+        _cmd_campaign, "durable, resumable experiment sweeps (crash-tolerant)",
+        {"campaign_command": {
+            "run": (
+                None, "run a campaign (skips points already in the store)",
+                _SWEEP,
+            ),
+            "resume": (
+                None, "continue an interrupted campaign (store must exist)",
+                _SWEEP,
+            ),
+            "status": (
+                None, "summarize stored campaigns (ok/failed counts, versions)", (
+                    _flag("experiment", nargs="?", help="experiment name "
+                          "(default: every campaign in the store)"),
+                    _STORE,
+                ),
+            ),
+            "report": (
+                None, "render the experiment's table from its stored records", (
+                    _flag("experiment", help="experiment name from 'list'"),
+                    _STORE,
+                ),
+            ),
+        }},
+    ),
+    "models": (_cmd_models, "list the model zoo", ()),
+    "presets": (_cmd_presets, "list the hardware presets", ()),
+}
+
+#: The real subcommands; anything else in command position is treated
+#: as an experiment name and routed through ``run`` (legacy alias).
+COMMANDS = tuple(SUBCOMMANDS)
+
+
+def _declare(parser: argparse.ArgumentParser, dest: str, table) -> None:
+    """Add ``table``'s subcommands to ``parser``, each flag with its check.
+
+    A flag's help names its default unless it already says one.
+    """
+    sub = parser.add_subparsers(
+        dest=dest, metavar="command" if dest == "command" else "action"
+    )
+    for name, (handler, help, flags) in table.items():
+        child = sub.add_parser(
+            name, help=help, description=handler.__doc__ if handler else help
+        )
+        if handler is not None:
+            child.set_defaults(handler=handler)
+        if isinstance(flags, dict):
+            ((nested, nested_table),) = flags.items()
+            _declare(child, nested, nested_table)
+            continue
+        checks = []
+        for flag in flags:
+            option, keywords = flag if isinstance(flag, tuple) else (flag, {})
+            keywords = {**SHARED.get(option, {}), **keywords}
+            check = keywords.pop("check", None)
+            default = keywords.get("default")
+            if default is not None and default is not False and (
+                "(default" not in keywords["help"]
+            ):
+                keywords["help"] += " (default: %(default)s)"
+            action = child.add_argument(option, **keywords)
+            if check is not None:
+                checks.append((child.prog[len("meshslice "):], action, check))
+        child.set_defaults(checks=checks)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="meshslice",
+        description="MeshSlice (ISCA 2025) reproduction toolkit",
+    )
+    _declare(parser, "command", SUBCOMMANDS)
+    return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -1250,21 +913,7 @@ def _main(argv: Optional[List[str]] = None) -> int:
     if args.command is None:
         parser.print_help(sys.stderr)
         return 2
-    handlers = {
-        "run": lambda: _cmd_run(args),
-        "list": _cmd_list,
-        "tune": lambda: _cmd_tune(args),
-        "faults": lambda: _cmd_faults(args),
-        "recovery": lambda: _cmd_recovery(args),
-        "elastic": lambda: _cmd_elastic(args),
-        "sdc": lambda: _cmd_sdc(args),
-        "profile": lambda: _cmd_profile(args),
-        "serve": lambda: _cmd_serve(args),
-        "campaign": lambda: _cmd_campaign(args),
-        "models": _cmd_models,
-        "presets": _cmd_presets,
-    }
-    code = handlers[args.command]()
+    code = _validate(args) or args.handler(args)
     metrics_path = getattr(args, "metrics", None)
     if code == 0 and metrics_path:
         _write_metrics(metrics_path)

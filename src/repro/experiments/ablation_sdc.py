@@ -184,8 +184,9 @@ def points(
     ]
 
 
-def render(rows: Sequence[SDCRow]) -> str:
-    table = render_table(
+def table(rows: Sequence[SDCRow]) -> str:
+    """The per-point table (``meshslice sdc`` prints it bare)."""
+    return render_table(
         ["rate", "mesh", "flips", "escapes (bare)", "escapes (abft)",
          "corrected", "recomputed", "abft overhead"],
         [(f"{r.rate:g}", f"{r.mesh[0]}x{r.mesh[1]}", r.flips,
@@ -194,10 +195,13 @@ def render(rows: Sequence[SDCRow]) -> str:
           r.corrected, r.recomputed, f"{r.overhead_pct:.1f}%")
          for r in rows],
     )
+
+
+def render(rows: Sequence[SDCRow]) -> str:
     total_flips = sum(r.flips for r in rows)
     bare = sum(r.unprotected_escapes for r in rows)
     guarded = sum(r.protected_escapes for r in rows)
-    lines = [table, ""]
+    lines = [table(rows), ""]
     lines.append(
         f"injected {total_flips} bit flips: {bare} bare escapes vs "
         f"{guarded} with ABFT protection"

@@ -122,6 +122,7 @@ class TestFaultsFlagValidation:
         ("--degraded-links", "-2"),
         ("--jitter", "-1"),
         ("--ensemble", "0"),
+        ("--algorithm", "nope"),
     ])
     def test_bad_flag_exits_2_naming_the_flag(self, capsys, flag, value):
         assert main([
@@ -130,6 +131,16 @@ class TestFaultsFlagValidation:
         err = capsys.readouterr().err.strip()
         assert err.count("\n") == 0, "diagnostic must be one line"
         assert flag in err
+
+    @pytest.mark.parametrize("command", ["faults", "profile"])
+    def test_unknown_algorithm_lists_the_known_ones(self, capsys, command):
+        assert main([
+            command, "gpt3-175b", "--chips", "16", "--algorithm", "nope",
+        ]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.count("\n") == 0, "diagnostic must be one line"
+        assert "--algorithm nope" in err
+        assert "meshslice" in err and "summa" in err
 
 
 class TestRecoveryCommand:
@@ -163,6 +174,14 @@ class TestRecoveryCommand:
         assert err.count("\n") == 0, "diagnostic must be one line"
         assert flag in err
 
+    def test_batch_flag_is_gone(self, capsys):
+        # The point always runs the weak-scaling batch (chips / 2), so a
+        # --batch it would echo but not simulate is rejected outright.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["recovery", "gpt3-175b", "--chips", "16", "--batch", "64"])
+        assert excinfo.value.code == 2
+        assert "--batch" in capsys.readouterr().err
+
     def test_too_few_chips(self, capsys):
         assert main(["recovery", "gpt3-175b", "--chips", "2"]) == 2
         assert "--chips" in capsys.readouterr().err
@@ -195,6 +214,17 @@ class TestSdcCommand:
         err = capsys.readouterr().err.strip()
         assert err.count("\n") == 0, "diagnostic must be one line"
         assert flag in err
+
+    def test_seed_zero_runs_seed_zero(self, capsys):
+        argv = ["sdc", "--rate", "0.02", "--mesh", "2x2", "--trials", "2"]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert main([*argv, "--seed", "0"]) == 0
+        seeded = capsys.readouterr().out
+        assert "seed 2025)" in default
+        assert "seed 0)" in seeded
+        # Not just the header: seed 0 draws other flips than seed 2025.
+        assert seeded.split("\n", 1)[1] != default.split("\n", 1)[1]
 
     def test_bad_mesh_spec(self, capsys):
         assert main(["sdc", "--mesh", "3y3", "--trials", "1"]) == 2
