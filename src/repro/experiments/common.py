@@ -56,7 +56,7 @@ from repro.hw.params import HardwareParams
 from repro.mesh.topology import Mesh2D, mesh_shapes, square_mesh
 from repro.models.config import LLMConfig
 from repro.models.nonfc import nonfc_block_seconds
-from repro.obs.registry import MetricRecord, metrics_enabled, registry
+from repro.obs.registry import MetricRecord, registry
 from repro.perf.pipeline import (
     pass_compute_floor,
     pass_lower_bound,
@@ -485,7 +485,7 @@ class _GridWorker:
     on_error: str = "raise"
 
     def __call__(self, point):
-        if not self.collect_metrics or not metrics_enabled():
+        if not self.collect_metrics:
             return self._run(point)
         reg = registry()
         before = reg.snapshot()
@@ -568,20 +568,16 @@ def grid_map(
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    pooled = _GridWorker(
-        fn, collect_metrics=metrics_enabled(), on_error=on_error
-    )
+    pooled = _GridWorker(fn, collect_metrics=True, on_error=on_error)
     reg = registry()
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             # pool.map yields in input order; envelopes merge and
             # progress fires as each point streams home, so delivered
             # prefixes stay valid even if the pool breaks later.
-            for out in pool.map(pooled, points):
-                if isinstance(out, _MetricsEnvelope):
-                    reg.merge_records(out.records)
-                    out = out.result
-                _deliver(out)
+            for envelope in pool.map(pooled, points):
+                reg.merge_records(envelope.records)
+                _deliver(envelope.result)
     except (OSError, PermissionError, BrokenProcessPool):
         # Undelivered points rerun serially; delivered ones are kept
         # (their metrics are already merged, their progress fired).

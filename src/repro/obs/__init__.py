@@ -4,7 +4,7 @@ A lightweight metrics/profiling subsystem threaded through the whole
 stack:
 
 * :mod:`repro.obs.registry` — process-wide counters/gauges/histograms
-  with labeled series and a zero-cost no-op mode (``REPRO_NO_METRICS``);
+  with labeled series, always collecting;
 * :mod:`repro.obs.hooks` — the engine's queue-wait capture channel;
 * :mod:`repro.obs.derive` — per-run derived metrics (utilization,
   overlap fraction, comm breakdown) computed from span lists;
@@ -20,11 +20,8 @@ heavier layers load lazily (PEP 562).
 from repro.obs.hooks import capture_waits, wait_sink
 from repro.obs.registry import (
     GLOBAL_REGISTRY,
-    KILL_SWITCH_ENV,
     MetricRecord,
     MetricsRegistry,
-    NullRegistry,
-    metrics_enabled,
     registry,
 )
 
@@ -45,10 +42,8 @@ _LAZY_EXPORTS = {
 
 __all__ = [
     "GLOBAL_REGISTRY",
-    "KILL_SWITCH_ENV",
     "MetricRecord",
     "MetricsRegistry",
-    "NullRegistry",
     "ProfileReport",
     "RunMetrics",
     "WaitStats",
@@ -56,7 +51,6 @@ __all__ = [
     "collect_records",
     "derive_run_metrics",
     "merge_run_metrics",
-    "metrics_enabled",
     "profile_block",
     "read_jsonl",
     "registry",

@@ -16,7 +16,7 @@ evaluation is built on (Figures 9, 10, 15) from one span list:
   engine's ready-heap observations).
 
 Everything here is a pure function of the spans (plus the optional
-wait samples or their per-kind summary), so derived metrics are
+per-kind queue-wait summary), so derived metrics are
 independent of caching (``REPRO_NO_CACHE``) and identical across
 processes — properties the test suite pins.
 """
@@ -102,8 +102,8 @@ class RunMetrics:
         comm_launch / comm_transfer / comm_sync: Nominal communication
             component totals (Figure 10's split).
         queue_wait: Per-kind ready-but-blocked wait statistics from
-            the engine's event heap; empty when the run was served
-            from a cache or waits were not captured.
+            the engine's event heap; empty when derived from spans
+            alone.
     """
 
     makespan: float
@@ -222,17 +222,15 @@ def summarize_waits(grouped: Mapping[str, Sequence[float]]) -> Dict[str, WaitSta
 
 def derive_run_metrics(
     spans: Iterable[object],
-    waits: Optional[Sequence[WaitSample]] = None,
     *,
     queue_wait: Optional[Mapping[str, WaitStats]] = None,
 ) -> RunMetrics:
     """Compute :class:`RunMetrics` from one execution's spans.
 
     ``spans`` is any iterable of :class:`repro.sim.engine.Span`-shaped
-    objects; ``waits`` the engine's queue-wait samples for the same
-    run, when captured. ``queue_wait`` instead passes those samples
-    already summarized per kind (:func:`summarize_waits`), and wins
-    over ``waits``.
+    objects; ``queue_wait`` the engine's queue-wait samples for the
+    same run summarized per kind (:func:`summarize_waits`), empty when
+    not given.
     """
     span_list = list(spans)
     makespan = max((s.end for s in span_list), default=0.0)
@@ -269,9 +267,6 @@ def derive_run_metrics(
     comm_union = _union(comm_intervals)
     overlap = _intersection_measure(compute_union, comm_union)
 
-    if queue_wait is None:
-        queue_wait = summarize_waits(group_waits(waits or ()))
-
     return RunMetrics(
         makespan=makespan,
         utilization=utilization,
@@ -284,7 +279,7 @@ def derive_run_metrics(
         comm_launch=launch,
         comm_transfer=transfer,
         comm_sync=sync,
-        queue_wait=queue_wait,
+        queue_wait={} if queue_wait is None else queue_wait,
     )
 
 

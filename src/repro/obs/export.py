@@ -101,16 +101,14 @@ def cache_records() -> List[Dict[str, object]]:
 
 def collect_records(
     run_metrics: Optional[Iterable[RunMetrics]] = None,
-    include_caches: bool = True,
 ) -> List[Dict[str, object]]:
     """Everything observable right now, as sorted schema records.
 
-    The global registry snapshot, the cache counters (optional), and
-    any per-run derived metrics the caller wants included.
+    The global registry snapshot, the cache counters, and any per-run
+    derived metrics the caller wants included.
     """
     records = [rec.to_record() for rec in registry().snapshot()]
-    if include_caches:
-        records.extend(cache_records())
+    records.extend(cache_records())
     for metrics in run_metrics or ():
         records.extend(metrics.to_records())
     records.sort(

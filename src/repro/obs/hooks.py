@@ -19,8 +19,6 @@ from __future__ import annotations
 import contextlib
 from typing import Iterator, List, Optional, Tuple
 
-from repro.obs.registry import metrics_enabled
-
 #: One observation: (activity kind, seconds between ready and start).
 WaitSample = Tuple[str, float]
 
@@ -30,22 +28,18 @@ _sinks: List[List[WaitSample]] = []
 def wait_sink() -> Optional[List[WaitSample]]:
     """The innermost active capture buffer, or ``None``.
 
-    The engine reads this once per run; ``None`` (no capture active,
-    or metrics disabled) keeps the hot loop untouched.
+    The engine reads this once per run; ``None`` (no capture active)
+    keeps the hot loop untouched.
     """
     return _sinks[-1] if _sinks else None
 
 
 @contextlib.contextmanager
-def capture_waits() -> Iterator[Optional[List[WaitSample]]]:
+def capture_waits() -> Iterator[List[WaitSample]]:
     """Collect queue-wait samples from engine runs inside the block.
 
-    Yields the live sample list, or ``None`` when metrics are disabled
-    (the engine then records nothing and the block costs nothing).
+    Yields the live sample list.
     """
-    if not metrics_enabled():
-        yield None
-        return
     buffer: List[WaitSample] = []
     _sinks.append(buffer)
     try:

@@ -4,19 +4,19 @@
 (``best_block_run``) for one ``(model, batch, chips, hw, algorithm)``
 point and assembles a :class:`ProfileReport`: FLOP utilization,
 per-resource utilization, the overlap fraction, the communication
-breakdown, queue waits, and the memoization layer's hit rates. The
-``meshslice profile`` subcommand renders it; library callers get the
-structured object.
+breakdown, queue waits, and the hit rates of the memoization caches
+the search called. The ``meshslice profile`` subcommand renders it;
+library callers get the structured object.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.hw.params import HardwareParams
 from repro.models.config import LLMConfig
-from repro.obs.derive import RunMetrics, derive_run_metrics, merge_run_metrics
+from repro.obs.derive import RunMetrics, merge_run_metrics
 
 
 @dataclasses.dataclass(frozen=True)
@@ -33,21 +33,8 @@ class ProfileReport:
         block_seconds: Total FC block time (seconds).
         metrics: Block-aggregated :class:`RunMetrics`.
         per_pass: ``(pass label, RunMetrics)`` of each training GeMM.
-        cache_hit_rates: Hit rate of each warm memoization cache.
-        service_stats: The tuning service's cumulative ``service.*``
-            counters and gauges (store hit/miss/corrupt counts,
-            in-flight coalescing, queue depth, p50/p95 service
-            latency), empty when no :class:`repro.service.TunerService`
-            ran in this process.
-        campaign_stats: The campaign layer's cumulative ``campaign.*``
-            counters (store appends/corrupt/repairs, points ran vs
-            skipped vs failed, retries), empty when no
-            :class:`repro.campaign.CampaignRunner` ran in this process.
-        elastic_stats: The elastic-recovery layer's cumulative
-            ``elastic.*`` counters (lifetimes simulated, failures,
-            repairs, transitions per policy, spares consumed,
-            exhaustions, migrations built per plane), empty when no
-            lifetime or migration simulation ran in this process.
+        cache_hit_rates: Hit rate of each memoization cache the mesh
+            search called, over that search's calls alone.
     """
 
     model: str
@@ -60,9 +47,6 @@ class ProfileReport:
     metrics: RunMetrics
     per_pass: Tuple[Tuple[str, RunMetrics], ...]
     cache_hit_rates: Dict[str, float]
-    service_stats: Dict[str, float] = dataclasses.field(default_factory=dict)
-    campaign_stats: Dict[str, float] = dataclasses.field(default_factory=dict)
-    elastic_stats: Dict[str, float] = dataclasses.field(default_factory=dict)
 
     def render(self) -> str:
         """The ``meshslice profile`` text report."""
@@ -128,51 +112,6 @@ class ProfileReport:
                     ),
                 ]
             )
-        if self.service_stats:
-            lines.extend(
-                [
-                    "",
-                    render_table(
-                        ["tuning service", "total"],
-                        [
-                            (name[len("service."):], f"{value:g}")
-                            for name, value in sorted(
-                                self.service_stats.items()
-                            )
-                        ],
-                    ),
-                ]
-            )
-        if self.campaign_stats:
-            lines.extend(
-                [
-                    "",
-                    render_table(
-                        ["campaign", "total"],
-                        [
-                            (name[len("campaign."):], f"{value:g}")
-                            for name, value in sorted(
-                                self.campaign_stats.items()
-                            )
-                        ],
-                    ),
-                ]
-            )
-        if self.elastic_stats:
-            lines.extend(
-                [
-                    "",
-                    render_table(
-                        ["elastic recovery", "total"],
-                        [
-                            (name[len("elastic."):], f"{value:g}")
-                            for name, value in sorted(
-                                self.elastic_stats.items()
-                            )
-                        ],
-                    ),
-                ]
-            )
         return "\n".join(lines)
 
 
@@ -192,31 +131,25 @@ def profile_block(
     from repro.experiments.common import best_block_run
     from repro.perf.cache import cache_stats
 
+    before = cache_stats()
     block = best_block_run(algorithm, model, batch_size, chips, hw)
     if block is None:
         return None
-    per_pass: List[Tuple[str, RunMetrics]] = []
-    for cfg, result in zip(block.configs, block.results):
-        metrics = result.metrics
-        if metrics is None:
-            # Metrics were disabled when this pass was first simulated
-            # (or the result came from a pre-metrics cache entry); the
-            # spans still carry everything derivable.
-            metrics = derive_run_metrics(result.spans)
-        label = (
+    hit_rates: Dict[str, float] = {}
+    for name, stats in cache_stats().items():
+        prior = before.get(name)
+        hits = stats.hits - (prior.hits if prior else 0)
+        calls = stats.calls - (prior.calls if prior else 0)
+        if calls:
+            hit_rates[name] = hits / calls
+    per_pass = tuple(
+        (
             f"{cfg.shape.m}x{cfg.shape.n}x{cfg.shape.k}"
-            f"/{cfg.dataflow.name}/S{cfg.slices}"
+            f"/{cfg.dataflow.name}/S{cfg.slices}",
+            result.metrics,
         )
-        per_pass.append((label, metrics))
-    merged = merge_run_metrics([metrics for _label, metrics in per_pass])
-    hit_rates = {
-        name: stats.hit_rate
-        for name, stats in cache_stats().items()
-        if stats.calls
-    }
-    service_totals = _prefixed_totals("service.")
-    campaign_totals = _prefixed_totals("campaign.", counters_only=True)
-    elastic_totals = _prefixed_totals("elastic.", counters_only=True)
+        for cfg, result in zip(block.configs, block.results)
+    )
     return ProfileReport(
         model=model.name,
         algorithm=algorithm,
@@ -225,36 +158,7 @@ def profile_block(
         mesh=block.mesh.shape,
         flop_utilization=block.utilization(hw),
         block_seconds=block.seconds,
-        metrics=merged,
-        per_pass=tuple(per_pass),
+        metrics=merge_run_metrics([metrics for _label, metrics in per_pass]),
+        per_pass=per_pass,
         cache_hit_rates=hit_rates,
-        service_stats=service_totals,
-        campaign_stats=campaign_totals,
-        elastic_stats=elastic_totals,
     )
-
-
-def _prefixed_totals(
-    prefix: str, counters_only: bool = False
-) -> Dict[str, float]:
-    """Registry counter (and gauge) values under one name prefix.
-
-    Labeled series render as ``name{label=value}``. Empty when the
-    subsystem never ran (or metrics are disabled) — prefix sections of
-    the report are skipped then.
-    """
-    from repro.obs.registry import registry
-
-    wanted = ("counter",) if counters_only else ("counter", "gauge")
-    totals: Dict[str, float] = {}
-    for record in registry().snapshot():
-        if record.type not in wanted or not record.name.startswith(prefix):
-            continue
-        if record.value is None or not record.value:
-            continue
-        key = record.name
-        if record.labels:
-            inner = ",".join(f"{k}={v}" for k, v in record.labels)
-            key = f"{key}{{{inner}}}"
-        totals[key] = record.value
-    return totals

@@ -1,19 +1,15 @@
 """Process-wide metrics registry: counters, gauges, histograms.
 
 The observability layer's collection side. Instrumented code obtains
-the active registry via :func:`registry` and bumps named, labeled
-series; consumers take a :meth:`MetricsRegistry.snapshot` and hand it
+the process-wide registry via :func:`registry` and bumps named,
+labeled series; consumers take a :meth:`MetricsRegistry.snapshot` and hand it
 to the exporters in :mod:`repro.obs.export`.
 
 Design constraints, in order:
 
-* **Zero-cost opt-out.** ``REPRO_NO_METRICS=1`` switches
-  :func:`registry` to a shared :class:`NullRegistry` whose methods are
-  empty; instrumentation sites then cost one environment probe and one
-  no-op method call. The switch is honored *per call*, exactly like
-  ``REPRO_NO_CACHE`` in :mod:`repro.perf.cache`, so one process can
-  flip it (tests rely on this). Simulation *outputs* never depend on
-  the switch — metrics are observations, not inputs.
+* **Observation only.** Collection is always on, and simulation
+  outputs never read the registry: metrics are observations, not
+  inputs.
 * **Determinism.** Snapshots are sorted by ``(type, name, labels)``
   and labels are stored as sorted tuples, so two identical workloads
   produce byte-identical exports regardless of dict insertion or hash
@@ -33,42 +29,9 @@ Design constraints, in order:
 from __future__ import annotations
 
 import dataclasses
-import os
 import threading
 from bisect import bisect_left
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
-
-#: Environment variable that disables metric collection when set to a
-#: truthy value ("1", "true", "yes", "on" — case-insensitive).
-KILL_SWITCH_ENV = "REPRO_NO_METRICS"
-
-_TRUTHY = ("1", "true", "yes", "on")
-
-# Per-call environment probe. ``os.environ.get`` re-encodes the key on
-# every call; on CPython/POSIX read the underlying bytes dict directly
-# (kept in sync by ``os.environ.__setitem__``, which monkeypatch.setenv
-# and CLI code use). Same idiom as ``repro.perf.cache``.
-if os.name == "posix" and isinstance(
-    getattr(os.environ, "_data", None), dict
-):
-    _ENV_DATA = os.environ._data
-    _KILL_KEY = os.fsencode(KILL_SWITCH_ENV)
-
-    def _kill_switch_value() -> str:
-        raw = _ENV_DATA.get(_KILL_KEY)
-        return "" if raw is None else os.fsdecode(raw)
-
-else:  # pragma: no cover - non-CPython / non-POSIX fallback
-
-    def _kill_switch_value() -> str:
-        return os.environ.get(KILL_SWITCH_ENV, "")
-
-
-def metrics_enabled() -> bool:
-    """Whether metric collection is active (the kill switch is unset)."""
-    value = _kill_switch_value()
-    return not value or value.strip().lower() not in _TRUTHY
-
 
 #: Canonical label encoding: a tuple of (key, value) pairs sorted by
 #: key. Hashable, order-independent, and deterministic to serialize.
@@ -432,29 +395,10 @@ class MetricsRegistry:
         return delta
 
 
-class NullRegistry(MetricsRegistry):
-    """The no-op registry handed out while ``REPRO_NO_METRICS`` is set."""
-
-    def inc(self, name, value=1.0, labels=None) -> None:  # noqa: D102
-        pass
-
-    def set_gauge(self, name, value, labels=None) -> None:  # noqa: D102
-        pass
-
-    def observe_many(self, name, values, labels=None) -> None:  # noqa: D102
-        pass
-
-    def merge_records(self, records) -> None:  # noqa: D102
-        pass
-
-
-#: The process-wide registries. ``registry()`` picks one per call.
+#: The process-wide registry every instrumented site writes to.
 GLOBAL_REGISTRY = MetricsRegistry()
-NULL_REGISTRY = NullRegistry()
 
 
 def registry() -> MetricsRegistry:
-    """The active registry: global when enabled, a shared no-op not."""
-    if metrics_enabled():
-        return GLOBAL_REGISTRY
-    return NULL_REGISTRY
+    """The process-wide registry."""
+    return GLOBAL_REGISTRY

@@ -8,9 +8,8 @@ peak, Section 5.1.1), and the communication breakdown of Figure 10.
 simulator: each engine execution's queue waits are captured and
 summarized per kind, the process-wide registry counters are bumped and
 the queue-wait histogram is folded once per kind, and the per-run
-:attr:`SimResult.metrics` are derived on first read. With
-``REPRO_NO_METRICS=1`` all of that collapses to nothing and the spans
-are byte-for-byte what they always were.
+:attr:`SimResult.metrics` are derived on first read. None of it feeds
+back into the spans.
 """
 
 from __future__ import annotations
@@ -51,11 +50,10 @@ class SimResult:
     table: SpanTable
     makespan: float
     flops_per_chip: float
-    failure: Optional[SimFailure] = None
     #: Per-kind queue-wait summary captured at simulation time, the one
-    #: input of :attr:`metrics` the spans cannot reconstruct. ``None``
-    #: when metrics were disabled (``REPRO_NO_METRICS``).
-    queue_wait: Optional[Mapping[str, WaitStats]] = None
+    #: input of :attr:`metrics` the spans cannot reconstruct.
+    queue_wait: Mapping[str, WaitStats]
+    failure: Optional[SimFailure] = None
     _metrics: Optional[RunMetrics] = dataclasses.field(
         default=None, init=False, repr=False, compare=False
     )
@@ -67,15 +65,10 @@ class SimResult:
         return self.table.to_list()
 
     @property
-    def metrics(self) -> Optional[RunMetrics]:
+    def metrics(self) -> RunMetrics:
         """Derived observability metrics of this execution (utilization,
-        overlap fraction, queue waits, ...), computed on first read.
-
-        ``None`` when metrics were disabled at simulation time;
-        everything span-derivable can still be recomputed via
-        ``repro.obs.derive_run_metrics(result.spans)``.
-        """
-        if self._metrics is None and self.queue_wait is not None:
+        overlap fraction, queue waits, ...), computed on first read."""
+        if self._metrics is None:
             self._metrics = derive_run_metrics(
                 self.spans, queue_wait=self.queue_wait
             )
@@ -135,31 +128,28 @@ def simulate(
     """
     with capture_waits() as waits:
         table, failure = program.execute(faults)
-    queue_wait = None
-    if waits is not None:
-        reg = registry()
-        reg.inc("sim.runs")
-        reg.inc("sim.activities", float(len(table)))
-        if faults is not None and not faults.is_null:
-            reg.inc("sim.faulted_runs")
-        if failure is not None:
-            reg.inc(
-                "sim.failures",
-                labels={"kind": failure.kind, "resource": failure.resource},
-            )
-        grouped = group_waits(waits)
-        for kind, values in grouped.items():
-            reg.observe_many(
-                "engine.queue_wait_seconds", values, labels={"kind": kind}
-            )
-        queue_wait = summarize_waits(grouped)
+    reg = registry()
+    reg.inc("sim.runs")
+    reg.inc("sim.activities", float(len(table)))
+    if faults is not None and not faults.is_null:
+        reg.inc("sim.faulted_runs")
+    if failure is not None:
+        reg.inc(
+            "sim.failures",
+            labels={"kind": failure.kind, "resource": failure.resource},
+        )
+    grouped = group_waits(waits)
+    for kind, values in grouped.items():
+        reg.observe_many(
+            "engine.queue_wait_seconds", values, labels={"kind": kind}
+        )
     return SimResult(
         hw=hw,
         table=table,
         makespan=failure.time if failure is not None else table.makespan,
         flops_per_chip=program.total_flops,
+        queue_wait=summarize_waits(grouped),
         failure=failure,
-        queue_wait=queue_wait,
     )
 
 

@@ -23,13 +23,6 @@ def update_goldens(request):
 
 
 @pytest.fixture
-def metrics_on(monkeypatch):
-    """Metric collection on, even when ``REPRO_NO_METRICS`` is set, for
-    tests that assert registry counters."""
-    monkeypatch.delenv("REPRO_NO_METRICS", raising=False)
-
-
-@pytest.fixture
 def rng():
     """Deterministic random generator for numerical tests."""
     return np.random.default_rng(20250706)

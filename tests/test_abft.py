@@ -198,7 +198,6 @@ class TestProtectedGeMM:
         assert report.count("clean") == report.clean == 4
         assert report.count("uncorrectable") == 0
 
-    @pytest.mark.usefixtures("metrics_on")
     def test_metrics_counters(self, rng):
         from repro.obs.registry import registry
 

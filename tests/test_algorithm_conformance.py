@@ -136,7 +136,6 @@ def _run_zoo(hashseed: str) -> bytes:
         SRC + os.pathsep + TESTS + os.pathsep + env.get("PYTHONPATH", "")
     )
     env["PYTHONHASHSEED"] = hashseed
-    env.pop("REPRO_NO_METRICS", None)
     proc = subprocess.run(
         [sys.executable, "-c", ZOO_SCRIPT],
         capture_output=True,

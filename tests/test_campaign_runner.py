@@ -130,7 +130,6 @@ class TestCampaignRunner:
             lines = handle.readlines()
         assert len(lines) == 3  # superseded by append, not rewrite
 
-    @pytest.mark.usefixtures("metrics_on")
     def test_retries_rescue_transient_failures(self, tmp_path):
         store = CampaignStore(str(tmp_path))
         before = registry().counter_value("campaign.retries")

@@ -228,7 +228,6 @@ class TestCampaignStore:
         with pytest.raises(ValueError):
             store.path_for(name)
 
-    @pytest.mark.usefixtures("metrics_on")
     def test_corrupt_line_is_skipped_never_fatal(self, tmp_path):
         store = CampaignStore(str(tmp_path))
         store.append("demo", _record(key="a"))

@@ -101,8 +101,7 @@ def capture(name: str, workdir: Path) -> dict:
     prints the hit rates of its own run only.
     """
     (workdir / "queries.jsonl").write_text(QUERIES)
-    # No other REPRO_* knob: with REPRO_NO_METRICS set, ``profile``
-    # leaves out its metric-derived queue-wait table by design.
+    # No other REPRO_* knob: the goldens pin the default configuration.
     env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
     env.update(PYTHONHASHSEED="0", REPRO_JOBS="1")
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")

@@ -95,7 +95,6 @@ def _env(hashseed):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     env["PYTHONHASHSEED"] = hashseed
-    env.pop("REPRO_NO_METRICS", None)
     env.pop("REPRO_NO_CACHE", None)
     env.pop("REPRO_JOBS", None)
     return env

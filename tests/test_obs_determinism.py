@@ -61,7 +61,9 @@ def point(n):
 jobs = int(sys.argv[1])
 out = grid_map(point, list(range(12)), jobs=jobs)
 sys.stdout.write(f"points={len(out)}\\n")
-sys.stdout.write(dumps_records(collect_records(include_caches=False)))
+sys.stdout.write(dumps_records(
+    r for r in collect_records() if not r["name"].startswith("cache.")
+))
 """
 
 
@@ -94,7 +96,9 @@ with sdc_injection(SDCPlan(rate=1.0, seed=9, max_flips=3)) as injector:
     meshslice_os(a, b, Mesh2D(2, 2), slices=2)
 for event in injector.events:
     sys.stdout.write(f"{event}\\n")
-sys.stdout.write(dumps_records(collect_records(include_caches=False)))
+sys.stdout.write(dumps_records(
+    r for r in collect_records() if not r["name"].startswith("cache.")
+))
 """
 
 
@@ -144,7 +148,6 @@ def _run(script, *args, hashseed="0"):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     env["PYTHONHASHSEED"] = hashseed
-    env.pop("REPRO_NO_METRICS", None)
     proc = subprocess.run(
         [sys.executable, "-c", script, *[str(a) for a in args]],
         capture_output=True,
@@ -236,7 +239,6 @@ class TestMetricsGolden:
         env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
         env["PYTHONHASHSEED"] = "0"
         env["REPRO_JOBS"] = "1"
-        env.pop("REPRO_NO_METRICS", None)
         env.pop("REPRO_NO_CACHE", None)
         proc = subprocess.run(
             [sys.executable, "-m", "repro.cli", "run", "fig9",
@@ -262,7 +264,6 @@ class TestJsonlFileDeterminism:
             env = dict(os.environ)
             env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
             env["PYTHONHASHSEED"] = hashseed
-            env.pop("REPRO_NO_METRICS", None)
             proc = subprocess.run(
                 [
                     sys.executable, "-m", "repro.cli", "tune", "gpt3-175b",

@@ -93,11 +93,10 @@ class TestValidateRecord:
 
 
 class TestCollectAndDump:
-    @pytest.mark.usefixtures("metrics_on")
     def test_registry_records_validate(self):
         GLOBAL_REGISTRY.inc("sim.runs", 2.0)
         GLOBAL_REGISTRY.observe("engine.queue_wait_seconds", 1e-4)
-        records = collect_records(include_caches=False)
+        records = collect_records()
         assert records
         for record in records:
             validate_record(record)
@@ -105,7 +104,7 @@ class TestCollectAndDump:
     def test_sorted_output(self):
         GLOBAL_REGISTRY.inc("z.last")
         GLOBAL_REGISTRY.inc("a.first")
-        records = collect_records(include_caches=False)
+        records = collect_records()
         keys = [(r["type"], r["name"]) for r in records]
         assert keys == sorted(keys)
 
@@ -113,9 +112,10 @@ class TestCollectAndDump:
         from repro.obs.derive import derive_run_metrics
 
         metrics = derive_run_metrics([])
-        records = collect_records(
-            run_metrics=[metrics], include_caches=False
-        )
+        records = [
+            r for r in collect_records(run_metrics=[metrics])
+            if not r["name"].startswith("cache.")
+        ]
         assert any(r["name"] == "run.makespan_seconds" for r in records)
         assert all(r["type"] == "derived" for r in records)
 
@@ -152,13 +152,12 @@ class TestCollectAndDump:
 
 
 class TestSummaryTable:
-    @pytest.mark.usefixtures("metrics_on")
     def test_renders_all_types(self):
         GLOBAL_REGISTRY.inc("sim.runs", 3.0, labels={"kind": "x"})
         GLOBAL_REGISTRY.set_gauge("level", 0.5)
         GLOBAL_REGISTRY.observe("h", 2.0)
         GLOBAL_REGISTRY.observe("h", 4.0)
-        table = summary_table(collect_records(include_caches=False))
+        table = summary_table(collect_records())
         assert "sim.runs" in table
         assert "kind=x" in table
         assert "n=2" in table and "mean=3" in table

@@ -58,8 +58,36 @@ class TestProfileBlock:
         assert result is None
 
 
+class TestCacheHitRates:
+    """The report's hit rates cover the profiled search alone, not
+    whatever else the process had cached before it."""
+
+    def test_only_caches_the_search_called(self, monkeypatch):
+        from repro.algorithms import GeMMConfig
+        from repro.core import Dataflow, GeMMShape
+        from repro.faults import FaultSpec
+        from repro.mesh import Mesh2D
+        from repro.obs.profile import profile_block
+        from repro.perf.cache import clear_caches
+        from repro.perf.pipeline import faulted_pass
+
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        clear_caches()
+        cfg = GeMMConfig(
+            GeMMShape(2048, 2048, 2048), Mesh2D(4, 4), Dataflow.OS, slices=4
+        )
+        plan = FaultSpec(stragglers=2, seed=3).sample(16, TPUV4)
+        faulted_pass("meshslice", cfg, TPUV4, plan)
+        model = get_model("gpt3-175b")
+        first = profile_block(model, 8, 16, TPUV4)
+        assert first.cache_hit_rates
+        assert "faulted_pass" not in first.cache_hit_rates
+        second = profile_block(model, 8, 16, TPUV4)
+        assert second.cache_hit_rates["simulated_pass"] == 1.0
+        assert set(second.cache_hit_rates) <= set(first.cache_hit_rates)
+
+
 class TestPublicApi:
-    @pytest.mark.usefixtures("metrics_on")
     def test_simulate_attaches_metrics(self, hw):
         from repro import simulate
         from repro.obs.derive import RunMetrics
@@ -134,7 +162,6 @@ class TestCli:
         assert "run.overlap_fraction" in names
         assert any(n.startswith("cache.") for n in names)
 
-    @pytest.mark.usefixtures("metrics_on")
     def test_tune_writes_metrics_file(self, tmp_path, capsys):
         from repro.cli import main
         from repro.obs.export import read_jsonl

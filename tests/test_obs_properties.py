@@ -6,8 +6,7 @@ correct derivation must maintain: utilizations live in the unit
 interval, the overlap measure never exceeds either of the unions it
 intersects, kind durations partition the total span time, queue-wait
 samples cover every started activity, and the derived metrics are
-independent of both kill switches (``REPRO_NO_CACHE`` never changes
-them, ``REPRO_NO_METRICS`` never changes the spans).
+independent of the ``REPRO_NO_CACHE`` kill switch.
 """
 
 import pytest
@@ -17,7 +16,12 @@ from repro.algorithms import GeMMConfig, get_algorithm
 from repro.core import Dataflow, GeMMShape
 from repro.hw import TPUV4
 from repro.mesh import Mesh2D
-from repro.obs.derive import derive_run_metrics, merge_run_metrics
+from repro.obs.derive import (
+    derive_run_metrics,
+    group_waits,
+    merge_run_metrics,
+    summarize_waits,
+)
 from repro.obs.hooks import capture_waits
 from repro.sim import Engine
 
@@ -68,14 +72,13 @@ class TestDerivedInvariants:
     @settings(max_examples=60, deadline=None)
     @given(random_dag(kinds=MIXED_KINDS))
     def test_queue_waits_cover_every_start(self, activities):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.delenv("REPRO_NO_METRICS", raising=False)
-            with capture_waits() as waits:
-                spans = _run(activities)
-        assert waits is not None
+        with capture_waits() as waits:
+            spans = _run(activities)
         assert len(waits) == len(spans)
         assert all(wait >= -1e-12 for _kind, wait in waits)
-        metrics = derive_run_metrics(spans, waits)
+        metrics = derive_run_metrics(
+            spans, queue_wait=summarize_waits(group_waits(waits))
+        )
         assert sum(s.count for s in metrics.queue_wait.values()) == len(spans)
         for stats in metrics.queue_wait.values():
             assert stats.max <= stats.total + 1e-12
@@ -108,43 +111,23 @@ class TestKillSwitchIndependence:
         from repro.perf.pipeline import simulated_pass
 
         monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-        monkeypatch.delenv("REPRO_NO_METRICS", raising=False)
         clear_caches()
         warm = simulated_pass("meshslice", self.CFG, TPUV4)
         cached = simulated_pass("meshslice", self.CFG, TPUV4)
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
         uncached = simulated_pass("meshslice", self.CFG, TPUV4)
-        assert warm.metrics is not None
         assert cached.metrics.as_dict() == warm.metrics.as_dict()
         assert uncached.metrics.as_dict() == warm.metrics.as_dict()
         assert [s for s in uncached.spans] == [s for s in warm.spans]
 
-    def test_no_metrics_spans_bit_identical(self, monkeypatch):
-        """The engine's output never depends on REPRO_NO_METRICS."""
+    def test_derivable_after_the_fact(self):
+        """A run's metrics are recomputable from its spans alone (minus
+        the queue waits, which need the live hook)."""
         from repro.sim import simulate
 
         alg = get_algorithm("meshslice")
-        monkeypatch.delenv("REPRO_NO_METRICS", raising=False)
-        program = alg.build_program(self.CFG, TPUV4)
-        with_metrics = simulate(program, TPUV4)
-        monkeypatch.setenv("REPRO_NO_METRICS", "1")
-        without = simulate(alg.build_program(self.CFG, TPUV4), TPUV4)
-        assert with_metrics.metrics is not None
-        assert without.metrics is None
-        assert without.spans == with_metrics.spans
-        assert without.makespan == with_metrics.makespan
-
-    def test_derivable_after_the_fact(self, monkeypatch):
-        """Metrics disabled at simulation time are recomputable from
-        the spans (minus the queue waits, which need the live hook)."""
-        from repro.sim import simulate
-
-        alg = get_algorithm("meshslice")
-        monkeypatch.delenv("REPRO_NO_METRICS", raising=False)
         live = simulate(alg.build_program(self.CFG, TPUV4), TPUV4)
-        monkeypatch.setenv("REPRO_NO_METRICS", "1")
-        dead = simulate(alg.build_program(self.CFG, TPUV4), TPUV4)
-        recomputed = derive_run_metrics(dead.spans)
+        recomputed = derive_run_metrics(live.spans)
         expected = live.metrics.as_dict()
         expected["queue_wait"] = {}
         assert recomputed.as_dict() == expected
@@ -183,10 +166,6 @@ class TestLazyRunMetrics:
     wait summary kept at simulation time, and equals what eager
     derivation over the raw wait samples gives."""
 
-    @pytest.fixture(autouse=True)
-    def _metrics_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_METRICS", raising=False)
-
     @pytest.mark.parametrize(
         "plan", [None, "soft", "hard"], ids=["heap", "faulted", "hard-failed"]
     )
@@ -202,17 +181,13 @@ class TestLazyRunMetrics:
         assert result.failure == failure
         assert result.spans == spans
         assert waits, "the engine reported no queue waits"
-        eager = derive_run_metrics(spans, waits)
+        eager = derive_run_metrics(
+            spans, queue_wait=summarize_waits(group_waits(waits))
+        )
         assert result._metrics is None  # nothing derived before the read
         assert result.metrics.as_dict() == eager.as_dict()
         assert result.metrics == eager
         assert result.metrics is result.metrics  # derived once, cached
-
-    def test_disabled_metrics_stay_none(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_METRICS", "1")
-        result = _simulate_pass()
-        assert result.queue_wait is None
-        assert result.metrics is None
 
     def test_pickle_round_trip(self):
         import pickle
@@ -234,8 +209,9 @@ class TestLazyRunMetrics:
         for got, want in zip(pooled, serial):
             assert got.metrics.as_dict() == want.metrics.as_dict()
 
-    def test_equality_tracks_the_wait_summary(self, monkeypatch):
+    def test_equality_tracks_the_wait_summary(self):
+        import dataclasses
+
         live = _simulate_pass()
         assert live == _simulate_pass()
-        monkeypatch.setenv("REPRO_NO_METRICS", "1")
-        assert _simulate_pass() != live
+        assert dataclasses.replace(live, queue_wait={}) != live

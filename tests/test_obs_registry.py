@@ -11,13 +11,7 @@ from hypothesis import strategies as st
 from repro.obs.hooks import capture_waits, wait_sink
 from repro.obs.registry import (
     DEFAULT_BUCKETS,
-    GLOBAL_REGISTRY,
-    KILL_SWITCH_ENV,
     MetricsRegistry,
-    NULL_REGISTRY,
-    NullRegistry,
-    metrics_enabled,
-    registry,
 )
 
 
@@ -163,12 +157,6 @@ class TestObserveMany:
         assert record.buckets == ((repr(DEFAULT_BUCKETS[0]), 4),)
         assert record.exact_total[0] == (-5.0).as_integer_ratio()[0] << 1074
 
-    def test_null_registry_observe_many_is_noop(self):
-        null = NullRegistry()
-        null.observe_many("h", [1.0, float("nan")], labels={"kind": "comm"})
-        null.observe("h", 1.0)
-        assert null.snapshot() == []
-
 
 class TestSnapshotsAndMerge:
     def test_snapshot_sorted(self, reg):
@@ -255,46 +243,10 @@ class TestSnapshotsAndMerge:
         assert reg.counter_value("c") == 2000.0
 
 
-class TestKillSwitch:
-    def test_enabled_by_default(self, monkeypatch):
-        monkeypatch.delenv(KILL_SWITCH_ENV, raising=False)
-        assert metrics_enabled()
-        assert registry() is GLOBAL_REGISTRY
-
-    @pytest.mark.parametrize("value", ["1", "true", "YES", " on "])
-    def test_truthy_values_disable(self, monkeypatch, value):
-        monkeypatch.setenv(KILL_SWITCH_ENV, value)
-        assert not metrics_enabled()
-        assert registry() is NULL_REGISTRY
-
-    @pytest.mark.parametrize("value", ["0", "false", "off", ""])
-    def test_falsy_values_keep_enabled(self, monkeypatch, value):
-        monkeypatch.setenv(KILL_SWITCH_ENV, value)
-        assert metrics_enabled()
-
-    def test_null_registry_discards_everything(self):
-        null = NullRegistry()
-        null.inc("c")
-        null.set_gauge("g", 1.0)
-        null.observe("h", 1.0)
-        null.merge_records(
-            [r for r in GLOBAL_REGISTRY.snapshot()]
-        )
-        assert null.snapshot() == []
-
-    def test_shared_null_registry_stays_empty(self, monkeypatch):
-        monkeypatch.setenv(KILL_SWITCH_ENV, "1")
-        reg = registry()
-        reg.inc("c", 100.0)
-        reg.observe("h", 1.0)
-        assert NULL_REGISTRY.snapshot() == []
-
-
 class TestWaitHooks:
     def test_no_sink_outside_capture(self):
         assert wait_sink() is None
 
-    @pytest.mark.usefixtures("metrics_on")
     def test_capture_collects(self):
         with capture_waits() as waits:
             sink = wait_sink()
@@ -303,7 +255,6 @@ class TestWaitHooks:
         assert waits == [("compute", 0.5)]
         assert wait_sink() is None
 
-    @pytest.mark.usefixtures("metrics_on")
     def test_nested_captures_use_innermost(self):
         with capture_waits() as outer:
             with capture_waits() as inner:
@@ -311,9 +262,3 @@ class TestWaitHooks:
             wait_sink().append(("compute", 2.0))
         assert inner == [("comm", 1.0)]
         assert outer == [("compute", 2.0)]
-
-    def test_disabled_capture_yields_none(self, monkeypatch):
-        monkeypatch.setenv(KILL_SWITCH_ENV, "1")
-        with capture_waits() as waits:
-            assert waits is None
-            assert wait_sink() is None

@@ -187,7 +187,6 @@ class TestInjection:
             plan = SDCPlan(rate=1.0, ops=(op,), seed=0, max_flips=1)
             assert not plan.is_null
 
-    @pytest.mark.usefixtures("metrics_on")
     def test_metrics_counter(self, operands):
         from repro.obs.registry import registry
 

@@ -194,7 +194,6 @@ class TestPlanStore:
         with open(path_a, "rb") as fa, open(path_b, "rb") as fb:
             assert fa.read() == fb.read()
 
-    @pytest.mark.usefixtures("metrics_on")
     def test_corrupt_record_is_a_miss(self, tmp_path):
         store = PlanStore(str(tmp_path))
         request = tiny_request()
@@ -229,7 +228,6 @@ class TestPlanStore:
         assert "engine" not in new["request"]["fields"]
         assert store.load(request) == served
 
-    @pytest.mark.usefixtures("metrics_on")
     def test_schema2_record_is_corrupt(self, tmp_path):
         """The previous layout, even at the current key's path, is a
         counted miss."""
@@ -244,7 +242,6 @@ class TestPlanStore:
         assert store.load(request) is None
         assert registry().counter_value("service.store.corrupt") == before + 1
 
-    @pytest.mark.usefixtures("metrics_on")
     @pytest.mark.parametrize("mode, edit", [
         ("tune", lambda record: record["result"].update(
             __dataclass__="repro.nope:Gone")),
@@ -295,7 +292,6 @@ class TestPlanStoreEviction:
             requests.append(req)
         return requests
 
-    @pytest.mark.usefixtures("metrics_on")
     def test_max_records_evicts_lru(self, tmp_path):
         requests = self._seed(str(tmp_path), (4, 8, 16))
         before = registry().counter_value("service.store.evicted")
@@ -394,7 +390,6 @@ class TestTunerService:
                     key, canonical, request.run()
                 )
 
-    @pytest.mark.usefixtures("metrics_on")
     def test_concurrent_identical_requests_coalesce(self, tmp_path):
         """Two threads, same canonical config: one search, one write."""
         request = tiny_request(chips=64)
@@ -448,7 +443,6 @@ class TestTunerService:
     def test_latency_percentiles_of_recorded_latencies(self, monkeypatch):
         """p50/p95 are the nearest-rank percentiles (rank ``ceil(q * n)``)
         of every recorded latency, fed out of order."""
-        monkeypatch.delenv("REPRO_NO_METRICS", raising=False)
         seconds = [0.005, 0.001, 0.009, 0.003, 0.007, 0.002, 0.008,
                    0.004, 0.006, 0.010, 0.030, 0.020]
         clock = iter(t for elapsed in seconds for t in (0.0, elapsed))
