@@ -5,19 +5,18 @@ stack:
 
 * :mod:`repro.obs.registry` — process-wide counters/gauges/histograms
   with labeled series, always collecting;
-* :mod:`repro.obs.hooks` — the engine's queue-wait capture channel;
 * :mod:`repro.obs.derive` — per-run derived metrics (utilization,
-  overlap fraction, comm breakdown) computed from span lists;
+  overlap fraction, comm breakdown) computed from span lists, plus
+  the per-kind summary of the queue waits the engine returns;
 * :mod:`repro.obs.export` — JSONL and summary-table exporters with a
   documented, byte-deterministic schema;
 * :mod:`repro.obs.profile` — the ``meshslice profile`` workflow.
 
-The eager imports here are stdlib-only (``registry`` and ``hooks``
-must be importable from ``repro.sim.engine`` without cycles); the
-heavier layers load lazily (PEP 562).
+The eager import here is stdlib-only (``registry`` is imported
+throughout the stack, so it must load without cycles); the heavier
+layers load lazily (PEP 562).
 """
 
-from repro.obs.hooks import capture_waits, wait_sink
 from repro.obs.registry import (
     GLOBAL_REGISTRY,
     MetricRecord,
@@ -47,7 +46,6 @@ __all__ = [
     "ProfileReport",
     "RunMetrics",
     "WaitStats",
-    "capture_waits",
     "collect_records",
     "derive_run_metrics",
     "merge_run_metrics",
@@ -56,7 +54,6 @@ __all__ = [
     "registry",
     "summary_table",
     "validate_record",
-    "wait_sink",
     "write_jsonl",
 ]
 

@@ -26,8 +26,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.obs.hooks import WaitSample
-
 #: Span kinds that count as computation for the overlap metric (GeMM
 #: kernels and blocked slicing copies both occupy the compute core).
 COMPUTE_KINDS = ("compute", "slice")
@@ -200,23 +198,12 @@ class RunMetrics:
         return records
 
 
-def group_waits(waits: Iterable[WaitSample]) -> Dict[str, List[float]]:
-    """Queue-wait samples grouped by kind, kinds in first-appearance order."""
-    grouped: Dict[str, List[float]] = {}
-    for kind, wait in waits:
-        values = grouped.get(kind)
-        if values is None:
-            grouped[kind] = [wait]
-        else:
-            values.append(wait)
-    return grouped
-
-
-def summarize_waits(grouped: Mapping[str, Sequence[float]]) -> Dict[str, WaitStats]:
-    """Per-kind :class:`WaitStats` of :func:`group_waits` output."""
+def summarize_waits(waits: Mapping[str, Sequence[float]]) -> Dict[str, WaitStats]:
+    """Per-kind :class:`WaitStats` of one run's queue waits (the
+    engine's :data:`repro.sim.engine.QueueWaits`)."""
     return {
         kind: WaitStats(count=len(values), total=sum(values), max=max(values))
-        for kind, values in grouped.items()
+        for kind, values in waits.items()
     }
 
 

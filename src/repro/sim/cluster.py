@@ -5,9 +5,9 @@ per-chip FLOPs, FLOP utilization (achieved throughput over the cluster's
 peak, Section 5.1.1), and the communication breakdown of Figure 10.
 
 :func:`simulate` is also where the observability layer taps the
-simulator: each engine execution's queue waits are captured and
-summarized per kind, the process-wide registry counters are bumped and
-the queue-wait histogram is folded once per kind, and the per-run
+simulator: the per-kind queue waits each engine execution returns are
+folded into the queue-wait histogram once per kind and summarized, the
+process-wide registry counters are bumped, and the per-run
 :attr:`SimResult.metrics` are derived on first read. None of it feeds
 back into the spans.
 """
@@ -22,10 +22,8 @@ from repro.obs.derive import (
     RunMetrics,
     WaitStats,
     derive_run_metrics,
-    group_waits,
     summarize_waits,
 )
-from repro.obs.hooks import capture_waits
 from repro.obs.registry import registry
 from repro.sim.engine import SimFailure, Span, SpanTable
 from repro.sim.program import Program
@@ -50,8 +48,9 @@ class SimResult:
     table: SpanTable
     makespan: float
     flops_per_chip: float
-    #: Per-kind queue-wait summary captured at simulation time, the one
-    #: input of :attr:`metrics` the spans cannot reconstruct.
+    #: Per-kind summary of the queue waits the engine returned, the one
+    #: input of :attr:`metrics` the spans cannot reconstruct; the raw
+    #: wait lists are not kept.
     queue_wait: Mapping[str, WaitStats]
     failure: Optional[SimFailure] = None
     _metrics: Optional[RunMetrics] = dataclasses.field(
@@ -126,8 +125,7 @@ def simulate(
     structured :class:`SimFailure` and ``makespan`` is the failure
     time — the wall clock the cluster burned before halting.
     """
-    with capture_waits() as waits:
-        table, failure = program.execute(faults)
+    table, failure, waits = program.execute(faults)
     reg = registry()
     reg.inc("sim.runs")
     reg.inc("sim.activities", float(len(table)))
@@ -138,8 +136,7 @@ def simulate(
             "sim.failures",
             labels={"kind": failure.kind, "resource": failure.resource},
         )
-    grouped = group_waits(waits)
-    for kind, values in grouped.items():
+    for kind, values in waits.items():
         reg.observe_many(
             "engine.queue_wait_seconds", values, labels={"kind": kind}
         )
@@ -148,7 +145,7 @@ def simulate(
         table=table,
         makespan=failure.time if failure is not None else table.makespan,
         flops_per_chip=program.total_flops,
-        queue_wait=summarize_waits(grouped),
+        queue_wait=summarize_waits(waits),
         failure=failure,
     )
 

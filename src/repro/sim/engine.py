@@ -84,8 +84,6 @@ from typing import (
     Union,
 )
 
-from repro.obs.hooks import wait_sink as _wait_sink
-
 if TYPE_CHECKING:  # pragma: no cover - avoid the sim -> faults cycle
     from repro.faults.hard import HardFault
     from repro.sim.program import Skeleton
@@ -323,6 +321,13 @@ class SimFailure:
         return self.finished + len(self.in_flight) + self.unstarted
 
 
+#: One run's queue waits: activity kind -> the seconds each started
+#: activity of that kind sat ready but blocked (its heap ready time to
+#: its start). Kinds appear in first-start order, each list in start
+#: order; the spans cannot reconstruct these.
+QueueWaits = Dict[str, List[float]]
+
+
 class EngineStructure(NamedTuple):
     """What the engine derives from a program's shape-independent columns.
 
@@ -434,16 +439,16 @@ class Engine:
     def run(self) -> SpanTable:
         """Execute the DAG; returns spans sorted by start time.
 
-        This is the no-failure fast path: no hard-fault bookkeeping
-        runs, and results are bit-identical to the engine before
-        failures existed (pinned by ``tests/test_engine_equivalence``).
+        The table-only convenience over :meth:`run_with_failures` with
+        no hard faults: the fault checks are constant-false guards, so
+        results are bit-identical to the engine before failures existed
+        (pinned by ``tests/test_engine_equivalence``).
         """
-        spans, _failure = self._run(None, False)
-        return spans
+        return self._run(None)[0]
 
     def run_with_failures(
         self, hard_faults: Sequence["HardFault"] = ()
-    ) -> Tuple[SpanTable, Optional[SimFailure]]:
+    ) -> Tuple[SpanTable, Optional[SimFailure], QueueWaits]:
         """Execute the DAG under hard faults; may end in a failure.
 
         Args:
@@ -453,10 +458,14 @@ class Engine:
                 the lockstep step halts there.
 
         Returns:
-            ``(spans, failure)``. ``failure`` is ``None`` when the
-            program completed before any fault time (then ``spans`` is
-            exactly :meth:`run`'s result); otherwise the structured
+            ``(spans, failure, waits)``. ``failure`` is ``None`` when
+            the program completed before any fault time (then ``spans``
+            is exactly :meth:`run`'s result); otherwise the structured
             :class:`SimFailure` with the completed spans so far.
+            ``waits`` holds the :data:`QueueWaits` of every activity
+            that started: one per span of a completed run, and
+            ``failure.finished + len(failure.in_flight)`` of a failed
+            one.
 
         Activities whose fault plan marked them with
         ``meta["failed_resource"]`` (a transient-outage retry budget
@@ -468,11 +477,11 @@ class Engine:
         for candidate in hard_faults:
             if fault is None or candidate.time < fault.time:
                 fault = candidate
-        return self._run(fault, True)
+        return self._run(fault)
 
     def _run(
-        self, fault: Optional["HardFault"], check_poison: bool
-    ) -> Tuple[SpanTable, Optional[SimFailure]]:
+        self, fault: Optional["HardFault"]
+    ) -> Tuple[SpanTable, Optional[SimFailure], QueueWaits]:
         """Shared event loop of :meth:`run` and :meth:`run_with_failures`.
 
         Activities are addressed by their column index, and resource
@@ -483,8 +492,9 @@ class Engine:
         activity is recorded as a ``(start, aid, index, end)`` row, so
         sorting the rows gives the ``(start, aid)`` span order.
 
-        With ``fault is None`` and ``check_poison`` false the loop's
-        arithmetic is untouched — the failure checks are pure
+        With ``fault is None`` and no activity marked
+        ``failed_resource`` (only a fault plan sets that mark) the
+        loop's arithmetic is untouched — the failure checks are pure
         comparisons behind constant-false guards, so the no-failure
         path stays bit-identical.
         """
@@ -497,13 +507,9 @@ class Engine:
         n_acts = len(aids)
 
         fail_time = fault.time if fault is not None else None
-        poisoned: Optional[Set[int]] = None
-        if check_poison:
-            marked = {
-                i for i, meta in enumerate(metas) if meta.get("failed_resource")
-            }
-            if marked:
-                poisoned = marked
+        poisoned: Optional[Set[int]] = {
+            i for i, meta in enumerate(metas) if meta.get("failed_resource")
+        } or None
 
         structure = self._structure
         exclusives = structure.exclusives
@@ -570,11 +576,9 @@ class Engine:
         finished = 0
         now = 0.0
         inf = float("inf")
-        # Queue-wait observation channel (repro.obs): when a capture is
-        # active, each start records how long the activity sat ready but
-        # blocked. Pure observation — never read by the loop — so the
-        # simulated spans are bit-identical with or without it.
-        observed = _wait_sink()
+        # Each start records how long the activity sat ready but
+        # blocked. Never read by the loop, so it cannot move a span.
+        waits: QueueWaits = {}
         # Guard against infinite loops on malformed inputs.
         max_steps = 10 * n_acts + 100
 
@@ -634,8 +638,12 @@ class Engine:
                     continue
                 for r in exclusive:
                     busy[r] = True
-                if observed is not None:
-                    observed.append((kinds[i], now - item[0]))
+                kind = kinds[i]
+                kind_waits = waits.get(kind)
+                if kind_waits is None:
+                    waits[kind] = [now - item[0]]
+                else:
+                    kind_waits.append(now - item[0])
                 duration = durations[i]
                 running[i] = [
                     now,
@@ -702,9 +710,8 @@ class Engine:
             # run at the fault time; completions landing exactly on the
             # fault time still count (the step finished as it died).
             if fail_time is not None and now + dt > fail_time:
-                return _table(), _interrupted(
-                    fail_time, fault.resource, fault.kind
-                )
+                failure = _interrupted(fail_time, fault.resource, fault.kind)
+                return _table(), failure, waits
             now += dt
             completed: List[int] = []
             for i, state in running.items():
@@ -723,7 +730,8 @@ class Engine:
                 for i in completed:
                     if i in poisoned:
                         resource = str(metas[i]["failed_resource"])
-                        return _table(), _interrupted(now, resource, "link")
+                        failure = _interrupted(now, resource, "link")
+                        return _table(), failure, waits
             freed: List[int] = []
             for i in completed:
                 state = running.pop(i)
@@ -749,7 +757,7 @@ class Engine:
                     wake_origin[nxt[2]] = r
                     heappush(ready_heap, nxt)
 
-        return _table(), None
+        return _table(), None, waits
 
 
 def makespan(spans: Iterable[Span]) -> float:

@@ -45,6 +45,7 @@ from repro.sim.engine import (
     Columns,
     Engine,
     EngineStructure,
+    QueueWaits,
     SimFailure,
     SimulationError,
     SpanTable,
@@ -343,7 +344,7 @@ class Program:
         faults (or an exhaustible retry policy) and the run dies; use
         :meth:`execute` to receive the failure as a value.
         """
-        spans, failure = self.execute(faults)
+        spans, failure, _waits = self.execute(faults)
         if failure is not None:
             raise SimulationError(
                 f"simulation died at t={failure.time:.6g}s "
@@ -354,26 +355,25 @@ class Program:
 
     def execute(
         self, faults: Optional["FaultPlan"] = None
-    ) -> Tuple[SpanTable, Optional[SimFailure]]:
+    ) -> Tuple[SpanTable, Optional[SimFailure], QueueWaits]:
         """Simulate the program, surfacing hard failures as a value.
 
-        Returns ``(spans, failure)``. ``failure`` is ``None`` for a
+        Returns ``(spans, failure, waits)``, as
+        :meth:`Engine.run_with_failures`. ``failure`` is ``None`` for a
         completed run; otherwise a :class:`SimFailure` describing when
         and where the run died, with ``spans`` the (truncated) trace up
-        to that instant. With ``faults=None`` this is exactly
-        :meth:`run`'s unfaulted fast path.
+        to that instant. ``waits`` are the run's per-kind queue waits.
+        With ``faults=None`` (or a null plan) the program runs exactly
+        as built.
         """
         if faults is None or faults.is_null:
-            # A null plan is a no-op rewrite: run the program as built.
-            engine = Engine(self.columns, self.shared_capacities, self.skeleton)
-            return engine.run(), None
-        # A plan rewrites only durations, shared demands and metas, so
-        # the perturbed program keeps this one's skeleton.
-        program = faults.apply(self)
-        engine = Engine(
-            program.columns, program.shared_capacities, self.skeleton
-        )
-        return engine.run_with_failures(faults.hard_faults)
+            program, hard_faults = self, ()
+        else:
+            # A plan rewrites only durations, shared demands and metas,
+            # so the perturbed program keeps this one's skeleton.
+            program, hard_faults = faults.apply(self), faults.hard_faults
+        engine = Engine(program.columns, program.shared_capacities, self.skeleton)
+        return engine.run_with_failures(hard_faults)
 
     @property
     def total_flops(self) -> float:

@@ -196,7 +196,7 @@ class TestHardFaultExecution:
         from repro.sim import Engine as E
 
         acts = self._dag()
-        spans, failure = E(acts).run_with_failures(())
+        spans, failure, _waits = E(acts).run_with_failures(())
         assert failure is None
         assert spans == E(self._dag()).run()
 
@@ -204,14 +204,16 @@ class TestHardFaultExecution:
         from repro.faults import chip_down
 
         acts = self._dag()
-        spans, failure = Engine(acts).run_with_failures((chip_down(100.0),))
+        spans, failure, _waits = Engine(acts).run_with_failures(
+            (chip_down(100.0),)
+        )
         assert failure is None
         assert spans == Engine(self._dag()).run()
 
     def test_fault_truncates_in_flight_work(self):
         from repro.faults import chip_down
 
-        spans, failure = Engine(self._dag()).run_with_failures(
+        spans, failure, _waits = Engine(self._dag()).run_with_failures(
             (chip_down(2.5),)
         )
         assert failure is not None
@@ -235,7 +237,7 @@ class TestHardFaultExecution:
         # t=3 does not interrupt it — completions at the fault instant
         # count as finished. The fault still halts the lockstep step,
         # interrupting the unrelated compute activity 2.
-        spans, failure = Engine(self._dag()).run_with_failures(
+        spans, failure, _waits = Engine(self._dag()).run_with_failures(
             (link_down(3.0, LINK_H),)
         )
         assert failure is not None
@@ -247,7 +249,7 @@ class TestHardFaultExecution:
     def test_earliest_fault_wins(self):
         from repro.faults import chip_down, link_down
 
-        _spans, failure = Engine(self._dag()).run_with_failures(
+        _spans, failure, _waits = Engine(self._dag()).run_with_failures(
             (chip_down(4.0), link_down(1.5, LINK_H))
         )
         assert failure is not None

@@ -237,18 +237,21 @@ class TestFaultSpec:
 
 
 class TestFaultedPassCache:
-    def test_null_plan_shares_clean_cache_entry(self, hw):
+    def test_null_plan_shares_clean_cache_entry(self, hw, monkeypatch):
         from repro.perf.pipeline import faulted_pass, simulated_pass
 
+        # Only a cache returns the same object: caching must be on.
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
         cfg = GeMMConfig(
             GeMMShape(4096, 4096, 4096), Mesh2D(2, 2), Dataflow.OS, slices=2
         )
         clean = simulated_pass("meshslice", cfg, hw)
         assert faulted_pass("meshslice", cfg, hw, NULL_PLAN) is clean
 
-    def test_faulted_result_memoized(self, hw):
+    def test_faulted_result_memoized(self, hw, monkeypatch):
         from repro.perf.pipeline import faulted_pass
 
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
         cfg = GeMMConfig(
             GeMMShape(4096, 4096, 4096), Mesh2D(2, 2), Dataflow.OS, slices=2
         )
@@ -400,7 +403,7 @@ class TestRetryPolicyPlans:
         for act in marked:
             assert act.meta["failed_resource"] in (LINK_H, LINK_V)
             assert act.meta["retries"] >= 2
-        spans, failure = program.execute(plan)
+        spans, failure, _waits = program.execute(plan)
         assert failure is not None
         assert failure.kind == "link"
         assert failure.resource in (LINK_H, LINK_V)

@@ -10,7 +10,11 @@ from repro.models import get_model
 def report():
     from repro.obs.profile import profile_block
 
-    return profile_block(get_model("gpt3-175b"), 8, 16, TPUV4)
+    # The report lists the hit rates of the caches its search called,
+    # so it is built with caching on.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delenv("REPRO_NO_CACHE", raising=False)
+        return profile_block(get_model("gpt3-175b"), 8, 16, TPUV4)
 
 
 class TestProfileBlock:
@@ -121,9 +125,11 @@ class TestPublicApi:
 
 
 class TestCli:
-    def test_profile_command(self, capsys):
+    def test_profile_command(self, capsys, monkeypatch):
         from repro.cli import main
 
+        # The hit-rate section lists the caches the search called.
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
         assert main(["profile", "gpt3-175b", "--chips", "16",
                      "--batch", "8"]) == 0
         out = capsys.readouterr().out

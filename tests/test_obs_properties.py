@@ -9,8 +9,11 @@ samples cover every started activity, and the derived metrics are
 independent of the ``REPRO_NO_CACHE`` kill switch.
 """
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms import GeMMConfig, get_algorithm
 from repro.core import Dataflow, GeMMShape
@@ -18,11 +21,9 @@ from repro.hw import TPUV4
 from repro.mesh import Mesh2D
 from repro.obs.derive import (
     derive_run_metrics,
-    group_waits,
     merge_run_metrics,
     summarize_waits,
 )
-from repro.obs.hooks import capture_waits
 from repro.sim import Engine
 
 from test_engine_properties import random_dag
@@ -32,6 +33,10 @@ MIXED_KINDS = ("compute", "slice", "comm")
 
 def _run(activities):
     return Engine(activities, {"hbm": 100.0}).run()
+
+
+def _run_with_failures(activities, hard_faults=()):
+    return Engine(activities, {"hbm": 100.0}).run_with_failures(hard_faults)
 
 
 class TestDerivedInvariants:
@@ -72,13 +77,10 @@ class TestDerivedInvariants:
     @settings(max_examples=60, deadline=None)
     @given(random_dag(kinds=MIXED_KINDS))
     def test_queue_waits_cover_every_start(self, activities):
-        with capture_waits() as waits:
-            spans = _run(activities)
-        assert len(waits) == len(spans)
-        assert all(wait >= -1e-12 for _kind, wait in waits)
-        metrics = derive_run_metrics(
-            spans, queue_wait=summarize_waits(group_waits(waits))
-        )
+        spans, _failure, waits = _run_with_failures(activities)
+        assert sum(len(values) for values in waits.values()) == len(spans)
+        assert all(wait >= -1e-12 for values in waits.values() for wait in values)
+        metrics = derive_run_metrics(spans, queue_wait=summarize_waits(waits))
         assert sum(s.count for s in metrics.queue_wait.values()) == len(spans)
         for stats in metrics.queue_wait.values():
             assert stats.max <= stats.total + 1e-12
@@ -164,7 +166,7 @@ def _soft_plan():
 class TestLazyRunMetrics:
     """``SimResult.metrics`` is derived on first read from the per-kind
     wait summary kept at simulation time, and equals what eager
-    derivation over the raw wait samples gives."""
+    derivation over the engine's returned wait lists gives."""
 
     @pytest.mark.parametrize(
         "plan", [None, "soft", "hard"], ids=["heap", "faulted", "hard-failed"]
@@ -174,16 +176,13 @@ class TestLazyRunMetrics:
 
         faults = {"soft": _soft_plan, "hard": _hard_plan}.get(plan, lambda: None)()
         program = _pass_program()
-        with capture_waits() as waits:
-            spans, failure = program.execute(faults)
+        spans, failure, waits = program.execute(faults)
         result = simulate(program, TPUV4, faults=faults)
         assert (failure is None) == (plan != "hard")
         assert result.failure == failure
         assert result.spans == spans
         assert waits, "the engine reported no queue waits"
-        eager = derive_run_metrics(
-            spans, queue_wait=summarize_waits(group_waits(waits))
-        )
+        eager = derive_run_metrics(spans, queue_wait=summarize_waits(waits))
         assert result._metrics is None  # nothing derived before the read
         assert result.metrics.as_dict() == eager.as_dict()
         assert result.metrics == eager
@@ -215,3 +214,84 @@ class TestLazyRunMetrics:
         live = _simulate_pass()
         assert live == _simulate_pass()
         assert dataclasses.replace(live, queue_wait={}) != live
+
+
+
+def _exhausted_plan():
+    from repro.faults import FaultPlan
+    from repro.recovery import RetryPolicy
+
+    policy = RetryPolicy(max_retries=2, base_backoff=1e-4)
+    return FaultPlan(outage_rate=1.0, retry_policy=policy, seed=3)
+
+
+def _started(spans, failure):
+    """Activities a run started: one per row of a completed run; the
+    finished plus the in-flight ones of a failed run."""
+    if failure is None:
+        return len(spans.rows)
+    return failure.finished + len(failure.in_flight)
+
+
+def _wait_count(waits):
+    return sum(len(values) for values in waits.values())
+
+
+class TestReturnedWaits:
+    """The engine returns one queue wait per started activity, grouped
+    by kind: kinds in first-start order, each list in start order."""
+
+    @pytest.mark.parametrize(
+        "plan, fails",
+        [(None, False), (_soft_plan, False), (_hard_plan, True),
+         (_exhausted_plan, True)],
+        ids=["heap", "faulted", "hard-failed", "retry-exhausted"],
+    )
+    def test_one_wait_per_started_activity(self, plan, fails):
+        spans, failure, waits = _pass_program().execute(plan and plan())
+        assert (failure is not None) == fails
+        assert _wait_count(waits) == _started(spans, failure)
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_dag(kinds=MIXED_KINDS), st.floats(0.0, 1.0))
+    def test_failed_run_counts_every_started_activity(self, activities, fraction):
+        from repro.faults import chip_down
+
+        fault = chip_down(fraction * _run(activities).makespan)
+        spans, failure, waits = _run_with_failures(activities, (fault,))
+        assert _wait_count(waits) == _started(spans, failure)
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_dag(kinds=MIXED_KINDS))
+    def test_waits_in_first_start_and_start_order(self, activities):
+        spans, failure, waits = _run_with_failures(activities)
+        assert failure is None
+        # Kinds in first-start order: no kind starts before the one
+        # listed ahead of it.
+        assert set(waits) == {span.kind for span in spans}
+        firsts = [
+            min(span.start for span in spans if span.kind == kind)
+            for kind in waits
+        ]
+        assert firsts == sorted(firsts)
+        deps = {activity.aid: activity.deps for activity in activities}
+        ends = {span.aid: span.end for span in spans}
+        for kind, values in waits.items():
+            assert all(wait >= 0.0 for wait in values)
+            # An activity is ready when its last dependency ends, so it
+            # waited its start minus that end. Activities starting at
+            # one instant start in ready-heap order, so each such group
+            # is compared as a multiset.
+            expected = [
+                (span.start, span.start - max(
+                    (ends[dep] for dep in deps[span.aid]), default=0.0
+                ))
+                for span in spans
+                if span.kind == kind
+            ]
+            assert len(values) == len(expected)
+            position = 0
+            for _start, group in itertools.groupby(expected, key=lambda p: p[0]):
+                want = sorted(wait for _start, wait in group)
+                assert sorted(values[position:position + len(want)]) == want
+                position += len(want)

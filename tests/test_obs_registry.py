@@ -1,4 +1,4 @@
-"""Unit tests of the metrics registry and the engine wait hooks."""
+"""Unit tests of the metrics registry."""
 
 import math
 import threading
@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.hooks import capture_waits, wait_sink
 from repro.obs.registry import (
     DEFAULT_BUCKETS,
     MetricsRegistry,
@@ -242,23 +241,3 @@ class TestSnapshotsAndMerge:
             t.join()
         assert reg.counter_value("c") == 2000.0
 
-
-class TestWaitHooks:
-    def test_no_sink_outside_capture(self):
-        assert wait_sink() is None
-
-    def test_capture_collects(self):
-        with capture_waits() as waits:
-            sink = wait_sink()
-            assert sink is waits
-            sink.append(("compute", 0.5))
-        assert waits == [("compute", 0.5)]
-        assert wait_sink() is None
-
-    def test_nested_captures_use_innermost(self):
-        with capture_waits() as outer:
-            with capture_waits() as inner:
-                wait_sink().append(("comm", 1.0))
-            wait_sink().append(("compute", 2.0))
-        assert inner == [("comm", 1.0)]
-        assert outer == [("compute", 2.0)]

@@ -202,8 +202,8 @@ def test_faulted_runs_of_a_replayed_program(
     ]
     failures = 0
     for plan in plans:
-        spans, failure = replayed.execute(plan)
-        fresh_spans, fresh_failure = fresh.execute(plan)
+        spans, failure, _waits = replayed.execute(plan)
+        fresh_spans, fresh_failure, _waits = fresh.execute(plan)
         assert spans == fresh_spans, plan
         assert [row[3].hex() for row in spans.rows] == [
             row[3].hex() for row in fresh_spans.rows
@@ -251,7 +251,7 @@ class TestCostRecords:
         program = builder.build()
         half = program.columns.durations[0] / 2
         plan = FaultPlan(hard_faults=(HardFault(half, "core", "chip"),))
-        _spans, failure = program.execute(plan)
+        _spans, failure, _waits = program.execute(plan)
         assert failure.in_flight[0].meta["interrupted"] is True
         assert all("interrupted" not in meta for meta in program.columns.metas)
 

@@ -52,7 +52,7 @@ def _eager(program, plan):
         engine = Engine(program.activities, program.shared_capacities)
         return list(engine.run()), None
     faulted = plan.apply(program)
-    spans, failure = Engine(
+    spans, failure, _waits = Engine(
         faulted.activities, faulted.shared_capacities
     ).run_with_failures(plan.hard_faults)
     return list(spans), failure
