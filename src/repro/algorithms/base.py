@@ -307,10 +307,10 @@ class DistributedGeMM(abc.ABC):
         store = _SKELETONS.store
         skeleton = store.get(key)
         if skeleton is None:
-            _SKELETONS.misses += 1
+            _SKELETONS.misses.value += 1
             skeleton = store[key] = self._emitted(cfg, table).skeleton()
         else:
-            _SKELETONS.hits += 1
+            _SKELETONS.hits.value += 1
         return Program.from_columns(
             skeleton.columns(table), shared_capacities(hw), meta, skeleton
         )

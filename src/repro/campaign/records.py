@@ -56,15 +56,15 @@ def record_metrics(
     """The storable subset of a per-point registry delta.
 
     Counters and histograms only (deterministic, subtractable),
-    excluding the campaign layer's own bookkeeping and the wall-clock
-    service series. Order is the registry's sorted snapshot order, so
-    the encoding is stable.
+    excluding the campaign layer's own bookkeeping, the memo caches'
+    ``cache.*`` lookup counts and the wall-clock service series. Order
+    is the registry's sorted snapshot order, so the encoding is stable.
     """
     kept = []
     for rec in delta:
         if rec.type not in ("counter", "histogram"):
             continue
-        if rec.name.startswith("campaign."):
+        if rec.name.startswith(("campaign.", "cache.")):
             continue
         if rec.name in WALL_CLOCK_SERIES:
             continue

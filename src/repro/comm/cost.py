@@ -108,9 +108,6 @@ class CommCostModel:
             model = cls._instances[hw] = cls(hw)
         return model
 
-    def _ring_bw(self) -> float:
-        return self._bw
-
     def allgather(self, ring_size: int, shard_bytes: float) -> CommCost:
         """Ring AllGather of per-chip shards of ``shard_bytes``.
 

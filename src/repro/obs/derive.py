@@ -117,11 +117,6 @@ class RunMetrics:
     comm_sync: float
     queue_wait: Mapping[str, WaitStats]
 
-    @property
-    def comm_total(self) -> float:
-        """Total nominal communication time (launch + transfer + sync)."""
-        return self.comm_launch + self.comm_transfer + self.comm_sync
-
     def as_dict(self) -> Dict[str, object]:
         """One nested JSON-able dict (sorted mappings throughout)."""
         return {

@@ -19,6 +19,10 @@ Exports are deterministic: records are emitted sorted by
 ``(type, name, labels)`` and every mapping is key-sorted, so the same
 workload produces byte-identical files across processes and hash
 seeds (pinned by ``tests/test_obs_determinism.py``).
+
+Every count lives in the registry (memo caches' ``cache.hits`` /
+``cache.misses`` included), so a pooled run's export sums every
+worker's counts; only the caches' hit/miss split depends on the pool.
 """
 
 from __future__ import annotations
@@ -77,38 +81,15 @@ def validate_record(record: Dict[str, object]) -> None:
         raise ValueError(f"{rtype} record needs a numeric value: {record!r}")
 
 
-def cache_records() -> List[Dict[str, object]]:
-    """The memoization layer's hit/miss counters as schema records.
-
-    Pulled from :func:`repro.perf.cache.cache_stats` at export time, so
-    the cache hot path carries no instrumentation of its own.
-    """
-    from repro.perf.cache import cache_stats
-
-    records: List[Dict[str, object]] = []
-    for name, stats in sorted(cache_stats().items()):
-        for field in ("hits", "misses", "entries"):
-            records.append(
-                {
-                    "type": "counter",
-                    "name": f"cache.{field}",
-                    "labels": {"cache": name},
-                    "value": float(getattr(stats, field)),
-                }
-            )
-    return records
-
-
 def collect_records(
     run_metrics: Optional[Iterable[RunMetrics]] = None,
 ) -> List[Dict[str, object]]:
     """Everything observable right now, as sorted schema records.
 
-    The global registry snapshot, the cache counters, and any per-run
-    derived metrics the caller wants included.
+    The global registry snapshot (memo-cache counters included) and any
+    per-run derived metrics the caller wants included.
     """
     records = [rec.to_record() for rec in registry().snapshot()]
-    records.extend(cache_records())
     for metrics in run_metrics or ():
         records.extend(metrics.to_records())
     records.sort(

@@ -31,7 +31,7 @@ from __future__ import annotations
 import dataclasses
 import threading
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 #: Canonical label encoding: a tuple of (key, value) pairs sorted by
 #: key. Hashable, order-independent, and deterministic to serialize.
@@ -196,6 +196,19 @@ class _Histogram:
         return tuple(items)
 
 
+class CounterCell:
+    """One counter series' total. Hot paths bump ``value`` in place
+    (no label key, lookup or lock): CPython switches threads only at
+    calls and backward jumps, never inside ``cell.value += 1``, so
+    concurrent bumps lose no increments. ``mark`` is the value at the
+    holder's last reset, for since-reset views."""
+
+    __slots__ = ("value", "mark")
+
+    def __init__(self) -> None:
+        self.value = self.mark = 0.0
+
+
 class MetricsRegistry:
     """Named, labeled metric series with deterministic snapshots.
 
@@ -206,7 +219,9 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._counters: Dict[Tuple[str, Labels], float] = {}
+        self._counters: Dict[Tuple[str, Labels], CounterCell] = {}
+        #: Series whose cells :meth:`counter` handed out.
+        self._held: Set[Tuple[str, Labels]] = set()
         self._gauges: Dict[Tuple[str, Labels], float] = {}
         self._histograms: Dict[Tuple[str, Labels], _Histogram] = {}
 
@@ -221,7 +236,23 @@ class MetricsRegistry:
         """Add ``value`` to a counter series (creating it at zero)."""
         key = (name, _labels_key(labels))
         with self._lock:
-            self._counters[key] = self._counters.get(key, 0.0) + value
+            self._cell(key).value += value
+
+    def counter(
+        self, name: str, labels: Optional[Mapping[str, object]] = None
+    ) -> CounterCell:
+        """The cell of one counter series, for callers that bump it
+        often. Snapshots leave the series out while it reads zero."""
+        key = (name, _labels_key(labels))
+        with self._lock:
+            self._held.add(key)
+            return self._cell(key)
+
+    def _cell(self, key: Tuple[str, Labels]) -> CounterCell:
+        cell = self._counters.get(key)
+        if cell is None:
+            cell = self._counters[key] = CounterCell()
+        return cell
 
     def set_gauge(
         self,
@@ -268,9 +299,11 @@ class MetricsRegistry:
     def snapshot(self) -> List[MetricRecord]:
         """Every series as records, sorted by ``(type, name, labels)``."""
         with self._lock:
+            held = self._held
             records = [
-                MetricRecord("counter", name, labels, value=value)
-                for (name, labels), value in self._counters.items()
+                MetricRecord("counter", key[0], key[1], value=cell.value)
+                for key, cell in self._counters.items()
+                if cell.value or key not in held
             ]
             records.extend(
                 MetricRecord("gauge", name, labels, value=value)
@@ -296,12 +329,17 @@ class MetricsRegistry:
     ) -> float:
         """Current total of one counter series (0.0 if absent)."""
         with self._lock:
-            return self._counters.get((name, _labels_key(labels)), 0.0)
+            cell = self._counters.get((name, _labels_key(labels)))
+            return cell.value if cell is not None else 0.0
 
     def clear(self) -> None:
-        """Drop every series (tests and fresh CLI invocations)."""
+        """Drop every series (tests and fresh CLI invocations); cells
+        handed out by :meth:`counter` stay attached and restart at 0."""
         with self._lock:
-            self._counters.clear()
+            held = {key: self._counters[key] for key in self._held}
+            for cell in held.values():
+                cell.value = cell.mark = 0.0
+            self._counters = held
             self._gauges.clear()
             self._histograms.clear()
 
@@ -317,9 +355,7 @@ class MetricsRegistry:
             for rec in records:
                 key = (rec.name, rec.labels)
                 if rec.type == "counter":
-                    self._counters[key] = (
-                        self._counters.get(key, 0.0) + (rec.value or 0.0)
-                    )
+                    self._cell(key).value += rec.value or 0.0
                 elif rec.type == "gauge":
                     self._gauges[key] = rec.value or 0.0
                 elif rec.type == "histogram":

@@ -2,8 +2,9 @@
 
 Two layers:
 
-* :mod:`repro.perf.cache` — named, content-keyed memoization with
-  hit/miss counters and the ``REPRO_NO_CACHE`` environment kill switch.
+* :mod:`repro.perf.cache` — named, content-keyed memoization counting
+  hits/misses in the metrics registry, and the ``REPRO_NO_CACHE``
+  environment kill switch.
 * :mod:`repro.perf.pipeline` — cached program builds, whole simulated
   pass results keyed ``(algorithm, GeMMConfig, HardwareParams)``, and
   certified makespan lower bounds for mesh-search pruning.
@@ -21,7 +22,6 @@ from repro.perf.cache import (
     caching_enabled,
     clear_caches,
     memoize,
-    registered_caches,
 )
 
 _PIPELINE_EXPORTS = (
@@ -40,7 +40,6 @@ __all__ = [
     "caching_enabled",
     "clear_caches",
     "memoize",
-    "registered_caches",
     *_PIPELINE_EXPORTS,
 ]
 

@@ -15,12 +15,14 @@ are cheap: hashing a config is a handful of integer hashes.
 This module provides the shared memoization machinery:
 
 * :func:`memoize` — decorator turning a pure function into a cached
-  one. Each cache is registered under a name so tests and benchmarks
-  can inspect hit/miss counters.
+  one. Each cache is registered under a name and counts its lookups
+  as the registry counters ``cache.hits``/``cache.misses{cache=<name>}``,
+  so they cross process pools like every other series.
 * ``REPRO_NO_CACHE=1`` — environment kill switch, honored *per call*,
   so a single process can flip caching on and off (the equivalence and
   regression tests rely on this).
-* :func:`cache_stats` / :func:`clear_caches` — introspection and reset.
+* :func:`cache_stats` / :func:`clear_caches` — a per-cache view of
+  those counters since the cache was last cleared, and the reset.
 
 Caches are unbounded: one full evaluation sweep creates a few thousand
 entries of small frozen objects, far below any practical memory limit.
@@ -34,6 +36,8 @@ from __future__ import annotations
 import dataclasses
 import os
 from typing import Any, Callable, Dict, Optional, Tuple, TypeVar
+
+from repro.obs.registry import registry
 
 #: Environment variable that disables every cache when set to a truthy
 #: value ("1", "true", "yes", "on" — case-insensitive).
@@ -77,7 +81,7 @@ def caching_enabled() -> bool:
 
 @dataclasses.dataclass
 class CacheStats:
-    """Hit/miss counters of one named cache."""
+    """One named cache's lookups since its last :func:`clear_caches`."""
 
     name: str
     hits: int
@@ -95,26 +99,28 @@ class CacheStats:
 
 
 class _MemoCache:
-    """One named cache: a plain dict plus hit/miss counters."""
+    """One named cache: a plain dict plus the registry cells of its
+    ``cache.hits``/``cache.misses`` series, marked at each :meth:`clear`."""
 
     __slots__ = ("name", "store", "hits", "misses")
 
     def __init__(self, name: str):
         self.name = name
         self.store: Dict[Any, Any] = {}
-        self.hits = 0
-        self.misses = 0
+        self.hits = registry().counter("cache.hits", {"cache": name})
+        self.misses = registry().counter("cache.misses", {"cache": name})
+        self.clear()
 
     def clear(self) -> None:
         self.store.clear()
-        self.hits = 0
-        self.misses = 0
+        for cell in (self.hits, self.misses):
+            cell.mark = cell.value
 
     def stats(self) -> CacheStats:
         return CacheStats(
             name=self.name,
-            hits=self.hits,
-            misses=self.misses,
+            hits=int(self.hits.value - self.hits.mark),
+            misses=int(self.misses.value - self.misses.mark),
             entries=len(self.store),
         )
 
@@ -131,13 +137,12 @@ def memoize(name: str) -> Callable[[_F], _F]:
     Registering two caches under one name raises, which catches
     accidental name collisions between modules.
     """
-    if name in _REGISTRY:
-        raise ValueError(f"cache {name!r} already registered")
-    cache = _MemoCache(name)
-    _REGISTRY[name] = cache
+    cache = named_cache(name)
 
     def decorator(fn: _F) -> _F:
         store = cache.store
+        hits = cache.hits
+        misses = cache.misses
 
         def wrapper(*args: Any) -> Any:
             kill = _kill_switch_value()
@@ -146,18 +151,16 @@ def memoize(name: str) -> Callable[[_F], _F]:
             try:
                 value = store[args]
             except KeyError:
-                cache.misses += 1
+                misses.value += 1
                 value = store[args] = fn(*args)
                 return value
             except TypeError:
                 # Unhashable argument (caller-constructed list, etc.):
                 # fall through to the uncached function.
                 return fn(*args)
-            cache.hits += 1
+            hits.value += 1
             return value
 
-        wrapper.cache = cache  # type: ignore[attr-defined]
-        wrapper.cache_clear = cache.clear  # type: ignore[attr-defined]
         wrapper.__wrapped__ = fn  # type: ignore[attr-defined]
         wrapper.__name__ = getattr(fn, "__name__", name)
         wrapper.__doc__ = fn.__doc__
@@ -172,11 +175,11 @@ def named_cache(name: str) -> _MemoCache:
     For call patterns :func:`memoize` cannot express — e.g. the
     program skeleton store, whose entry is filled by a builder only
     when the algorithm's ``build_program`` finishes rather than
-    returned by one call. The returned object exposes
-    ``store`` (a plain dict) plus ``hits``/``misses`` counters; it
-    participates in :func:`cache_stats` and :func:`clear_caches` like
-    any decorated cache. Callers must honor :func:`caching_enabled`
-    themselves.
+    returned by one call. The returned object exposes ``store`` (a
+    plain dict) plus the ``hits``/``misses`` counter cells (bump as
+    ``cache.hits.value += 1``); it participates in :func:`cache_stats`
+    and :func:`clear_caches` like any decorated cache. Callers must
+    honor :func:`caching_enabled` themselves.
     """
     if name in _REGISTRY:
         raise ValueError(f"cache {name!r} already registered")
@@ -186,21 +189,19 @@ def named_cache(name: str) -> _MemoCache:
 
 
 def cache_stats(name: Optional[str] = None) -> Dict[str, CacheStats]:
-    """Counters of one cache, or of every registered cache."""
+    """Lookups of one cache, or of every registered cache, since each
+    was last cleared (pooled workers' lookups included once merged)."""
     if name is not None:
         return {name: _REGISTRY[name].stats()}
     return {key: cache.stats() for key, cache in _REGISTRY.items()}
 
 
 def clear_caches(names: Optional[Tuple[str, ...]] = None) -> None:
-    """Empty caches and reset their counters (all by default)."""
+    """Empty caches and restart their :func:`cache_stats` views (all by
+    default); the registry counters keep their totals."""
     targets = _REGISTRY.values() if names is None else (
         _REGISTRY[n] for n in names
     )
     for cache in targets:
         cache.clear()
 
-
-def registered_caches() -> Tuple[str, ...]:
-    """Names of every cache created so far (import-order dependent)."""
-    return tuple(_REGISTRY)

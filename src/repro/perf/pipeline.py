@@ -79,16 +79,6 @@ def _canonical_config(algorithm: str, cfg: GeMMConfig) -> GeMMConfig:
     return get_algorithm(algorithm).canonical_config(cfg)
 
 
-def canonical_pass_config(algorithm: str, cfg: GeMMConfig) -> GeMMConfig:
-    """The canonical cache key of one pass configuration.
-
-    Per-algorithm: the representative of ``cfg``'s equivalence class
-    under the *bit-identical program* relation (see
-    :meth:`repro.algorithms.base.DistributedGeMM.canonical_config`).
-    """
-    return _canonical_config(algorithm, cfg)
-
-
 @memoize("simulated_pass")
 def _simulated_pass(
     algorithm: str, cfg: GeMMConfig, hw: HardwareParams

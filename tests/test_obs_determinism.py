@@ -61,9 +61,18 @@ def point(n):
 jobs = int(sys.argv[1])
 out = grid_map(point, list(range(12)), jobs=jobs)
 sys.stdout.write(f"points={len(out)}\\n")
+records = collect_records()
 sys.stdout.write(dumps_records(
-    r for r in collect_records() if not r["name"].startswith("cache.")
+    r for r in records if not r["name"].startswith("cache.")
 ))
+# Each memo's calls do not depend on the pool; its hit/miss split does.
+calls = {}
+for r in records:
+    if r["name"] in ("cache.hits", "cache.misses"):
+        name = r["labels"]["cache"]
+        calls[name] = calls.get(name, 0) + r["value"]
+for name, n in sorted(calls.items()):
+    sys.stdout.write(f"calls {name}={n:g}\\n")
 """
 
 
@@ -194,13 +203,23 @@ class TestSDCDeterminism:
 
 
 class TestGridMapDeterminism:
-    def test_parallel_matches_serial_byte_for_byte(self):
+    def test_parallel_matches_serial_byte_for_byte(self, monkeypatch):
+        # The memo-cache calls below need caching on.
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
         serial = _run(GRID_SCRIPT, 1, hashseed="0")
         parallel = _run(GRID_SCRIPT, 4, hashseed="17")
         assert serial == parallel
         assert b"points=12" in serial
         assert b"sim.runs" in serial
         assert b"engine.queue_wait_seconds" in serial
+        # Memo-cache calls cross the pool and equal the serial calls
+        # (the whole-output equality above); every listed cache counted.
+        calls = {
+            line.split(b"=")[0]: float(line.split(b"=")[1])
+            for line in serial.splitlines() if line.startswith(b"calls ")
+        }
+        assert b"calls program_skeleton" in calls
+        assert all(n > 0 for n in calls.values())
 
     def test_repeat_runs_identical(self):
         first = _run(GRID_SCRIPT, 4, hashseed="5")

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.obs.export import (
-    cache_records,
     collect_records,
     dumps_records,
     read_jsonl,
@@ -119,10 +118,33 @@ class TestCollectAndDump:
         assert any(r["name"] == "run.makespan_seconds" for r in records)
         assert all(r["type"] == "derived" for r in records)
 
-    def test_cache_records_validate(self):
-        for record in cache_records():
+    def test_cache_series_validate(self, hw, monkeypatch):
+        """Memo caches count in the registry: a cache that was called
+        exports schema-valid ``cache.hits``/``cache.misses`` counters
+        whose sum is its calls; one that was not exports nothing."""
+        from repro.algorithms import GeMMConfig
+        from repro.core.gemm import GeMMShape
+        from repro.mesh import Mesh2D
+        from repro.perf import simulated_pass
+
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        cfg = GeMMConfig(GeMMShape(512, 512, 512), Mesh2D(2, 2), slices=2)
+        for _ in range(3):
+            simulated_pass("meshslice", cfg, hw)
+        cache = [
+            r for r in collect_records() if r["name"].startswith("cache.")
+        ]
+        for record in cache:
             validate_record(record)
-            assert record["name"].startswith("cache.")
+            assert record["type"] == "counter"
+            assert set(record["labels"]) == {"cache"}
+            assert record["value"] > 0
+        calls = sum(
+            r["value"] for r in cache
+            if r["labels"]["cache"] == "simulated_pass"
+        )
+        assert calls == 3
+        assert "faulted_pass" not in {r["labels"]["cache"] for r in cache}
 
     def test_dumps_one_sorted_line_per_record(self):
         text = dumps_records([_counter("b"), _counter("a")])

@@ -156,10 +156,37 @@ class TestCli:
         assert code == 2
         assert "cannot run" in capsys.readouterr().err
 
-    def test_profile_writes_metrics_file(self, tmp_path, capsys):
+    def test_profile_without_caching_drops_only_hit_rates(
+        self, capsys, monkeypatch
+    ):
+        """``REPRO_NO_CACHE=1`` changes only the cache views: the report
+        is the cached one minus its hit-rate section, which is left out
+        when the search called no cache."""
+        from repro.cli import main
+
+        argv = ["profile", "gpt3-175b", "--chips", "16", "--batch", "8"]
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        assert main(argv) == 0
+        cached = capsys.readouterr().out.splitlines(keepends=True)
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        assert main(argv) == 0
+        uncached = capsys.readouterr().out
+        start = next(
+            i for i, line in enumerate(cached)
+            if line.split() == ["cache", "hit", "rate"]
+        )
+        end = start
+        while end < len(cached) and cached[end].strip():
+            end += 1
+        assert not cached[start - 1].strip()
+        assert uncached == "".join(cached[:start - 1] + cached[end:])
+
+    def test_profile_writes_metrics_file(self, tmp_path, capsys, monkeypatch):
         from repro.cli import main
         from repro.obs.export import read_jsonl
 
+        # The export carries cache.* series only for caches that counted.
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
         out = tmp_path / "m.jsonl"
         assert main(["profile", "gpt3-175b", "--chips", "16",
                      "--batch", "8", "--metrics", str(out)]) == 0

@@ -37,6 +37,38 @@ class TestCounters:
         reg.inc("c", labels={"b": 2, "a": 1})
         assert reg.counter_value("c", labels={"b": 2, "a": 1}) == 2.0
 
+    def test_cell_is_the_series(self, reg):
+        cell = reg.counter("c", {"cache": "x"})
+        cell.value += 2
+        reg.inc("c", 1.0, {"cache": "x"})
+        assert reg.counter("c", {"cache": "x"}) is cell
+        assert reg.counter_value("c", {"cache": "x"}) == 3.0
+
+    def test_held_series_hidden_until_nonzero(self, reg):
+        cell = reg.counter("held")
+        reg.inc("plain", 0.0)
+        assert [r.name for r in reg.snapshot()] == ["plain"]
+        cell.value += 1
+        assert [r.name for r in reg.snapshot()] == ["held", "plain"]
+
+    def test_clear_keeps_held_cells_attached(self, reg):
+        cell = reg.counter("held")
+        cell.value += 5
+        cell.mark = cell.value  # a holder's since-reset view reads 0
+        reg.inc("plain")
+        reg.clear()
+        assert reg.snapshot() == []
+        cell.value += 1
+        assert reg.counter_value("held") == 1.0
+        assert cell.value - cell.mark == 1.0
+
+    def test_merge_lands_in_held_cell(self, reg):
+        cell = reg.counter("held")
+        other = MetricsRegistry()
+        other.inc("held", 4.0)
+        reg.merge_records(other.snapshot())
+        assert cell.value == 4.0
+
     def test_absent_series_reads_zero(self, reg):
         assert reg.counter_value("never") == 0.0
 

@@ -11,7 +11,6 @@ from repro.perf import (
     caching_enabled,
     clear_caches,
     memoize,
-    registered_caches,
     simulated_pass,
 )
 
@@ -106,7 +105,7 @@ def test_pipeline_caches_are_registered():
     import repro.perf.pipeline  # noqa: F401
     import repro.sim.chip  # noqa: F401
 
-    names = registered_caches()
+    names = cache_stats()
     for expected in (
         "gemm_cost",
         "meshslice_estimate",
@@ -275,28 +274,81 @@ def test_session_hit_rate_regression(hw):
     assert stats.hit_rate >= 0.5, stats
 
 
-def test_memoize_unhashable_arguments_fall_through():
+@pytest.fixture
+def throwaway_cache(monkeypatch):
+    """Register test-only caches whose counters live in a private
+    registry, so no ``cache.*`` series of theirs reaches the global one."""
+    from repro.obs.registry import GLOBAL_REGISTRY, MetricsRegistry
+    from repro.perf import cache
+
+    private = MetricsRegistry()
+    monkeypatch.setattr(cache, "registry", lambda: private)
+    names = []
+
+    def register(name):
+        names.append(name)
+        return memoize(name)
+
+    yield register
+    for name in names:
+        cache._REGISTRY.pop(name, None)
+    leaked = [
+        rec for rec in GLOBAL_REGISTRY.snapshot()
+        if dict(rec.labels).get("cache") in names
+    ]
+    assert not leaked
+
+
+def test_memoize_unhashable_arguments_fall_through(throwaway_cache):
     calls = []
 
-    @memoize("test_unhashable_fallback")
+    @throwaway_cache("test_unhashable_fallback")
     def fn(x):
         calls.append(x)
         return len(calls)
 
-    try:
-        assert fn([1, 2]) == 1
-        assert fn([1, 2]) == 2  # lists are unhashable: never cached
-        stats = cache_stats("test_unhashable_fallback")[
-            "test_unhashable_fallback"
-        ]
-        assert (stats.hits, stats.misses, stats.entries) == (0, 0, 0)
-        assert fn(7) == 3
-        assert fn(7) == 3
-        stats = cache_stats("test_unhashable_fallback")[
-            "test_unhashable_fallback"
-        ]
-        assert (stats.hits, stats.misses, stats.entries) == (1, 1, 1)
-    finally:
-        from repro.perf.cache import _REGISTRY
+    assert fn([1, 2]) == 1
+    assert fn([1, 2]) == 2  # lists are unhashable: never cached
+    stats = cache_stats("test_unhashable_fallback")["test_unhashable_fallback"]
+    assert (stats.hits, stats.misses, stats.entries) == (0, 0, 0)
+    assert fn(7) == 3
+    assert fn(7) == 3
+    stats = cache_stats("test_unhashable_fallback")["test_unhashable_fallback"]
+    assert (stats.hits, stats.misses, stats.entries) == (1, 1, 1)
 
-        _REGISTRY.pop("test_unhashable_fallback", None)
+
+def test_threaded_calls_all_counted(throwaway_cache):
+    """Counter cells are bumped without a lock: 8 threads hammering one
+    memoized function, switching as often as the interpreter allows,
+    must still count every call exactly once."""
+    import sys
+    import threading
+
+    @throwaway_cache("test_threaded_counts")
+    def square(x):
+        return x * x
+
+    threads, per_thread = 8, 20_000
+    start = threading.Barrier(threads)
+
+    def hammer(offset):
+        start.wait()
+        for i in range(per_thread):
+            square((offset + i) % 97)
+
+    workers = [
+        threading.Thread(target=hammer, args=(t,)) for t in range(threads)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    stats = cache_stats("test_threaded_counts")["test_threaded_counts"]
+    assert stats.calls == threads * per_thread
+    assert stats.misses >= stats.entries == 97
